@@ -15,7 +15,6 @@ import hashlib
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -314,7 +313,7 @@ SUITES = {
 # -- runner ------------------------------------------------------------------------
 
 
-def run_plan(plan: dict, out_dir: str | Path, threads: int = 1) -> dict:
+def run_plan(plan: dict, out_dir: str | Path) -> dict:
     names = plan.get("suites", [])
     if names == "all":
         names = list(SUITES)
@@ -327,21 +326,12 @@ def run_plan(plan: dict, out_dir: str | Path, threads: int = 1) -> dict:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    def run_one(name):
+    results = {}
+    for name in names:
         t0 = time.time()
         res = SUITES[name](dom, seed, budgets)
         res["elapsed_s"] = round(time.time() - t0, 3)
-        return name, res
-
-    results = {}
-    if threads > 1 and len(names) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for name, res in pool.map(run_one, names):
-                results[name] = res
-    else:
-        for name in names:
-            k, res = run_one(name)
-            results[k] = res
+        results[name] = res
 
     summary = {
         "plan_hash": hashlib.sha256(json.dumps(plan, sort_keys=True).encode()).hexdigest(),
@@ -393,7 +383,6 @@ def main(argv=None) -> int:
     p_run.add_argument("--plan", required=True)
     p_run.add_argument("--out", required=True)
     p_run.add_argument("--seed", type=int, default=None)
-    p_run.add_argument("--threads", type=int, default=1)
     p_emit = sub.add_parser("emit", help="emit plot-ready CSV from a report directory")
     p_emit.add_argument("--report", required=True)
     p_emit.add_argument("--kind", required=True, choices=["fr-regression", "berezin-decay", "cover-map"])
@@ -405,7 +394,7 @@ def main(argv=None) -> int:
         if args.seed is not None:
             plan["seed"] = args.seed
         try:
-            summary = run_plan(plan, args.out, threads=args.threads)
+            summary = run_plan(plan, args.out)
         except PlanError as exc:
             print(f"plan error: {exc}", file=sys.stderr)
             return 2

@@ -328,10 +328,6 @@ def _inward_points_at_depth(dom: DomainSpec, zs: np.ndarray, depth: float) -> np
     return out
 
 
-def _inward_point_at_depth(dom: DomainSpec, z: np.ndarray, depth: float) -> np.ndarray:
-    return _inward_points_at_depth(dom, np.asarray(z, complex).reshape(1, -1), depth)[0]
-
-
 def build_cells(dom: DomainSpec, level: CoverLevel, u_idx: int) -> dict:
     """Membership predicates for the two nested cells plus the representative."""
     center = level.centers[u_idx]
@@ -348,10 +344,6 @@ def build_cells(dom: DomainSpec, level: CoverLevel, u_idx: int) -> dict:
 
     z_rep = level.z_reps[u_idx]
     return {"a_cell": a_cell, "b_cell": b_cell, "z_rep": z_rep, "center": center}
-
-
-def _rep_depth(level: CoverLevel) -> float:
-    return float(np.sqrt(level.depth_a[0] * level.depth_a[1]))
 
 
 def a_cell_samples(cover: Cover, li: int, u_idx: int, count: int = 16, seed: int = 0) -> np.ndarray:

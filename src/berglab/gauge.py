@@ -95,6 +95,12 @@ class RayField:
             raise GaugeError("ray sampler requires the origin inside the domain")
         self.dom = dom
         self.sphere_area = _sphere_area(2 * dom.n)
+        # r(s * omega) = sum_k parts[k](omega) * s**k
+        self._parts = dom.r.homogeneous_parts()
+        d = 2 * dom.n
+        if d > 2:  # full-sphere normaliser of cap_fraction
+            hs = np.linspace(-1.0, 1.0, 8001)
+            self._cap_norm = np.trapezoid((1.0 - hs**2) ** ((d - 3) / 2.0), hs)
 
     def directions(self, count: int, rng: np.random.Generator) -> np.ndarray:
         g = rng.standard_normal((count, 2 * self.dom.n))
@@ -118,9 +124,7 @@ class RayField:
         hs = np.linspace(cos_cap, 1.0, 4001)
         dens = (1.0 - hs**2) ** ((d - 3) / 2.0)
         upper = np.trapezoid(dens, hs)
-        hs_all = np.linspace(-1.0, 1.0, 8001)
-        total = np.trapezoid((1.0 - hs_all**2) ** ((d - 3) / 2.0), hs_all)
-        return float(upper / total)
+        return float(upper / self._cap_norm)
 
     def cap_directions(self, axis: np.ndarray, cos_cap: float, count: int, rng: np.random.Generator) -> np.ndarray:
         """Uniform directions in the spherical cap around ``axis`` (complex n-vector)."""
@@ -149,25 +153,20 @@ class RayField:
         x = hs[:, None] * ax[None, :] + np.sqrt(np.maximum(1 - hs**2, 0.0))[:, None] * g
         return self._to_complex(x, self.dom.n)
 
+    def _ray_coefficients(self, omega: np.ndarray) -> np.ndarray:
+        """c[k, m] with r(s * omega[m]) = sum_k c[k, m] * s**k for real s."""
+        return np.stack([np.real(p(omega)) for p in self._parts])
+
     def boundary_radius(self, omega: np.ndarray) -> np.ndarray:
         """Smallest s > 0 with r(s * omega) = 0 along each direction."""
-        dom = self.dom
-        m = len(omega)
-        s_hi = np.full(m, 0.25)
+        coef = self._ray_coefficients(omega)
+        s_hi = np.full(len(omega), 0.25)
         for _ in range(60):
-            vals = dom.r_val(s_hi[:, None] * omega)
-            grow = vals < 0
+            grow = _horner(coef, s_hi)[0] < 0
             if not np.any(grow):
                 break
             s_hi[grow] *= 1.5
-        s_lo = np.zeros(m)
-        for _ in range(80):
-            mid = 0.5 * (s_lo + s_hi)
-            vals = dom.r_val(mid[:, None] * omega)
-            inside = vals < 0
-            s_lo = np.where(inside, mid, s_lo)
-            s_hi = np.where(inside, s_hi, mid)
-        return 0.5 * (s_lo + s_hi)
+        return _ray_root(coef, np.zeros(len(omega)), np.zeros(len(omega)), s_hi)
 
     def _radial_slope(self, omega: np.ndarray, s: np.ndarray) -> np.ndarray:
         """d(-r)/ds along the ray; positive approaching the boundary from inside."""
@@ -177,26 +176,21 @@ class RayField:
 
     def solve_depth(self, omega: np.ndarray, radius: np.ndarray, targets: np.ndarray) -> np.ndarray:
         """s with -r(s*omega) = target, searching inward from the boundary."""
-        dom = self.dom
-        s_hi = radius.copy()
+        coef = self._ray_coefficients(omega)
         s_lo = np.zeros_like(radius)
         # bracket: walk inward until -r >= target
         frac = np.full(len(radius), 0.5)
         for _ in range(200):
-            cand = s_hi * frac
-            deep = -dom.r_val(cand[:, None] * omega) >= targets
+            cand = radius * frac
+            deep = -_horner(coef, cand)[0] >= targets
             s_lo = np.where(deep & (s_lo == 0), cand, s_lo)
             frac = np.where(s_lo == 0, frac * 0.7, frac)
             if np.all(s_lo > 0):
                 break
         if np.any(s_lo == 0):
             raise GaugeError("depth target unreachable along some ray")
-        for _ in range(80):
-            mid = 0.5 * (s_lo + s_hi)
-            shallow = -dom.r_val(mid[:, None] * omega) < targets
-            s_hi = np.where(shallow, mid, s_hi)
-            s_lo = np.where(shallow, s_lo, mid)
-        return 0.5 * (s_lo + s_hi)
+        level = np.broadcast_to(-np.asarray(targets, float), radius.shape)
+        return _ray_root(coef, level, s_lo, radius)
 
     def layer_sample(
         self,
@@ -261,6 +255,44 @@ class RayField:
             if np.any(slope < -1e-9):
                 return False
         return True
+
+
+def _horner(coef: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """p(s) and p'(s) for p(s) = sum_k coef[k] * s**k, per ray."""
+    p = coef[-1] * np.ones_like(s)
+    dp = np.zeros_like(s)
+    for c in coef[-2::-1]:
+        dp = dp * s + p
+        p = p * s + c
+    return p, dp
+
+
+def _ray_root(coef: np.ndarray, level: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """s in [lo, hi] with p(s) = level, given p(lo) <= level <= p(hi) on each ray.
+
+    Safeguarded Newton on Horner's rule from ``hi``: a step that leaves the
+    current bracket is replaced by bisection.  A ray stops once its step or
+    its bracket is down to float resolution.
+    """
+    tol = 4.0 * np.finfo(float).eps
+    lo, hi, s = lo.copy(), hi.copy(), hi.copy()
+    active = np.arange(len(s))
+    for _ in range(100):
+        x, a, b = s[active], lo[active], hi[active]
+        f, df = _horner(coef[:, active], x)
+        f -= level[active]
+        below = f <= 0
+        a = np.where(below, x, a)
+        b = np.where(below, b, x)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            nxt = x - f / df
+        nxt = np.where((nxt >= a) & (nxt <= b), nxt, 0.5 * (a + b))
+        lo[active], hi[active], s[active] = a, b, nxt
+        done = (np.abs(nxt - x) <= tol * x) | (b - a <= tol * b)
+        active = active[~done]
+        if not len(active):
+            break
+    return s
 
 
 def _ray_field(dom: DomainSpec) -> RayField:

@@ -96,13 +96,6 @@ class PathPolyline:
     def __post_init__(self):
         object.__setattr__(self, "nodes", np.asarray(self.nodes, dtype=complex))
 
-    @property
-    def segment_count(self) -> int:
-        return len(self.nodes) - 1
-
-    def reversed(self) -> "PathPolyline":
-        return PathPolyline(self.nodes[::-1].copy())
-
 
 def _refinement_breaks(level: int) -> np.ndarray:
     """Sub-interval breakpoints of [0,1], dyadically refined toward both ends.
@@ -170,11 +163,6 @@ def _polyline_length(dom: DomainSpec, nodes: np.ndarray) -> float:
     if np.all(np.abs(nodes[1:] - nodes[:-1]) == 0):
         return 0.0
     return float(np.sum(_segment_lengths(dom, nodes[:-1], nodes[1:])))
-
-
-def _polyline_length_batch(dom: DomainSpec, nodes: np.ndarray) -> np.ndarray:
-    """Lengths for a batch of polylines, shape (..., K+1, n) -> (...)."""
-    return np.sum(_segment_lengths(dom, nodes[..., :-1, :], nodes[..., 1:, :]), axis=-1)
 
 
 # -- distance estimation ------------------------------------------------------
@@ -431,9 +419,6 @@ class DistanceEstimator:
         val = min(chord, opt)
         self._memo[key] = val
         return val
-
-    def chord_batch(self, z: np.ndarray, w: np.ndarray) -> np.ndarray:
-        return straight_chord_upper(self.dom, z, w)
 
 
 # -- regions ------------------------------------------------------------------

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from berglab.domain import ellipsoid, unit_ball
+from berglab.domain import custom_domain, ellipsoid, unit_ball
 
 
 @pytest.fixture(scope="session")
@@ -29,6 +29,24 @@ def ball2_global():
 @pytest.fixture(scope="session")
 def egg():
     return ellipsoid([1.0, 2.0])
+
+
+@pytest.fixture(scope="session")
+def mixed():
+    """Ellipsoid-like domain with off-diagonal z1 conj(z2) terms."""
+    return custom_domain(
+        2,
+        [((1, 0), (1, 0), 1.0), ((0, 1), (0, 1), 1.5), ((1, 0), (0, 1), 0.25), ((0, 1), (1, 0), 0.25), ((0, 0), (0, 0), -1.0)],
+        [[-1.2, 1.2]] * 4,
+        c=1.0,
+        theta=0.1,
+    )
+
+
+@pytest.fixture(scope="session")
+def quartic():
+    """{|z|^4 + 0.5|z|^2 < 1} in C^1: a defining polynomial of degree 4."""
+    return custom_domain(1, [((2,), (2,), 1.0), ((1,), (1,), 0.5), ((0,), (0,), -1.0)], [[-1.1, 1.1]] * 2, c=1.0, theta=0.1)
 
 
 def cpoint(*vals):

@@ -61,16 +61,9 @@ def _finite_diff_levi(dom, z, xi, h=1e-4):
 
 
 @pytest.mark.parametrize("make_dom", [lambda: unit_ball(2), lambda: ellipsoid([1.0, 2.0])])
-def test_geometry_matches_finite_differences(make_dom):
+def test_geometry_matches_finite_differences(make_dom, mixed):
     dom = make_dom()
     rng = np.random.default_rng(3)
-    mixed = custom_domain(
-        2,
-        [((1, 0), (1, 0), 1.0), ((0, 1), (0, 1), 1.5), ((1, 0), (0, 1), 0.25), ((0, 1), (1, 0), 0.25), ((0, 0), (0, 0), -1.0)],
-        [[-1.2, 1.2]] * 4,
-        c=1.0,
-        theta=0.1,
-    )
     for dom_i in (dom, mixed):
         for _ in range(30):
             z = (rng.uniform(-0.4, 0.4, 2) + 1j * rng.uniform(-0.4, 0.4, 2)).astype(complex)
@@ -208,3 +201,70 @@ def test_defining_polynomial_real(x, y):
 def test_reject_complex_polynomial():
     with pytest.raises(DomainError):
         custom_domain(1, [((1,), (0,), 1.0), ((0,), (0,), -1.0)], [[-2, 2]] * 2, c=1.0, theta=0.1)
+
+
+def _reference_surface_sample(dom, rho, count, rng, slab_eps=None):
+    """The slab loop evaluating r_val on every draw, kept as the reference."""
+    from berglab.domain import _grad_cap, _project_to_level
+
+    if slab_eps is None:
+        slab_eps = 5e-4 * dom.box_diameter()
+    box = dom.bounding_box
+    grad_cap = _grad_cap(dom, rng)
+    pts = []
+    n_drawn = 0
+    n_in_slab = 0
+    grad_sum = 0.0
+    for _ in range(600):
+        m = max(8 * count, 8192)
+        raw = rng.uniform(box[:, 0], box[:, 1], size=(m, 2 * dom.n))
+        zz = raw[:, : dom.n] + 1j * raw[:, dom.n :]
+        n_drawn += m
+        rv = dom.r_val(zz)
+        sel = np.abs(-rv - rho) < slab_eps
+        cand = zz[sel]
+        n_in_slab += len(cand)
+        if len(cand) == 0:
+            continue
+        gn = dom.grad_norm(cand)
+        grad_sum += float(np.sum(gn))
+        acc = rng.uniform(0, grad_cap, size=len(cand)) < gn
+        cand = cand[acc]
+        if len(cand) == 0:
+            continue
+        proj = _project_to_level(dom, cand, rho)
+        pts.append(proj)
+        if sum(len(p) for p in pts) >= count:
+            break
+    if not pts or sum(len(p) for p in pts) < count:
+        raise DomainError("surface sampler starved; enlarge slab_eps or count")
+    mean_grad = grad_sum / max(n_in_slab, 1)
+    box_vol = float(np.prod(box[:, 1] - box[:, 0]))
+    slab_vol = box_vol * n_in_slab / n_drawn
+    area = slab_vol * mean_grad / (2.0 * slab_eps)
+    return np.concatenate(pts, axis=0)[:count], float(area)
+
+
+# the mixed domain's gradient cap starves the default slab at any count
+@pytest.mark.parametrize("name, slab_eps", [("egg", None), ("ball2", None), ("mixed", 0.01)])
+@pytest.mark.parametrize("rho, count, seed", [(0.0, 1500, 4), (0.05, 800, 9)])
+def test_surface_sample_matches_reference_slab_loop(request, name, slab_eps, rho, count, seed):
+    dom = request.getfixturevalue(name)
+    rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    pts, area = surface_sample(dom, rho, count, rng, slab_eps)
+    pts_ref, area_ref = _reference_surface_sample(dom, rho, count, rng_ref, slab_eps)
+    assert pts.tobytes() == pts_ref.tobytes()
+    assert area == area_ref
+    assert rng.random() == rng_ref.random()
+
+
+def test_real_poly_matches_herm_poly(mixed, quartic):
+    from berglab._poly import RealPoly
+
+    rng = np.random.default_rng(5)
+    for dom in (mixed, quartic):
+        z = rng.uniform(-1.2, 1.2, (500, dom.n)) + 1j * rng.uniform(-1.2, 1.2, (500, dom.n))
+        real = RealPoly(dom.r)
+        bound = real.rounding_bound(np.full(dom.n, np.sqrt(2) * 1.2))
+        assert 0 < bound < 1e-10
+        assert np.max(np.abs(real(z.real.T, z.imag.T) - dom.r_val(z))) <= bound

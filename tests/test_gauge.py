@@ -225,3 +225,69 @@ def test_normal_ray_depth_growth(disc):
         for s in (-0.01, -0.003):
             gain = -disc.r_val(z + s * u) + disc.r_val(z)
             assert gain >= 0.5 * abs(s)
+
+
+def _reference_boundary_radius(dom, omega):
+    """Bracket and 80-step bisection on r_val, kept as the reference."""
+    s_hi = np.full(len(omega), 0.25)
+    for _ in range(60):
+        grow = dom.r_val(s_hi[:, None] * omega) < 0
+        if not np.any(grow):
+            break
+        s_hi[grow] *= 1.5
+    s_lo = np.zeros(len(omega))
+    for _ in range(80):
+        mid = 0.5 * (s_lo + s_hi)
+        inside = dom.r_val(mid[:, None] * omega) < 0
+        s_lo = np.where(inside, mid, s_lo)
+        s_hi = np.where(inside, s_hi, mid)
+    return 0.5 * (s_lo + s_hi)
+
+
+def _reference_solve_depth(dom, omega, radius, targets):
+    s_hi = radius.copy()
+    s_lo = np.zeros_like(radius)
+    frac = np.full(len(radius), 0.5)
+    for _ in range(200):
+        cand = s_hi * frac
+        deep = -dom.r_val(cand[:, None] * omega) >= targets
+        s_lo = np.where(deep & (s_lo == 0), cand, s_lo)
+        frac = np.where(s_lo == 0, frac * 0.7, frac)
+        if np.all(s_lo > 0):
+            break
+    for _ in range(80):
+        mid = 0.5 * (s_lo + s_hi)
+        shallow = -dom.r_val(mid[:, None] * omega) < targets
+        s_hi = np.where(shallow, mid, s_hi)
+        s_lo = np.where(shallow, s_lo, mid)
+    return 0.5 * (s_lo + s_hi)
+
+
+@pytest.mark.parametrize("name", ["disc", "ball2", "egg", "mixed", "quartic"])
+def test_ray_roots_match_reference_bisection(request, name):
+    from berglab.gauge import RayField
+
+    dom = request.getfixturevalue(name)
+    rays = RayField(dom)
+    rng = np.random.default_rng(17)
+    omega = rays.directions(2000, rng)
+    radius = rays.boundary_radius(omega)
+    radius_ref = _reference_boundary_radius(dom, omega)
+    assert np.all(np.abs(radius - radius_ref) <= 2e-15 * radius_ref)
+    fixed = [np.full(len(omega), 2.0**-k) for k in (44, 30, 16, 8, 4)]
+    mixed_targets = np.exp(rng.uniform(np.log(2.0**-44), np.log(0.1), len(omega)))
+    for targets in fixed + [np.full(len(omega), 0.1), mixed_targets]:
+        s = rays.solve_depth(omega, radius, targets)
+        s_ref = _reference_solve_depth(dom, omega, radius_ref, targets)
+        assert np.all(np.abs(s - s_ref) <= 2e-15 * s_ref)
+
+
+def test_cap_fraction_normaliser(ball2):
+    from berglab.gauge import RayField
+
+    rays = RayField(ball2)
+    # heights on S^3 have density (2/pi) sqrt(1 - h^2)
+    for c in (-0.5, 0.0, 0.3, 0.9):
+        exact = 0.5 - (c * np.sqrt(1 - c * c) + np.arcsin(c)) / np.pi
+        assert rays.cap_fraction(c) == pytest.approx(exact, rel=1e-5)
+    assert rays.cap_fraction(-1.0) == pytest.approx(1.0, rel=1e-5)
