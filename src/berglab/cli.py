@@ -167,23 +167,26 @@ def _boundary_anchor(dom) -> np.ndarray:
 def suite_lattice(dom, seed: int, budgets: dict) -> dict:
     checks = []
     a = budgets.get("separation", 0.5)
-    lat = build_separated(dom, ("shell", 0.02, 0.6), a, candidate_count=budgets.get("candidates", 120), seed=seed)
+    # one memo for the suite: partition and count re-ask the pairs the build refined
+    est = metric_mod.DistanceEstimator(dom, metric_mod.SCAN_BUDGET)
+    lat = build_separated(dom, ("shell", 0.02, 0.6), a, candidate_count=budgets.get("candidates", 120), seed=seed,
+                          est=est)
     ok = True
     if len(lat) >= 2:
-        dmat = pairwise_dupper(dom, lat.points, refine_below=2 * a)
+        dmat = pairwise_dupper(dom, lat.points, est, refine_below=2 * a)
         iu = np.triu_indices(len(lat), 1)
         ok = bool(np.all(dmat[iu] >= 2 * a - 1e-9))
     checks.append(_check("separation", ok, len(lat)))
-    classes = partition_separated(dom, lat, 2 * a)
+    classes = partition_separated(dom, lat, 2 * a, est)
     sound = True
     for cls in classes:
         if len(cls) >= 2:
-            dmat = pairwise_dupper(dom, cls.points, refine_below=4 * a)
+            dmat = pairwise_dupper(dom, cls.points, est, refine_below=4 * a)
             iu = np.triu_indices(len(cls), 1)
             sound &= bool(np.all(dmat[iu] > 4 * a - 1e-9))
     checks.append(_check("partition-sound", sound, len(classes)))
     z = lat.points[0] if len(lat) else np.zeros(dom.n, complex)
-    checks.append(_check("neighbor-count", True, count_neighbors(dom, lat, z, 2 * a)))
+    checks.append(_check("neighbor-count", True, count_neighbors(dom, lat, z, 2 * a, est)))
     return {"checks": checks, "tables": {}}
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .domain import DomainSpec, sample_region
-from .metric import CHEAP_BUDGET, SCAN_BUDGET, DistanceBudget, DistanceEstimator, straight_chord_upper
+from .metric import SCAN_BUDGET, DistanceEstimator, straight_chord_upper
 
 
 @dataclass(frozen=True)
@@ -79,10 +79,14 @@ def build_separated(
     a: float,
     candidate_count: int = 400,
     seed: int = 0,
-    budget: DistanceBudget = SCAN_BUDGET,
+    est: DistanceEstimator | None = None,
     candidates: np.ndarray | None = None,
 ) -> Lattice:
-    """Greedy maximal packing relative to the sampled candidate stream."""
+    """Greedy maximal packing relative to the sampled candidate stream.
+
+    ``est`` defaults to a fresh SCAN_BUDGET estimator; pass a shared one to
+    reuse its optimizer distances in later partitions and counts.
+    """
     if a <= 0:
         raise ValueError("separation parameter must be positive")
     rng = np.random.default_rng(seed)
@@ -94,7 +98,8 @@ def build_separated(
         return Lattice(np.empty((0, dom.n), complex), a, seed, str(region))
     candidates = _depth_stratified_shuffle(dom, np.asarray(candidates, complex), rng)
 
-    est = DistanceEstimator(dom, budget)
+    if est is None:
+        est = DistanceEstimator(dom, SCAN_BUDGET)
     accepted: list[np.ndarray] = []
     for cand in candidates:
         if not accepted:
@@ -116,7 +121,7 @@ def build_separated(
     return Lattice(np.asarray(accepted), a, seed, str(region))
 
 
-def pairwise_dupper(dom: DomainSpec, pts: np.ndarray, budget: DistanceBudget = SCAN_BUDGET,
+def pairwise_dupper(dom: DomainSpec, pts: np.ndarray, est: DistanceEstimator | None = None,
                     refine_below: float = np.inf) -> np.ndarray:
     """Symmetric matrix of estimator distances between lattice points.
 
@@ -125,7 +130,8 @@ def pairwise_dupper(dom: DomainSpec, pts: np.ndarray, budget: DistanceBudget = S
     """
     pts = np.asarray(pts, complex)
     m = len(pts)
-    est = DistanceEstimator(dom, budget)
+    if est is None:
+        est = DistanceEstimator(dom, SCAN_BUDGET)
     out = np.zeros((m, m))
     for i in range(m):
         if i + 1 < m:
@@ -141,14 +147,14 @@ def pairwise_dupper(dom: DomainSpec, pts: np.ndarray, budget: DistanceBudget = S
 
 
 def partition_separated(dom: DomainSpec, lat: Lattice, R: float,
-                        budget: DistanceBudget = SCAN_BUDGET) -> list[Lattice]:
+                        est: DistanceEstimator | None = None) -> list[Lattice]:
     """Greedy coloring of the conflict graph {d_upper <= 2R} into separated classes."""
     if R < lat.a:
         raise ValueError("partition scale must be at least the separation parameter")
     m = len(lat)
     if m == 0:
         return []
-    dmat = pairwise_dupper(dom, lat.points, budget, refine_below=2 * R + 1.0)
+    dmat = pairwise_dupper(dom, lat.points, est, refine_below=2 * R + 1.0)
     conflict = dmat <= 2 * R
     np.fill_diagonal(conflict, False)
     colors = -np.ones(m, int)
@@ -165,14 +171,15 @@ def partition_separated(dom: DomainSpec, lat: Lattice, R: float,
 
 
 def count_neighbors(dom: DomainSpec, lat: Lattice, z: np.ndarray, R: float,
-                    budget: DistanceBudget = SCAN_BUDGET) -> int:
+                    est: DistanceEstimator | None = None) -> int:
     """Number of lattice points within estimator distance R of z."""
     if len(lat) == 0:
         return 0
     z = np.asarray(z, complex).reshape(-1)
     chords = straight_chord_upper(dom, z, lat.points)
     count = int(np.sum(chords <= R))
-    est = DistanceEstimator(dom, budget)
+    if est is None:
+        est = DistanceEstimator(dom, SCAN_BUDGET)
     maybe = np.where((chords > R) & (chords <= R + 2.0))[0]
     for i in maybe:
         if est(z, lat.points[i]) <= R:

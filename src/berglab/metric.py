@@ -121,9 +121,7 @@ def _segment_lengths(dom: DomainSpec, p: np.ndarray, q: np.ndarray) -> np.ndarra
     shape = np.broadcast_shapes(p.shape, q.shape)
     p = np.broadcast_to(p, shape).reshape(-1, shape[-1])
     q = np.broadcast_to(q, shape).reshape(-1, shape[-1])
-    dp = np.maximum(-dom.r_val(p), 1e-300)
-    dq = np.maximum(-dom.r_val(q), 1e-300)
-    mid = np.maximum(-dom.r_val(0.5 * (p + q)), 1e-300)
+    dp, dq, mid = np.maximum(-dom.r_val(np.stack([p, q, 0.5 * (p + q)])), 1e-300)
     hi = np.maximum(mid, np.maximum(dp, dq))
     lo = np.minimum(dp, dq)
     lev = np.clip(np.ceil(np.log2(hi / lo)) + 2, 2, 48)
@@ -142,13 +140,14 @@ def _segment_lengths_fixed(dom: DomainSpec, p: np.ndarray, q: np.ndarray, level:
     t = brk[:-1, None] + widths[:, None] * _GL_T[None, :]  # (pieces, 4)
     w = widths[:, None] * _GL_W[None, :]
     pts = p[:, None, None, :] + t[None, :, :, None] * v[:, None, None, :]
-    rv = dom.r_val(pts)
-    escaped = np.any(rv >= 0, axis=(-1, -2))
-    safe_pts = np.where(rv[..., None] < 0, pts, 0.0)
-    speeds2 = metric_form(dom, safe_pts, np.broadcast_to(v[:, None, None, :], pts.shape))
-    speeds = np.sqrt(np.maximum(speeds2, 0.0))
-    lengths = np.sum(speeds * w, axis=(-1, -2))
-    return np.where(escaped, np.inf, lengths)
+    inside = np.all(dom.r_val(pts) < 0, axis=(-1, -2))
+    out = np.full(len(p), np.inf)
+    if np.any(inside):
+        pts = pts[inside]
+        speeds2 = metric_form(dom, pts, np.broadcast_to(v[inside][:, None, None, :], pts.shape))
+        speeds = np.sqrt(np.maximum(speeds2, 0.0))
+        out[inside] = np.sum(speeds * w, axis=(-1, -2))
+    return out
 
 
 def path_length(dom: DomainSpec, path: PathPolyline | np.ndarray) -> float:
@@ -266,7 +265,9 @@ def _length_gradient(dom: DomainSpec, nodes: np.ndarray, h: float) -> np.ndarray
 
     Moving one node only changes its two adjacent segments, so the finite
     differences are evaluated on a batch of segment pairs rather than on
-    whole polylines.
+    whole polylines: one quadrature call per perturbed coordinate, holding
+    the in- and out-segments of both signs.  Batching all 4n perturbations
+    into one call would hold every abscissa of the polish at once.
     """
     k1, n = nodes.shape
     m = k1 - 2
@@ -277,13 +278,10 @@ def _length_gradient(dom: DomainSpec, nodes: np.ndarray, h: float) -> np.ndarray
         for j in range(n):
             shift = np.zeros((m, n), complex)
             shift[:, j] = comp * h
-            # batch: (sign, side) x segments
             p_ends = np.concatenate([mid + shift, mid - shift])  # perturbed node
-            starts = np.concatenate([left, left])
-            ends = np.concatenate([right, right])
-            l_in = _segment_lengths(dom, starts, p_ends)
-            l_out = _segment_lengths(dom, p_ends, ends)
-            tot = l_in + l_out
+            # in-segments of both signs, then out-segments
+            seg = _segment_lengths(dom, np.concatenate([left, left, p_ends]), np.concatenate([p_ends, right, right]))
+            tot = seg[: 2 * m] + seg[2 * m :]
             deriv = (tot[:m] - tot[m:]) / (2 * h)
             deriv = np.where(np.isfinite(deriv), deriv, 0.0)
             grad[:, j] += comp * deriv
@@ -398,7 +396,13 @@ def straight_chord_upper(dom: DomainSpec, z: np.ndarray, w: np.ndarray) -> np.nd
 
 
 class DistanceEstimator:
-    """Memoizing facade: one consistent d_upper per point pair and budget."""
+    """Memoizing facade: min(chord, optimizer) at one budget.
+
+    The value is an exact function of the unordered pair: both bounds are
+    computed with the endpoints in key order, so est(z, w) == est(w, z)
+    bit for bit, and sharing one estimator across callers cannot change
+    what any of them sees.
+    """
 
     def __init__(self, dom: DomainSpec, budget: DistanceBudget = SCAN_BUDGET):
         self.dom = dom
@@ -410,7 +414,9 @@ class DistanceEstimator:
         w = np.asarray(w, complex).reshape(-1)
         ka = z.tobytes()
         kb = w.tobytes()
-        key = ka + kb if ka <= kb else kb + ka
+        if kb < ka:
+            z, w, ka, kb = w, z, kb, ka
+        key = ka + kb
         hit = self._memo.get(key)
         if hit is not None:
             return hit

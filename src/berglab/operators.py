@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -608,12 +607,9 @@ def partition_toeplitz_h(space: GalerkinSpace, h, n0: int, tol: float = 1e-6) ->
 
 def save_operator(path: str, op: OperatorMatrix, n: int, N: int) -> None:
     """Row-major little-endian float64 (re, im) pairs plus a JSON sidecar."""
-    mat = np.ascontiguousarray(op.matrix, dtype=complex)
-    dim = mat.shape[0]
+    dim = op.matrix.shape[0]
     with open(path, "wb") as fh:
-        for row in mat:
-            for val in row:
-                fh.write(struct.pack("<dd", float(val.real), float(val.imag)))
+        np.ascontiguousarray(op.matrix).astype("<c16").tofile(fh)
     with open(path + ".json", "w") as fh:
         json.dump({"n": n, "N": N, "label": op.label, "dim": dim}, fh, sort_keys=True)
 

@@ -8,7 +8,7 @@ from berglab.lattice import (
     pairwise_dupper,
     partition_separated,
 )
-from berglab.metric import CHEAP_BUDGET, metric_ball_volume
+from berglab.metric import CHEAP_BUDGET, SCAN_BUDGET, DistanceEstimator, metric_ball_volume
 
 
 def test_empty_region(disc):
@@ -41,6 +41,38 @@ def test_partition_soundness(disc_global):
             dmat = pairwise_dupper(disc_global, cls.points, refine_below=2 * R + 0.5)
             iu = np.triu_indices(len(cls), 1)
             assert np.all(dmat[iu] > 2 * R - 1e-9)
+
+
+class _CountingEstimator(DistanceEstimator):
+    def __init__(self, dom, budget):
+        super().__init__(dom, budget)
+        self.requests = 0
+
+    def __call__(self, z, w):
+        self.requests += 1
+        return super().__call__(z, w)
+
+
+@pytest.mark.parametrize("name, candidates", [("disc_global", 20), ("egg", 20)])
+def test_shared_estimator_changes_nothing(name, candidates, request):
+    dom = request.getfixturevalue(name)
+    a = 0.5
+    shell = ("shell", 0.02, 0.6)
+    fresh = build_separated(dom, shell, a, candidate_count=candidates, seed=3)
+    fresh_classes = partition_separated(dom, fresh, 2 * a)
+    fresh_count = count_neighbors(dom, fresh, fresh.points[0], 2 * a)
+
+    est = _CountingEstimator(dom, SCAN_BUDGET)
+    lat = build_separated(dom, shell, a, candidate_count=candidates, seed=3, est=est)
+    classes = partition_separated(dom, lat, 2 * a, est)
+    count = count_neighbors(dom, lat, lat.points[0], 2 * a, est)
+
+    assert len(lat) >= 3
+    assert lat.points.tobytes() == fresh.points.tobytes()
+    assert [c.points.tobytes() for c in classes] == [c.points.tobytes() for c in fresh_classes]
+    assert count == fresh_count
+    # the partition re-asks pairs the build refined
+    assert 0 < len(est._memo) < est.requests
 
 
 def test_partition_single_point(disc):

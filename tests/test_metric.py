@@ -3,8 +3,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from berglab.domain import sample_region, unit_ball
-from berglab.gauge import normal_gauge
+from berglab.gauge import RayField, normal_gauge
 from berglab.metric import (
+    _GL_T,
+    _GL_W,
     CHEAP_BUDGET,
     ORACLE_BUDGET,
     SCAN_BUDGET,
@@ -12,8 +14,12 @@ from berglab.metric import (
     MetricError,
     PathPolyline,
     Polydisc,
+    _length_gradient,
+    _refinement_breaks,
+    _segment_lengths,
     distance,
     metric_ball_volume,
+    metric_form,
     metric_tensor,
     mu_volume,
     path_length,
@@ -96,6 +102,96 @@ def test_path_escape_raises(disc):
     nodes = np.array([[0.0], [1.5], [0.2]], complex)
     with pytest.raises(MetricError):
         path_length(disc, PathPolyline(nodes))
+
+
+# Reference quadrature: three separate r evaluations for the bucketing, and
+# metric_form on every abscissa with escaped ones replaced by the origin.
+def _segment_lengths_ref(dom, p, q):
+    p = np.asarray(p, complex)
+    q = np.asarray(q, complex)
+    shape = np.broadcast_shapes(p.shape, q.shape)
+    p = np.broadcast_to(p, shape).reshape(-1, shape[-1])
+    q = np.broadcast_to(q, shape).reshape(-1, shape[-1])
+    dp = np.maximum(-dom.r_val(p), 1e-300)
+    dq = np.maximum(-dom.r_val(q), 1e-300)
+    mid = np.maximum(-dom.r_val(0.5 * (p + q)), 1e-300)
+    hi = np.maximum(mid, np.maximum(dp, dq))
+    lo = np.minimum(dp, dq)
+    lev = np.clip(np.ceil(np.log2(hi / lo)) + 2, 2, 48)
+    bucket = np.clip((np.ceil(lev / 6) * 6).astype(int), 2, 48)
+    out = np.empty(len(p))
+    for b in np.unique(bucket):
+        sel = bucket == b
+        out[sel] = _segment_lengths_fixed_ref(dom, p[sel], q[sel], int(b))
+    return out.reshape(shape[:-1])
+
+
+def _segment_lengths_fixed_ref(dom, p, q, level):
+    v = q - p
+    brk = _refinement_breaks(level)
+    widths = brk[1:] - brk[:-1]
+    t = brk[:-1, None] + widths[:, None] * _GL_T[None, :]
+    w = widths[:, None] * _GL_W[None, :]
+    pts = p[:, None, None, :] + t[None, :, :, None] * v[:, None, None, :]
+    rv = dom.r_val(pts)
+    escaped = np.any(rv >= 0, axis=(-1, -2))
+    safe_pts = np.where(rv[..., None] < 0, pts, 0.0)
+    speeds2 = metric_form(dom, safe_pts, np.broadcast_to(v[:, None, None, :], pts.shape))
+    speeds = np.sqrt(np.maximum(speeds2, 0.0))
+    lengths = np.sum(speeds * w, axis=(-1, -2))
+    return np.where(escaped, np.inf, lengths)
+
+
+def _length_gradient_ref(dom, nodes, h):
+    """Two quadrature calls per perturbed coordinate; also reports escapes."""
+    k1, n = nodes.shape
+    m = k1 - 2
+    idx = np.arange(1, k1 - 1)
+    grad = np.zeros((m, n), dtype=complex)
+    escapes = 0
+    left, mid, right = nodes[idx - 1], nodes[idx], nodes[idx + 1]
+    for comp in (1.0, 1j):
+        for j in range(n):
+            shift = np.zeros((m, n), complex)
+            shift[:, j] = comp * h
+            p_ends = np.concatenate([mid + shift, mid - shift])
+            starts = np.concatenate([left, left])
+            ends = np.concatenate([right, right])
+            l_in = _segment_lengths_ref(dom, starts, p_ends)
+            l_out = _segment_lengths_ref(dom, p_ends, ends)
+            escapes += int(np.sum(np.isinf(l_in)) + np.sum(np.isinf(l_out)))
+            tot = l_in + l_out
+            deriv = (tot[:m] - tot[m:]) / (2 * h)
+            deriv = np.where(np.isfinite(deriv), deriv, 0.0)
+            grad[:, j] += comp * deriv
+    return grad, escapes
+
+
+def _radial_nodes(dom, fractions, seed):
+    """Polyline nodes at the given fractions of the boundary radius."""
+    rng = np.random.default_rng(seed)
+    rays = RayField(dom)
+    omega = rays.directions(len(fractions), rng)
+    return np.asarray(fractions)[:, None] * rays.boundary_radius(omega)[:, None] * omega
+
+
+@pytest.mark.parametrize("name", ["disc", "egg", "mixed", "quartic"])
+def test_quadrature_matches_reference_loops(name, request):
+    dom = request.getfixturevalue(name)
+    deep = _radial_nodes(dom, [0.0, 0.3, 0.7, 0.9, 0.5, 0.99, 0.2], seed=1)
+    # nodes within ~1e-11 of the boundary: +-h node moves leave the domain
+    shallow = _radial_nodes(dom, [0.6, 1 - 1e-11, 1 - 2e-11, 1 - 1e-11, 0.8], seed=2)
+    outside = _radial_nodes(dom, [0.5, 1.05, 0.4, 1 - 1e-14, 0.3], seed=3)
+    for nodes in (deep, shallow, outside):
+        new = _segment_lengths(dom, nodes[:-1], nodes[1:])
+        ref = _segment_lengths_ref(dom, nodes[:-1], nodes[1:])
+        assert new.tobytes() == ref.tobytes()
+    assert np.isinf(_segment_lengths(dom, outside[:-1], outside[1:])).any()
+    for nodes in (deep, shallow):
+        h = 1e-6 * (1.0 + float(np.max(np.abs(nodes))))
+        ref, escapes = _length_gradient_ref(dom, nodes, h)
+        assert _length_gradient(dom, nodes, h).tobytes() == ref.tobytes()
+        assert (escapes > 0) == (nodes is shallow)
 
 
 # -- distance -------------------------------------------------------------------
@@ -226,6 +322,17 @@ def test_estimator_memoized(disc):
     est = DistanceEstimator(disc, CHEAP_BUDGET)
     z, w = np.array([0.1 + 0j]), np.array([0.5 + 0.2j])
     assert est(z, w) == est(w, z)
+
+
+@pytest.mark.parametrize("name", ["disc", "egg"])
+def test_estimator_exact_in_unordered_pair(name, request):
+    # two fresh estimators asked in opposite orders agree bit for bit
+    dom = request.getfixturevalue(name)
+    pts = sample_region(dom, "interior", 12, seed=5)
+    for z, w in zip(pts[:6], pts[6:]):
+        d_zw = DistanceEstimator(dom, CHEAP_BUDGET)(z, w)
+        d_wz = DistanceEstimator(dom, CHEAP_BUDGET)(w, z)
+        assert np.float64(d_zw).tobytes() == np.float64(d_wz).tobytes()
 
 
 def test_gauge_vs_chord_scaling(disc_global):

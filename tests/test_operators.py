@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -469,3 +471,18 @@ def test_operator_round_trip(tmp_path, sp8):
     back, meta = load_operator(path)
     assert meta["label"] == "moment"
     assert np.allclose(back.matrix, T.matrix)
+
+
+def test_operator_file_bytes(tmp_path):
+    # Fortran-ordered input with a signed zero: row-major (re, im) float64 pairs
+    rng = np.random.default_rng(0)
+    mat = np.asfortranarray(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+    mat[0, 1] = complex(-0.0, 0.0)
+    path = str(tmp_path / "op.bin")
+    save_operator(path, OperatorMatrix(mat, "probe"), n=1, N=3)
+    ref = b"".join(struct.pack("<dd", float(v.real), float(v.imag)) for row in mat for v in row)
+    with open(path, "rb") as fh:
+        assert fh.read() == ref
+    back, meta = load_operator(path)
+    assert meta == {"n": 1, "N": 3, "label": "probe", "dim": 4}
+    assert np.array_equal(back.matrix, mat)
