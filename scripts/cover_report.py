@@ -4,10 +4,8 @@
 import argparse
 import time
 
-import numpy as np
-
-from berglab.covering import _boundary_pool, build_cover, coverage_audit
-from berglab.domain import unit_ball
+from berglab.covering import build_cover, coverage_audit
+from berglab.domain import surface_pool, unit_ball
 
 
 def main() -> None:
@@ -23,7 +21,7 @@ def main() -> None:
     cover = build_cover(dom, m=args.m, candidate_count=args.candidates, seed=args.seed)
     print(f"built in {time.time() - t0:.1f}s; engulfing constant {cover.c1:.3f}; "
           f"overlap budget {cover.n0_observed} (counting-bound form {cover.n0_bound:.1f})")
-    pool, _ = _boundary_pool(dom, 4000, args.seed + 1234)
+    pool, _ = surface_pool(dom, 0.0, 4000, args.seed + 1234)
     for lv in cover.levels:
         witness = coverage_audit(dom, lv.centers, lv.a, pool)
         print(

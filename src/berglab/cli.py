@@ -266,7 +266,7 @@ def _bump(lo: float, hi: float):
 
 
 def suite_covering(dom, seed: int, budgets: dict) -> dict:
-    from .covering import build_cover, cap_contains, coverage_audit, _boundary_pool, _cap_sample
+    from .covering import build_cover, cap_contains, coverage_audit, _cap_sample
 
     checks = []
     if dom.n > 2:
@@ -296,7 +296,7 @@ def suite_covering(dom, seed: int, budgets: dict) -> dict:
         xs = _cap_sample(dom, lv.centers[i], lv.d, 400, rng)
         pairs_ok &= not np.any(cap_contains(dom, lv.centers[j], lv.d, xs))
     checks.append(_check("cap-disjointness", pairs_ok, lv.d))
-    pool, _ = _boundary_pool(dom, 2000, seed + 5)
+    pool, _ = dom_mod.surface_pool(dom, 0.0, 2000, seed + 5)
     witness = coverage_audit(dom, lv.centers, lv.a, pool)
     checks.append(_check("cap-coverage", witness is None, None))
     checks.append(_check("overlap-bounded", int(max(lv.colors)) + 1 <= cover.n0_observed, cover.n0_observed))

@@ -4,12 +4,15 @@ The construction stacks levels of boundary caps.  Within a level with base
 depth t the cap gauge radius is m*t, the cell caps are C1 and C1^2 times
 wider for the fitted engulfing constant C1, and the cell depth bands are
 the dyadic windows [t*sigma^2, t*sigma) (inner cells) and (t*sigma^3, t)
-(outer cells), where sigma is the level shrink factor.  The textbook
-instance ties sigma = 2^-m to the profile parameter m; coordinate doubles
-cannot resolve those depths for any profile-valid m, so the level ladder is
-configurable and the default desk ladder keeps every within-level relation
-while pinning the depths to numerically representable scales (see the
-decisions ledger).
+(outer cells), where sigma is the level shrink factor.
+
+The textbook instance ties the ladder to the profile parameter:
+t_j = 2^(-j m) and sigma = 2^-m.  The profile needs m/13 > 4, so its first
+level already lies at depth 2^-m < 2^-52, below what double-precision
+coordinates resolve near a boundary of unit scale.  The ladder is
+therefore configurable.  The default desk ladder keeps every within-level
+relation above and moves only the depths, to representable scales:
+t = 2^-11 and 2^-16 in C^1, t = 2^-9 in C^2, with sigma = 2^-5.
 """
 
 from __future__ import annotations
@@ -19,9 +22,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domain import DomainSpec, DomainError, boundary_project, normal_direction, surface_sample
+from .domain import (
+    DomainSpec,
+    _project_to_level,
+    complex_tangent_basis,
+    normal_direction,
+    surface_pool,
+    walk_to_depth,
+)
 from .gauge import normal_gauge, cap_contains
-from .metric import DistanceBudget, CHEAP_BUDGET, straight_chord_upper
+from .lattice import _greedy_colors
+from .metric import straight_chord_upper
 
 
 class CoverError(ValueError):
@@ -46,7 +57,7 @@ def fit_engulfing_constant(
     the scan times a safety margin.
     """
     rng = np.random.default_rng(seed)
-    pool, _ = _boundary_pool(dom, 4000, seed)
+    pool, _ = surface_pool(dom, 0.0, 4000, seed)
     worst = 1.0
     for t in scales:
         for _ in range(pairs):
@@ -65,14 +76,6 @@ def fit_engulfing_constant(
     return margin * worst
 
 
-def _boundary_pool(dom: DomainSpec, count: int, seed: int):
-    key = ("bdrypool", count, seed)
-    if key not in dom._cache:
-        rng = np.random.default_rng(seed)
-        dom._cache[key] = surface_sample(dom, 0.0, count, rng)
-    return dom._cache[key]
-
-
 def _cap_sample(dom: DomainSpec, center: np.ndarray, t: float, count: int, rng: np.random.Generator) -> np.ndarray:
     """Boundary points inside the cap around ``center``, by local parametrization.
 
@@ -82,7 +85,7 @@ def _cap_sample(dom: DomainSpec, center: np.ndarray, t: float, count: int, rng: 
     """
     center = np.asarray(center, complex).reshape(-1)
     u = normal_direction(dom, center)
-    basis = _complex_tangent_basis(u)
+    basis = complex_tangent_basis(u)
     out = []
     guard = 0
     while sum(len(o) for o in out) < count and guard < 60:
@@ -94,7 +97,7 @@ def _cap_sample(dom: DomainSpec, center: np.ndarray, t: float, count: int, rng: 
             tang = coef @ basis * np.sqrt(t)
         rot = rng.uniform(-1, 1, m) * t
         cand = center[None, :] + tang + 1j * rot[:, None] * u[None, :]
-        cand = _project_boundary_batch(dom, cand)
+        cand = _project_to_level(dom, cand, 0.0)
         keep = cap_contains(dom, center, t, cand)
         kept = cand[keep]
         if len(kept):
@@ -102,28 +105,6 @@ def _cap_sample(dom: DomainSpec, center: np.ndarray, t: float, count: int, rng: 
     if not out:
         raise CoverError("cap sampler produced no points; cap below resolution")
     return np.concatenate(out, axis=0)[:count]
-
-
-def _complex_tangent_basis(u: np.ndarray) -> np.ndarray:
-    n = len(u)
-    if n == 1:
-        return np.zeros((0, 1), complex)
-    proj = np.eye(n, dtype=complex) - np.outer(u, np.conj(u))
-    q, _ = np.linalg.qr(proj)
-    cols = [q[:, i] for i in range(n) if abs(np.vdot(u, q[:, i])) < 1e-8]
-    return np.array(cols[: n - 1])
-
-
-def _project_boundary_batch(dom: DomainSpec, pts: np.ndarray, iters: int = 40) -> np.ndarray:
-    z = np.array(pts, complex)
-    for _ in range(iters):
-        val = dom.r_val(z)
-        if np.all(np.abs(val) <= dom.boundary_tol):
-            break
-        g = dom.dbar_r(z)
-        gn2 = np.sum(np.abs(g) ** 2, axis=-1)
-        z = z - (val / np.maximum(2.0 * gn2, 1e-30))[..., None] * g
-    return z
 
 
 # -- cover structure --------------------------------------------------------------
@@ -236,7 +217,7 @@ def build_packing(
         centers = _greedy_packing(dom, d, c1, count, seed, max_centers)
         if not coverage_check:
             return centers
-        audit_pool, _ = _boundary_pool(dom, max(count // 2, 2000), seed + 77)
+        audit_pool, _ = surface_pool(dom, 0.0, max(count // 2, 2000), seed + 77)
         uncovered = coverage_audit(dom, centers, COVERAGE_SLACK * c1 * d, audit_pool)
         if uncovered is None:
             return centers
@@ -249,7 +230,7 @@ def build_packing(
 
 
 def _greedy_packing(dom, d, c1, candidate_count, seed, max_centers) -> np.ndarray:
-    pool, _ = _boundary_pool(dom, candidate_count, seed)
+    pool, _ = surface_pool(dom, 0.0, candidate_count, seed)
     rng = np.random.default_rng(seed + 1)
     cand = pool[rng.permutation(len(pool))]
     acc = np.empty((max_centers, dom.n), complex)
@@ -290,56 +271,18 @@ def coverage_audit(dom: DomainSpec, centers: np.ndarray, a: float, pool: np.ndar
 # -- cells, representatives, cutoffs ----------------------------------------------------
 
 
-def _inward_points_at_depth(dom: DomainSpec, zs: np.ndarray, depth: float) -> np.ndarray:
-    """Points at the requested boundary distance on each normal ray, batched.
-
-    Walks inward or outward as needed; the defining function is monotone
-    along the normal through the collar, so bisection settles it.
-    """
-    zs = np.asarray(zs, complex).reshape(-1, dom.n)
-    depth = np.broadcast_to(np.asarray(depth, float), (len(zs),))
-    current = -dom.r_val(zs)
-    done = np.abs(current - depth) <= 1e-14 * depth
-    g = dom.dbar_r(zs)
-    u = g / np.linalg.norm(g, axis=-1, keepdims=True)
-    sign = np.where(current < depth, -1.0, 1.0)  # -u walks inward
-    step = np.abs(depth - current) / np.maximum(dom.grad_norm(zs) / 2.0, 1e-12)
-    s_hi = step.copy()
-
-    def reached(s):
-        val = -dom.r_val(zs + (sign * s)[:, None] * u)
-        return np.where(sign < 0, val >= depth, val <= depth) | done
-
-    for _ in range(200):
-        ok = reached(s_hi)
-        if np.all(ok):
-            break
-        s_hi = np.where(ok, s_hi, s_hi * 1.5)
-    else:
-        raise CoverError("cannot reach the requested depth along the normal ray")
-    s_lo = np.zeros_like(s_hi)
-    for _ in range(80):
-        mid = 0.5 * (s_lo + s_hi)
-        ok = reached(mid)
-        s_hi = np.where(ok, mid, s_hi)
-        s_lo = np.where(ok, s_lo, mid)
-    out = zs + (sign * s_hi)[:, None] * u
-    out[done] = zs[done]
-    return out
-
-
 def build_cells(dom: DomainSpec, level: CoverLevel, u_idx: int) -> dict:
     """Membership predicates for the two nested cells plus the representative."""
     center = level.centers[u_idx]
 
     def a_cell(pts):
         pts = np.asarray(pts, complex).reshape(-1, dom.n)
-        proj = _project_boundary_batch(dom, pts)
+        proj = _project_to_level(dom, pts, 0.0)
         return level.a_cell_mask(dom, pts, proj, u_idx)
 
     def b_cell(pts):
         pts = np.asarray(pts, complex).reshape(-1, dom.n)
-        proj = _project_boundary_batch(dom, pts)
+        proj = _project_to_level(dom, pts, 0.0)
         return level.b_cell_mask(dom, pts, proj, u_idx)
 
     z_rep = level.z_reps[u_idx]
@@ -356,7 +299,7 @@ def a_cell_samples(cover: Cover, li: int, u_idx: int, count: int = 16, seed: int
         caps = _cap_sample(dom, level.centers[u_idx], level.a, count, rng)
         lo, hi = level.depth_a
         depths = np.exp(rng.uniform(np.log(lo * 1.01), np.log(hi * 0.99), len(caps)))
-        cover.cell_samples[key] = _inward_points_at_depth(dom, caps, depths)
+        cover.cell_samples[key] = walk_to_depth(dom, caps, depths)
     return cover.cell_samples[key]
 
 
@@ -386,19 +329,19 @@ def distance_to_cell(cover: Cover, li: int, u_idx: int, pts: np.ndarray) -> np.n
     idx = np.where(sel)[0]
     zs = pts[idx]
     clamped = np.clip(depth[idx], lo_t, hi_t)
-    z_mid = _inward_points_at_depth(dom, zs, clamped)
+    z_mid = walk_to_depth(dom, zs, clamped)
     leg1 = np.where(
         np.abs(depth[idx] - clamped) <= 1e-12 * clamped, 0.0, straight_chord_upper(dom, zs, z_mid)
     )
 
-    proj = _project_boundary_batch(dom, z_mid)
+    proj = _project_to_level(dom, z_mid, 0.0)
     gz = normal_gauge(dom, center, proj)
     inside_cap = gz < level.a
     w_star = z_mid.copy()
     need = ~inside_cap
     if np.any(need):
         targets = _slide_into_cap(dom, center, proj[need], level.a * 0.98)
-        w_star[need] = _inward_points_at_depth(dom, targets, clamped[need])
+        w_star[need] = walk_to_depth(dom, targets, clamped[need])
     leg2 = np.where(inside_cap, 0.0, straight_chord_upper(dom, z_mid, w_star))
     out[idx] = leg1 + leg2
     return out
@@ -414,11 +357,11 @@ def _slide_into_cap(dom: DomainSpec, center: np.ndarray, pts: np.ndarray, target
     lam_hi = np.ones(len(pts))
     for _ in range(40):
         lam = 0.5 * (lam_lo + lam_hi)
-        cand = _project_boundary_batch(dom, pts + lam[:, None] * (center[None, :] - pts))
+        cand = _project_to_level(dom, pts + lam[:, None] * (center[None, :] - pts), 0.0)
         inside = normal_gauge(dom, center, cand) < target_gauge
         lam_hi = np.where(inside, lam, lam_hi)
         lam_lo = np.where(inside, lam_lo, lam)
-    return _project_boundary_batch(dom, pts + lam_hi[:, None] * (center[None, :] - pts))
+    return _project_to_level(dom, pts + lam_hi[:, None] * (center[None, :] - pts), 0.0)
 
 
 def cutoff_value(cover: Cover, li: int, u_idx: int, pts: np.ndarray) -> np.ndarray:
@@ -449,19 +392,12 @@ def _overlap_counts(dom: DomainSpec, centers: np.ndarray, b: float) -> np.ndarra
     return adj
 
 
-def index_partition(dom: DomainSpec, centers: np.ndarray, b: float, seed: int = 0) -> tuple[np.ndarray, int]:
+def index_partition(dom: DomainSpec, centers: np.ndarray, b: float) -> tuple[np.ndarray, int]:
     """Greedy coloring of the cap-overlap graph; returns (colors, observed max overlap)."""
     adj = _overlap_counts(dom, centers, b)
     degree = adj.sum(axis=1)
     n0_observed = int(degree.max()) + 1 if len(degree) else 1
-    colors = -np.ones(len(centers), int)
-    for i in np.argsort(-degree):
-        used = set(colors[j] for j in np.where(adj[i])[0] if colors[j] >= 0)
-        c = 0
-        while c in used:
-            c += 1
-        colors[i] = c
-    return colors, n0_observed
+    return _greedy_colors(adj, np.argsort(-degree)), n0_observed
 
 
 # -- orchestration ----------------------------------------------------------------------
@@ -485,7 +421,7 @@ def _stream_size_for(dom: DomainSpec, d: float, base: int, seed: int) -> int:
     Measured from the fraction of a probe pool inside quarter-radius caps,
     so the greedy stream leaves no uncovered gap at the cap scale.
     """
-    pool, _ = _boundary_pool(dom, 4000, seed + 31)
+    pool, _ = surface_pool(dom, 0.0, 4000, seed + 31)
     rng = np.random.default_rng(seed + 13)
     fracs = []
     for _ in range(8):
@@ -529,8 +465,8 @@ def build_cover(
             raise CoverError("ladder descends below coordinate resolution")
         stream = _stream_size_for(dom, d, candidate_count, seed + j)
         centers = build_packing(dom, d, c1, candidate_count=stream, seed=seed + j)
-        z_reps = _inward_points_at_depth(dom, centers, np.sqrt(depth_a[0] * depth_a[1]))
-        colors, n0_here = index_partition(dom, centers, b, seed=seed + 100 + j)
+        z_reps = walk_to_depth(dom, centers, np.sqrt(depth_a[0] * depth_a[1]))
+        colors, n0_here = index_partition(dom, centers, b)
         n0_obs = max(n0_obs, n0_here, int(colors.max()) + 1)
         levels.append(
             CoverLevel(j, t, d, a, b, depth_a, depth_b, centers, z_reps, colors)

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._poly import HermPoly, RealPoly, norm_sq_poly, unit_vector
+from ._poly import HermPoly, RealPoly, unit_vector
 
 BOUNDARY_TOL_REL = 1e-10
 # rows per block of the surface sampler's screened draw: 512 KB at n = 2,
@@ -59,26 +59,28 @@ class DomainSpec:
         if self.bounding_box.shape != (2 * self.n, 2):
             raise DomainError("bounding_box must have shape (2n, 2)")
 
+    def memo(self, key, build):
+        """The per-domain cache: the value under ``key``, built by ``build()`` on first use."""
+        if key not in self._cache:
+            self._cache[key] = build()
+        return self._cache[key]
+
     # -- derivative tables ------------------------------------------------
 
     def _grad_polys(self) -> list[HermPoly]:
-        if "dbar" not in self._cache:
-            self._cache["dbar"] = [self.r.dbar(i) for i in range(self.n)]
-        return self._cache["dbar"]
+        return self.memo("dbar", lambda: [self.r.dbar(i) for i in range(self.n)])
 
     def _hess_polys(self) -> list[list[HermPoly]]:
         # hess[i][j] = d_i dbar_j r
-        if "hess" not in self._cache:
-            dbars = self._grad_polys()
-            self._cache["hess"] = [[dbars[j].d(i) for j in range(self.n)] for i in range(self.n)]
-        return self._cache["hess"]
+        return self.memo("hess", lambda: [[d.d(i) for d in self._grad_polys()] for i in range(self.n)])
 
     def _holo_hess_polys(self) -> list[list[HermPoly]]:
         # hol[i][j] = d_i d_j r  (used by the gauge Taylor form)
-        if "holhess" not in self._cache:
+        def build():
             ds = [self.r.d(i) for i in range(self.n)]
-            self._cache["holhess"] = [[ds[j].d(i) for j in range(self.n)] for i in range(self.n)]
-        return self._cache["holhess"]
+            return [[ds[j].d(i) for j in range(self.n)] for i in range(self.n)]
+
+        return self.memo("holhess", build)
 
     # -- pointwise geometry ------------------------------------------------
 
@@ -153,6 +155,21 @@ def levi_form(H: np.ndarray, xi: np.ndarray) -> np.ndarray:
     return np.real(np.einsum("...ij,...i,...j->...", H, xi, np.conj(xi)))
 
 
+def complex_tangent_basis(u: np.ndarray) -> np.ndarray:
+    """Rows: orthonormal basis of the complex orthogonal complement of the unit vector u."""
+    n = len(u)
+    q, _ = np.linalg.qr(np.eye(n, dtype=complex) - np.outer(u, np.conj(u)))
+    cols = [q[:, i] for i in range(n) if abs(np.vdot(u, q[:, i])) < 1e-8]
+    return np.array(cols[: n - 1])
+
+
+def box_uniform(dom: DomainSpec, count: int, rng: np.random.Generator) -> np.ndarray:
+    """``count`` uniform points of the bounding box, from one rng.uniform draw of shape (count, 2n)."""
+    box = dom.bounding_box
+    raw = rng.uniform(box[:, 0], box[:, 1], size=(count, 2 * dom.n))
+    return raw[:, : dom.n] + 1j * raw[:, dom.n :]
+
+
 # -- constructors ------------------------------------------------------------
 
 
@@ -210,13 +227,11 @@ def certify_pseudoconvexity(
     if mesh_density < 1:
         raise DomainError("mesh_density must be >= 1")
     rng = np.random.default_rng(seed)
-    box = dom.bounding_box
     pts = []
     target = mesh_density
     attempts = 0
     while sum(len(p) for p in pts) < target and attempts < 200:
-        raw = rng.uniform(box[:, 0], box[:, 1], size=(max(4 * target, 1024), 2 * dom.n))
-        zz = raw[:, : dom.n] + 1j * raw[:, dom.n :]
+        zz = box_uniform(dom, max(4 * target, 1024), rng)
         rv = dom.r_val(zz)
         keep = zz[(rv < 0) & (rv > -3.0 * dom.theta)]
         if keep.size:
@@ -308,6 +323,44 @@ def boundary_project(dom: DomainSpec, z: np.ndarray, max_iter: int = 80) -> np.n
     raise DomainError("boundary projection did not converge")
 
 
+def walk_to_depth(dom: DomainSpec, zs: np.ndarray, depth: float | np.ndarray) -> np.ndarray:
+    """Points at the requested boundary distance on each normal ray, batched.
+
+    Walks inward or outward as needed; the defining function is monotone
+    along the normal through the collar, so bisection settles it.
+    """
+    zs = np.asarray(zs, complex).reshape(-1, dom.n)
+    depth = np.broadcast_to(np.asarray(depth, float), (len(zs),))
+    current = -dom.r_val(zs)
+    done = np.abs(current - depth) <= 1e-14 * depth
+    g = dom.dbar_r(zs)
+    u = g / np.linalg.norm(g, axis=-1, keepdims=True)
+    sign = np.where(current < depth, -1.0, 1.0)  # -u walks inward
+    step = np.abs(depth - current) / np.maximum(dom.grad_norm(zs) / 2.0, 1e-12)
+    s_hi = step.copy()
+
+    def reached(s):
+        val = -dom.r_val(zs + (sign * s)[:, None] * u)
+        return np.where(sign < 0, val >= depth, val <= depth) | done
+
+    for _ in range(200):
+        ok = reached(s_hi)
+        if np.all(ok):
+            break
+        s_hi = np.where(ok, s_hi, s_hi * 1.5)
+    else:
+        raise DomainError("cannot reach the requested depth along the normal ray")
+    s_lo = np.zeros_like(s_hi)
+    for _ in range(80):
+        mid = 0.5 * (s_lo + s_hi)
+        ok = reached(mid)
+        s_hi = np.where(ok, mid, s_hi)
+        s_lo = np.where(ok, s_lo, mid)
+    out = zs + (sign * s_hi)[:, None] * u
+    out[done] = zs[done]
+    return out
+
+
 def fit_projection_constant(dom: DomainSpec, count: int = 200, seed: int = 0, depth: float = 0.25) -> float:
     """Fitted C_p with |z - p(z)| <= C_p |r(z)| over a sampled collar."""
     pts = sample_region(dom, ("shell", 1e-4, depth), count, seed)
@@ -349,13 +402,10 @@ def sample_region(dom: DomainSpec, region, count: int, seed: int = 0) -> np.ndar
     else:
         raise DomainError(f"unknown region {region!r}")
 
-    box = dom.bounding_box
     out = []
     got = 0
     for _ in range(400):
-        m = max(4 * count, 4096)
-        raw = rng.uniform(box[:, 0], box[:, 1], size=(m, 2 * dom.n))
-        zz = raw[:, : dom.n] + 1j * raw[:, dom.n :]
+        zz = box_uniform(dom, max(4 * count, 4096), rng)
         sel = zz[keep(dom.r_val(zz))]
         if sel.size:
             out.append(sel)
@@ -429,6 +479,12 @@ def surface_sample(
     return all_pts, float(area)
 
 
+def surface_pool(dom: DomainSpec, rho: float, count: int, seed: int) -> tuple[np.ndarray, float]:
+    """:func:`surface_sample` of {-r = rho} from a fresh generator at ``seed``, once per domain."""
+    return dom.memo(("surfpool", round(rho, 14), count, seed),
+                    lambda: surface_sample(dom, rho, count, np.random.default_rng(seed)))
+
+
 def _screened_draws(r_real: RealPoly, rho: float, band: float, box: np.ndarray, m: int,
                     rng: np.random.Generator) -> np.ndarray:
     """The rows of rng.uniform(box[:, 0], box[:, 1], (m, 2n)) with |-r - rho| < band.
@@ -452,10 +508,8 @@ def _screened_draws(r_real: RealPoly, rho: float, band: float, box: np.ndarray, 
 
 def _grad_cap(dom: DomainSpec, rng: np.random.Generator) -> float:
     """Upper bound for |grad r| over the box, from a coarse probe."""
-    box = dom.bounding_box
-    raw = rng.uniform(box[:, 0], box[:, 1], size=(2048, 2 * dom.n))
-    zz = raw[:, : dom.n] + 1j * raw[:, dom.n :]
-    corners = box[:, 1][None, :]
+    zz = box_uniform(dom, 2048, rng)
+    corners = dom.bounding_box[:, 1][None, :]
     zc = corners[:, : dom.n] + 1j * corners[:, dom.n :]
     probe = np.concatenate([zz, zc], axis=0)
     return 1.5 * float(np.max(dom.grad_norm(probe)))

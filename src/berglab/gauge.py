@@ -15,8 +15,9 @@ from dataclasses import dataclass
 from math import gamma, pi
 
 import numpy as np
+from scipy.special import betainc
 
-from .domain import DomainSpec, DomainError, surface_sample
+from .domain import DomainSpec, box_uniform, surface_pool
 from .metric import straight_chord_upper
 
 
@@ -43,9 +44,9 @@ def taylor_remainder(dom: DomainSpec, z: np.ndarray, w: np.ndarray) -> np.ndarra
     w = np.asarray(w, complex)
     diff = z - w  # (..., n)
     out = -dom.r_val(w).astype(complex)
+    d_r = np.conj(dom.dbar_r(w))  # d r / d w_j  (r real)
     for j in range(dom.n):
-        dj = np.conj(dom.r.dbar(j)(w))  # d r / d w_j  (r real)
-        out = out - dj * diff[..., j]
+        out = out - d_r[..., j] * diff[..., j]
     hol = dom._holo_hess_polys()
     for j in range(dom.n):
         for k_ in range(dom.n):
@@ -97,10 +98,6 @@ class RayField:
         self.sphere_area = _sphere_area(2 * dom.n)
         # r(s * omega) = sum_k parts[k](omega) * s**k
         self._parts = dom.r.homogeneous_parts()
-        d = 2 * dom.n
-        if d > 2:  # full-sphere normaliser of cap_fraction
-            hs = np.linspace(-1.0, 1.0, 8001)
-            self._cap_norm = np.trapezoid((1.0 - hs**2) ** ((d - 3) / 2.0), hs)
 
     def directions(self, count: int, rng: np.random.Generator) -> np.ndarray:
         g = rng.standard_normal((count, 2 * self.dom.n))
@@ -117,14 +114,14 @@ class RayField:
         return x[..., :n] + 1j * x[..., n:]
 
     def cap_fraction(self, cos_cap: float) -> float:
-        """Uniform-measure fraction of the spherical cap {<w, axis> >= cos_cap}."""
+        """Uniform-measure fraction of the spherical cap {<w, axis> >= cos_cap}.
+
+        Closed form: half the regularized incomplete beta function
+        I_{1-c^2}((d-1)/2, 1/2) for c >= 0, and its complement below.
+        """
         d = 2 * self.dom.n
-        if d == 2:
-            return float(np.arccos(cos_cap) / pi)
-        hs = np.linspace(cos_cap, 1.0, 4001)
-        dens = (1.0 - hs**2) ** ((d - 3) / 2.0)
-        upper = np.trapezoid(dens, hs)
-        return float(upper / self._cap_norm)
+        half = 0.5 * float(betainc((d - 1) / 2.0, 0.5, 1.0 - cos_cap**2))
+        return half if cos_cap >= 0 else 1.0 - half
 
     def cap_directions(self, axis: np.ndarray, cos_cap: float, count: int, rng: np.random.Generator) -> np.ndarray:
         """Uniform directions in the spherical cap around ``axis`` (complex n-vector)."""
@@ -296,9 +293,7 @@ def _ray_root(coef: np.ndarray, level: np.ndarray, lo: np.ndarray, hi: np.ndarra
 
 
 def _ray_field(dom: DomainSpec) -> RayField:
-    if "rayfield" not in dom._cache:
-        dom._cache["rayfield"] = RayField(dom)
-    return dom._cache["rayfield"]
+    return dom.memo("rayfield", lambda: RayField(dom))
 
 
 # -- integral estimators ---------------------------------------------------------
@@ -313,8 +308,7 @@ def _bulk_sample(dom: DomainSpec, t_split: float, count: int, rng: np.random.Gen
     hits = 0
     while sum(len(k) for k in kept) < count and drawn < 400 * max(count, 1):
         m = max(2 * count, 8192)
-        raw = rng.uniform(box[:, 0], box[:, 1], size=(m, 2 * dom.n))
-        zz = raw[:, : dom.n] + 1j * raw[:, dom.n :]
+        zz = box_uniform(dom, m, rng)
         drawn += m
         sel = zz[-dom.r_val(zz) >= t_split]
         hits += len(sel)
@@ -372,8 +366,6 @@ def fr_integral(
     z = np.asarray(z, complex).reshape(-1)
     rz = abs(float(dom.r_val(z)))
     power = dom.n + 1 + kappa + a
-    rng = np.random.default_rng(seed)
-    rays = _ray_field(dom)
 
     t_split = min(dom.theta, 2.0 ** (-3))
     if depth_floor is None:
@@ -492,15 +484,6 @@ def exponent_regression(depths: np.ndarray, estimates: np.ndarray) -> dict:
 # -- surface caps ---------------------------------------------------------------
 
 
-def _surface_pool(dom: DomainSpec, rho: float, count: int, seed: int):
-    key = ("surfpool", round(rho, 14), count, seed)
-    if key not in dom._cache:
-        rng = np.random.default_rng(seed)
-        pts, area = surface_sample(dom, rho, count, rng)
-        dom._cache[key] = (pts, area)
-    return dom._cache[key]
-
-
 def cap_contains(dom: DomainSpec, zeta: np.ndarray, t: float, xi: np.ndarray) -> np.ndarray:
     """Anisotropic boundary cap membership: rho-type gauge at zeta below t."""
     return normal_gauge(dom, zeta, xi) < t
@@ -518,7 +501,7 @@ def cap_measure(
     if t <= 0:
         raise GaugeError("cap radius must be positive")
     zeta = np.asarray(zeta, complex).reshape(-1)
-    pts, area = _surface_pool(dom, rho, samples, seed)
+    pts, area = surface_pool(dom, rho, samples, seed)
     member = cap_contains(dom, zeta, t, pts)
     frac = float(np.mean(member))
     if frac == 0.0:
@@ -564,13 +547,11 @@ def shell_volume(
 
 
 def _domain_depth_max(dom: DomainSpec) -> float:
-    if "depthmax" not in dom._cache:
-        rng = np.random.default_rng(12345)
-        box = dom.bounding_box
-        raw = rng.uniform(box[:, 0], box[:, 1], size=(20000, 2 * dom.n))
-        zz = raw[:, : dom.n] + 1j * raw[:, dom.n :]
-        dom._cache["depthmax"] = float(np.max(-dom.r_val(zz)))
-    return dom._cache["depthmax"]
+    def build():
+        zz = box_uniform(dom, 20000, np.random.default_rng(12345))
+        return float(np.max(-dom.r_val(zz)))
+
+    return dom.memo("depthmax", build)
 
 
 def shell_index_of(dom: DomainSpec, z: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

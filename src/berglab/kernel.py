@@ -10,13 +10,14 @@ remainder X is comparable to the scale F.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from math import factorial, pi
 
 import numpy as np
 from scipy.special import roots_jacobi
 
-from .domain import DomainSpec
+from .domain import DomainSpec, complex_tangent_basis, unit_ball
 from .gauge import comparability_scale, taylor_remainder
 
 
@@ -86,42 +87,28 @@ def tangential_hessian_det(dom: DomainSpec, w: np.ndarray) -> np.ndarray:
     out = np.empty(len(flat_w))
     for i in range(len(flat_w)):
         e = flat_g[i] / np.linalg.norm(flat_g[i])
-        basis = _tangent_basis(e)
+        basis = complex_tangent_basis(e)
         # quadratic form sum H[i,j] xi_i conj(xi_j) restricted to the basis
         L = np.einsum("ij,ai,bj->ab", flat_H[i], basis, np.conj(basis))
         out[i] = float(np.real(np.linalg.det(L)))
     return out.reshape(w.shape[:-1])
 
 
-def _tangent_basis(e: np.ndarray) -> np.ndarray:
-    n = len(e)
-    proj = np.eye(n, dtype=complex) - np.outer(e, np.conj(e))
-    q, _ = np.linalg.qr(proj)
-    cols = [q[:, i] for i in range(n) if abs(np.vdot(e, q[:, i])) < 1e-8]
-    return np.array(cols[: n - 1])
-
-
-_LEADING_CONST: dict[int, float] = {}
-
-
+@functools.cache
 def leading_constant(n: int) -> float:
     """Dimensional constant of the leading term, calibrated on the ball.
 
     One near-boundary diagonal point of the unit ball pins it down; the
     result is cached per dimension.
     """
-    if n not in _LEADING_CONST:
-        from .domain import unit_ball
-
-        ball = unit_ball(n)
-        z = np.zeros(n, complex)
-        z[0] = np.sqrt(1 - 1e-3)
-        exact = factorial(n) / pi**n * (1.0 - hermitian_inner(z, z)) ** (-(n + 1))
-        X = taylor_remainder(ball, z, z.reshape(1, -1))[0]
-        grad2 = float(ball.grad_norm(z) ** 2)
-        detL = float(tangential_hessian_det(ball, z.reshape(1, -1))[0])
-        _LEADING_CONST[n] = float(np.real(exact / (grad2 * detL * X ** (-(n + 1)))))
-    return _LEADING_CONST[n]
+    ball = unit_ball(n)
+    z = np.zeros(n, complex)
+    z[0] = np.sqrt(1 - 1e-3)
+    exact = factorial(n) / pi**n * (1.0 - hermitian_inner(z, z)) ** (-(n + 1))
+    X = taylor_remainder(ball, z, z.reshape(1, -1))[0]
+    grad2 = float(ball.grad_norm(z) ** 2)
+    detL = float(tangential_hessian_det(ball, z.reshape(1, -1))[0])
+    return float(np.real(exact / (grad2 * detL * X ** (-(n + 1)))))
 
 
 # -- quadrature on the ball ------------------------------------------------------
@@ -185,14 +172,14 @@ class BallQuadrature:
         return complex(np.sum(values * self.weights))
 
 
-_QUAD_CACHE: dict[tuple[int, int, int | None], BallQuadrature] = {}
-
-
+@functools.cache
 def ball_quadrature(n: int, degree: int, angular_order: int | None = None) -> BallQuadrature:
-    key = (n, degree, angular_order)
-    if key not in _QUAD_CACHE:
-        _QUAD_CACHE[key] = BallQuadrature.build(n, degree, angular_order)
-    return _QUAD_CACHE[key]
+    """The rule of :meth:`BallQuadrature.build`, built once per process.
+
+    The cache keys on the arguments as passed: give ``angular_order``
+    positionally, and only when it is not the default.
+    """
+    return BallQuadrature.build(n, degree, angular_order)
 
 
 def monomial_norm_sq(n: int, alpha) -> float:

@@ -2,15 +2,15 @@
 
 A lattice is built greedily from a candidate stream: a point joins when its
 estimated distance to every accepted point is at least 2a.  The estimator
-over-estimates the geodesic distance, so acceptance is decided by the same
-yardstick every consumer uses; the working invariant is separation in the
-estimator metric (see the decisions ledger for the directionality note).
+over-estimates the geodesic distance, so two accepted points may lie closer
+than 2a in the true metric.  The invariant is separation in the estimator
+metric, the same yardstick every consumer and every check uses.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -157,17 +157,24 @@ def partition_separated(dom: DomainSpec, lat: Lattice, R: float,
     dmat = pairwise_dupper(dom, lat.points, est, refine_below=2 * R + 1.0)
     conflict = dmat <= 2 * R
     np.fill_diagonal(conflict, False)
-    colors = -np.ones(m, int)
-    for i in range(m):
-        used = set(colors[j] for j in np.where(conflict[i])[0] if colors[j] >= 0)
-        c = 0
-        while c in used:
-            c += 1
-        colors[i] = c
+    colors = _greedy_colors(conflict, range(m))
     return [
         Lattice(lat.points[colors == c], R, lat.seed, lat.region)
         for c in range(int(colors.max()) + 1)
     ]
+
+
+def _greedy_colors(adj: np.ndarray, order) -> np.ndarray:
+    """Greedy coloring of the graph ``adj``: each vertex in ``order`` takes the
+    smallest color none of its colored neighbours holds."""
+    colors = -np.ones(len(adj), int)
+    for i in order:
+        used = set(colors[j] for j in np.where(adj[i])[0] if colors[j] >= 0)
+        c = 0
+        while c in used:
+            c += 1
+        colors[i] = c
+    return colors
 
 
 def count_neighbors(dom: DomainSpec, lat: Lattice, z: np.ndarray, R: float,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import DomainSpec, DomainError, normal_direction
+from .domain import DomainError, DomainSpec, box_uniform, complex_tangent_basis, walk_to_depth
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(4)
 _GL_T = 0.5 * (_GL_NODES + 1.0)
@@ -211,26 +211,16 @@ def _straight_seed(z: np.ndarray, w: np.ndarray, k: int) -> np.ndarray:
 
 
 def _inward_point(dom: DomainSpec, z: np.ndarray, depth: float) -> np.ndarray:
-    """March z along -u_z until -r reaches ``depth`` (or give up shallowly)."""
+    """The point at boundary distance ``depth`` on the inward normal from z.
+
+    z itself when it already lies that deep or the walk cannot reach the depth.
+    """
     if -dom.r_val(z) >= depth:
         return z
-    u = normal_direction(dom, z)
-    s_lo, s_hi = 0.0, 0.0
-    step = depth / max(dom.grad_norm(z) / 2.0, 1e-9)
-    for _ in range(60):
-        s_hi += step
-        if -dom.r_val(z - s_hi * u) >= depth:
-            break
-        step *= 1.6
-    else:
-        return z - s_hi * u if dom.r_val(z - s_hi * u) < 0 else z
-    for _ in range(60):
-        mid = 0.5 * (s_lo + s_hi)
-        if -dom.r_val(z - mid * u) >= depth:
-            s_hi = mid
-        else:
-            s_lo = mid
-    return z - s_hi * u
+    try:
+        return walk_to_depth(dom, z, depth)[0]
+    except DomainError:
+        return z
 
 
 def _arc_seed(dom: DomainSpec, z: np.ndarray, w: np.ndarray, k: int) -> np.ndarray | None:
@@ -463,7 +453,7 @@ class Polydisc:
         """Uniform samples of the polydisc (product of two complex balls)."""
         n = len(self.center)
         e = self.axis / np.linalg.norm(self.axis)
-        basis = _orthocomplement_basis(e)
+        basis = complex_tangent_basis(e)
         # tangential: uniform in the (n-1)-complex-dim ball of radius a
         if n > 1:
             t = _ball_uniform(count, n - 1, rng) * self.a
@@ -475,15 +465,6 @@ class Polydisc:
         if n > 1:
             pts = pts + tang
         return pts
-
-
-def _orthocomplement_basis(e: np.ndarray) -> np.ndarray:
-    """Rows: orthonormal basis of the complex orthogonal complement of e."""
-    n = len(e)
-    m = np.eye(n, dtype=complex) - np.outer(e, np.conj(e))
-    q, _ = np.linalg.qr(m)
-    cols = [q[:, i] for i in range(n) if abs(np.vdot(e, q[:, i])) < 1e-8]
-    return np.array(cols[: n - 1])
 
 
 def _ball_uniform(count: int, dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -531,9 +512,7 @@ def uniform_box_sampler(dom: DomainSpec):
     vol = float(np.prod(box[:, 1] - box[:, 0]))
 
     def draw(count: int, rng: np.random.Generator):
-        raw = rng.uniform(box[:, 0], box[:, 1], size=(count, 2 * dom.n))
-        pts = raw[:, : dom.n] + 1j * raw[:, dom.n :]
-        return pts, np.full(count, 1.0 / vol)
+        return box_uniform(dom, count, rng), np.full(count, 1.0 / vol)
 
     return draw
 

@@ -11,6 +11,7 @@ linear algebra over these bases.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .domain import DomainSpec, normal_direction
+from .domain import DomainSpec, box_uniform, normal_direction, unit_ball, walk_to_depth
 from .kernel import EXACT_BALL, ball_quadrature, kernel_eval, monomial_norm_sq
 from .metric import CHEAP_BUDGET, DistanceBudget, DistanceEstimator, straight_chord_upper
 
@@ -89,15 +90,9 @@ class GalerkinSpace:
         return float(np.sum(np.abs(self.kernel_coeffs(z)) ** 2))
 
 
-_BALL_CACHE: dict[int, DomainSpec] = {}
-
-
+@functools.cache
 def _ball_domain(n: int) -> DomainSpec:
-    if n not in _BALL_CACHE:
-        from .domain import unit_ball
-
-        _BALL_CACHE[n] = unit_ball(n)
-    return _BALL_CACHE[n]
+    return unit_ball(n)
 
 
 def build_galerkin(n: int, N: int, quad_degree: int | None = None) -> GalerkinSpace:
@@ -189,8 +184,9 @@ def _mixed_gram_entry(n: int, a, b, c, d) -> float:
     return monomial_norm_sq(n, left)
 
 
-def build_enlarged(space: GalerkinSpace, conj_degree: int = 2) -> EnlargedSpace:
-    n, N = space.n, space.N
+@functools.cache
+def enlarged_space(n: int, N: int, conj_degree: int) -> EnlargedSpace:
+    """The enlarged truncation over the degree-N Galerkin space, built once per key."""
     holo = [(a, (0,) * n) for a in _multi_indices(n, N + conj_degree)]
     mixed = [
         (a, b)
@@ -209,9 +205,9 @@ def build_enlarged(space: GalerkinSpace, conj_degree: int = 2) -> EnlargedSpace:
     jitter = 1e-13
     L = np.linalg.cholesky(G + jitter * np.eye(dim))
 
-    angular = 2 * (N + 2 * conj_degree) + 3 if n == 1 else 2 * (N + 2 * conj_degree) + 3
     qdeg = 2 * (N + 2 * conj_degree) + 2
-    quad = ball_quadrature(n, qdeg, angular_order=None if n == 1 else angular)
+    # beyond n = 1 the angular grid shrinks to qdeg + 1 points per torus factor
+    quad = ball_quadrature(n, qdeg) if n == 1 else ball_quadrature(n, qdeg, qdeg + 1)
     pts = quad.nodes
     V = np.empty((len(pts), dim), complex)
     for j, (a, b) in enumerate(pairs):
@@ -225,18 +221,8 @@ def build_enlarged(space: GalerkinSpace, conj_degree: int = 2) -> EnlargedSpace:
         V[:, j] = v / pre[j]
     U = solve_triangular(L, V.conj().T, lower=True).conj().T
     Uw = U * np.sqrt(quad.weights)[:, None]
-    gal_cols = np.array([holo.index((a, (0,) * n)) for a in space.alphas])
+    gal_cols = np.array([holo.index((a, (0,) * n)) for a in _multi_indices(n, N)])
     return EnlargedSpace(n, N, conj_degree, pairs, len(holo), L, quad, Uw, gal_cols)
-
-
-_ENLARGED_CACHE: dict[tuple[int, int, int], EnlargedSpace] = {}
-
-
-def enlarged_space(space: GalerkinSpace, conj_degree: int = 2) -> EnlargedSpace:
-    key = (space.n, space.N, conj_degree)
-    if key not in _ENLARGED_CACHE:
-        _ENLARGED_CACHE[key] = build_enlarged(space, conj_degree)
-    return _ENLARGED_CACHE[key]
 
 
 def hankel_and_commutator(space: GalerkinSpace, f, conj_degree: int = 2) -> dict:
@@ -245,7 +231,7 @@ def hankel_and_commutator(space: GalerkinSpace, f, conj_degree: int = 2) -> dict
     Realized on the enlarged truncation; the commutator norm of [M_f, P]
     equals the larger of the two Hankel norms.
     """
-    enl = enlarged_space(space, conj_degree)
+    enl = enlarged_space(space.n, space.N, conj_degree)
     if enl.dim > 4000:
         raise OperatorError("enlarged truncation too large")
     fv = np.asarray(f(enl.quad.nodes), complex).reshape(-1)
@@ -361,33 +347,6 @@ def measured_diff(dom: DomainSpec, f, seed: int = 0, pair_samples: int = 30) -> 
 # -- cutoff families ----------------------------------------------------------------
 
 
-def _inward_depth_points(dom: DomainSpec, pts: np.ndarray, target: float) -> np.ndarray:
-    """For each point, the inward-normal point at boundary distance ``target``."""
-    pts = np.asarray(pts, complex).reshape(-1, dom.n)
-    out = pts.copy()
-    need = -dom.r_val(pts) < target
-    if not np.any(need):
-        return out
-    zs = pts[need]
-    u = dom.dbar_r(zs)
-    u = u / np.linalg.norm(u, axis=-1, keepdims=True)
-    step = target / np.maximum(dom.grad_norm(zs), 1e-12)
-    s_hi = step.copy()
-    for _ in range(200):
-        deep = -dom.r_val(zs - s_hi[:, None] * u) >= target
-        if np.all(deep):
-            break
-        s_hi = np.where(deep, s_hi, s_hi * 1.5)
-    s_lo = np.zeros_like(s_hi)
-    for _ in range(60):
-        mid = 0.5 * (s_lo + s_hi)
-        deep = -dom.r_val(zs - mid[:, None] * u) >= target
-        s_hi = np.where(deep, mid, s_hi)
-        s_lo = np.where(deep, s_lo, mid)
-    out[need] = zs - s_hi[:, None] * u
-    return out
-
-
 def distance_to_deep_set(dom: DomainSpec, pts: np.ndarray, t: float) -> np.ndarray:
     """Estimator distance from each point to the region {-r >= t}.
 
@@ -399,7 +358,7 @@ def distance_to_deep_set(dom: DomainSpec, pts: np.ndarray, t: float) -> np.ndarr
     out = np.zeros(len(pts))
     if np.any(~inside):
         zs = pts[~inside]
-        anchors = _inward_depth_points(dom, zs, t)
+        anchors = walk_to_depth(dom, zs, t)
         out[~inside] = straight_chord_upper(dom, zs, anchors)
     return out
 
@@ -436,10 +395,7 @@ def cutoff_family(dom: DomainSpec, kind: str, t: float, delta: float):
 
 
 def _deepest_probe(dom: DomainSpec) -> np.ndarray:
-    rng = np.random.default_rng(99)
-    box = dom.bounding_box
-    raw = rng.uniform(box[:, 0], box[:, 1], size=(4096, 2 * dom.n))
-    zz = raw[:, : dom.n] + 1j * raw[:, dom.n :]
+    zz = box_uniform(dom, 4096, np.random.default_rng(99))
     rv = dom.r_val(zz)
     return zz[int(np.argmin(rv))]
 
@@ -618,6 +574,5 @@ def load_operator(path: str) -> tuple[OperatorMatrix, dict]:
     with open(path + ".json") as fh:
         meta = json.load(fh)
     dim = int(meta["dim"])
-    raw = np.fromfile(path, dtype="<f8")
-    mat = raw[0::2] + 1j * raw[1::2]
-    return OperatorMatrix(mat.reshape(dim, dim), meta.get("label", "")), meta
+    mat = np.fromfile(path, dtype="<c16").reshape(dim, dim)
+    return OperatorMatrix(mat, meta.get("label", "")), meta

@@ -337,7 +337,6 @@ def test_criterion_7_compactness_proxy():
 @pytest.mark.parametrize("n", [1, 2])
 def test_criterion_8_covering_suite(n):
     from berglab.covering import (
-        _boundary_pool,
         _cap_sample,
         build_cover,
         cap_contains,
@@ -346,6 +345,7 @@ def test_criterion_8_covering_suite(n):
         family_cutoff,
     )
     from berglab.gauge import exponent_regression
+    from berglab.domain import surface_pool
 
     dom = unit_ball(n, theta=0.25)
     cover = build_cover(dom, m=65.0, candidate_count=6000, seed=0)
@@ -368,7 +368,7 @@ def test_criterion_8_covering_suite(n):
     details.append(f"disjointness pairs {tested}")
 
     # coverage audit on a fresh pool
-    pool, _ = _boundary_pool(dom, 4000, 424242)
+    pool, _ = surface_pool(dom, 0.0, 4000, 424242)
     for lv_i in cover.levels:
         if coverage_audit(dom, lv_i.centers, lv_i.a, pool) is not None:
             ok = False

@@ -17,9 +17,9 @@ from berglab.covering import (
     fit_engulfing_constant,
     index_partition,
     textbook_ladder,
-    _boundary_pool,
     _cap_sample,
 )
+from berglab.domain import surface_pool
 from berglab.gauge import exponent_regression, normal_gauge
 from berglab.metric import CHEAP_BUDGET, DistanceEstimator
 
@@ -83,7 +83,7 @@ def test_engulfing_property_holds(disc):
     # spot audit of the fitted constant on fresh overlapping cap pairs
     c1 = fit_engulfing_constant(disc, seed=0)
     rng = np.random.default_rng(3)
-    pool, _ = _boundary_pool(disc, 2000, 3)
+    pool, _ = surface_pool(disc, 0.0, 2000, 3)
     t = 0.01
     hits = 0
     for _ in range(40):
@@ -116,7 +116,7 @@ def test_packing_disjointness_sampled(disc_cover, disc):
 
 
 def test_packing_coverage(disc_cover, disc):
-    pool, _ = _boundary_pool(disc, 3000, 99)
+    pool, _ = surface_pool(disc, 0.0, 3000, 99)
     for lv in disc_cover.levels:
         assert coverage_audit(disc, lv.centers, lv.a, pool) is None
 

@@ -8,6 +8,7 @@ from berglab.domain import (
     DomainSpec,
     boundary_project,
     certify_pseudoconvexity,
+    complex_tangent_basis,
     custom_domain,
     ellipsoid,
     eval_geometry,
@@ -17,6 +18,7 @@ from berglab.domain import (
     select_theta,
     surface_sample,
     unit_ball,
+    walk_to_depth,
 )
 
 
@@ -268,3 +270,26 @@ def test_real_poly_matches_herm_poly(mixed, quartic):
         bound = real.rounding_bound(np.full(dom.n, np.sqrt(2) * 1.2))
         assert 0 < bound < 1e-10
         assert np.max(np.abs(real(z.real.T, z.imag.T) - dom.r_val(z))) <= bound
+
+
+def test_walk_to_depth_both_directions(egg):
+    # shallower points walk inward, deeper ones outward, onto one level set
+    pts = sample_region(egg, ("shell", 0.01, 0.3), 40, seed=3)
+    out = walk_to_depth(egg, pts, 0.1)
+    assert np.allclose(-egg.r_val(out), 0.1, rtol=1e-9)
+    steps = out - pts
+    normals = normal_direction(egg, pts)
+    # each move is parallel to the normal at its starting point
+    assert np.allclose(np.abs(np.einsum("mi,mi->m", steps, np.conj(normals))), np.linalg.norm(steps, axis=1))
+    with pytest.raises(DomainError):
+        walk_to_depth(egg, pts[:1], 5.0)
+
+
+def test_complex_tangent_basis_is_orthonormal_complement():
+    rng = np.random.default_rng(2)
+    u = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    u /= np.linalg.norm(u)
+    basis = complex_tangent_basis(u)
+    assert basis.shape == (2, 3)
+    assert np.allclose(basis @ basis.conj().T, np.eye(2))
+    assert np.allclose(basis @ np.conj(u), 0.0)

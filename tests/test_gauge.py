@@ -289,5 +289,5 @@ def test_cap_fraction_normaliser(ball2):
     # heights on S^3 have density (2/pi) sqrt(1 - h^2)
     for c in (-0.5, 0.0, 0.3, 0.9):
         exact = 0.5 - (c * np.sqrt(1 - c * c) + np.arcsin(c)) / np.pi
-        assert rays.cap_fraction(c) == pytest.approx(exact, rel=1e-5)
-    assert rays.cap_fraction(-1.0) == pytest.approx(1.0, rel=1e-5)
+        assert rays.cap_fraction(c) == pytest.approx(exact, rel=1e-12)
+    assert rays.cap_fraction(-1.0) == 1.0

@@ -232,3 +232,7 @@ def test_fefferman_error_scales_with_sqrt_F(ball2):
 def test_exact_mode_rejected_off_ball(egg):
     with pytest.raises(KernelError):
         kernel_eval(egg, EXACT_BALL, np.zeros(2, complex), np.zeros((1, 2), complex))
+
+
+def test_ball_quadrature_built_once():
+    assert ball_quadrature(2, 6) is ball_quadrature(2, 6)

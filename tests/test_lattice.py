@@ -3,6 +3,7 @@ import pytest
 
 from berglab.lattice import (
     Lattice,
+    _greedy_colors,
     build_separated,
     count_neighbors,
     pairwise_dupper,
@@ -129,3 +130,11 @@ def test_lattice_json_round_trip(disc):
     assert back.a == lat.a
     assert back.seed == lat.seed
     assert np.allclose(back.points, lat.points)
+
+
+def test_greedy_colors_follow_the_order():
+    # path 0 - 1 - 2 plus the isolated vertex 3
+    adj = np.zeros((4, 4), bool)
+    adj[0, 1] = adj[1, 0] = adj[1, 2] = adj[2, 1] = True
+    assert _greedy_colors(adj, range(4)).tolist() == [0, 1, 0, 0]
+    assert _greedy_colors(adj, [1, 3, 0, 2]).tolist() == [1, 0, 1, 0]

@@ -14,6 +14,7 @@ from berglab.metric import (
     MetricError,
     PathPolyline,
     Polydisc,
+    _inward_point,
     _length_gradient,
     _refinement_breaks,
     _segment_lengths,
@@ -343,3 +344,12 @@ def test_gauge_vs_chord_scaling(disc_global):
     gauges = normal_gauge(disc_global, z, ws)
     assert np.all(np.diff(chords) > 0)
     assert np.all(np.diff(gauges) > 0)
+
+
+def test_inward_point_reaches_depth_or_gives_up(disc):
+    z = np.array([0.9 + 0j])
+    w = _inward_point(disc, z, 0.5)
+    assert -disc.r_val(w) == pytest.approx(0.5, rel=1e-9)
+    # the disc is nowhere deeper than 1: the walk gives up and returns z
+    assert _inward_point(disc, z, 5.0) is z
+    assert _inward_point(disc, w, 0.25) is w

@@ -474,10 +474,12 @@ def test_operator_round_trip(tmp_path, sp8):
 
 
 def test_operator_file_bytes(tmp_path):
-    # Fortran-ordered input with a signed zero: row-major (re, im) float64 pairs
+    # Fortran-ordered input with a signed zero and an infinite imaginary part:
+    # row-major (re, im) float64 pairs, read back bit for bit
     rng = np.random.default_rng(0)
     mat = np.asfortranarray(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
     mat[0, 1] = complex(-0.0, 0.0)
+    mat[2, 3] = complex(0.5, np.inf)
     path = str(tmp_path / "op.bin")
     save_operator(path, OperatorMatrix(mat, "probe"), n=1, N=3)
     ref = b"".join(struct.pack("<dd", float(v.real), float(v.imag)) for row in mat for v in row)
@@ -485,4 +487,4 @@ def test_operator_file_bytes(tmp_path):
         assert fh.read() == ref
     back, meta = load_operator(path)
     assert meta == {"n": 1, "N": 3, "label": "probe", "dim": 4}
-    assert np.array_equal(back.matrix, mat)
+    assert back.matrix.astype("<c16").tobytes() == ref
