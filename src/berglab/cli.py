@@ -71,7 +71,6 @@ def suite_metric(dom, seed: int, budgets: dict) -> dict:
             nodes=budgets.get("nodes", 64),
             max_iters=budgets.get("max_iters", 40),
             restarts=budgets.get("restarts", 2),
-            seed=seed,
         )
         for x in (0.3, 0.5):
             z = np.zeros(hyper.n, complex)
@@ -136,32 +135,16 @@ def suite_gauge(dom, seed: int, budgets: dict) -> dict:
 
 
 def _radius_at_depth(dom, t: float) -> float:
-    lo, hi = 0.0, 2.0
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        z = np.zeros(dom.n, complex)
-        z[0] = mid
-        if dom.r_val(z) < -t:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    """s with -r(s * e1) = t, inward of the boundary on the first coordinate axis."""
+    rays = gauge_mod._ray_field(dom)
+    e1 = np.eye(1, dom.n, dtype=complex)
+    return float(rays.solve_depth(e1, rays.boundary_radius(e1), np.array([t]))[0])
 
 
 def _boundary_anchor(dom) -> np.ndarray:
     """Boundary point on the first coordinate axis."""
-    lo, hi = 0.0, 4.0
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        z = np.zeros(dom.n, complex)
-        z[0] = mid
-        if dom.r_val(z) < 0:
-            lo = mid
-        else:
-            hi = mid
-    z = np.zeros(dom.n, complex)
-    z[0] = 0.5 * (lo + hi)
-    return z
+    e1 = np.eye(1, dom.n, dtype=complex)
+    return gauge_mod._ray_field(dom).boundary_radius(e1)[0] * e1[0]
 
 
 def suite_lattice(dom, seed: int, budgets: dict) -> dict:

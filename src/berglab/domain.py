@@ -279,8 +279,8 @@ def normal_direction(dom: DomainSpec, z: np.ndarray, tol: float = 1e-12) -> np.n
     return g / nrm
 
 
-def boundary_project(dom: DomainSpec, z: np.ndarray, max_iter: int = 80) -> np.ndarray:
-    """First root of t -> r(z + t*u_z) with t >= 0, by safeguarded Newton.
+def boundary_project(dom: DomainSpec, z: np.ndarray) -> np.ndarray:
+    """Root of t -> r(z + t*u_z) along the outward normal u_z, by :func:`walk_to_depth`.
 
     Returns a boundary point p with |r(p)| <= boundary_tol.  The fitted
     proportionality |z - p| <= C_p |r(z)| is audited by the caller; no
@@ -292,52 +292,23 @@ def boundary_project(dom: DomainSpec, z: np.ndarray, max_iter: int = 80) -> np.n
         if abs(rz) <= dom.boundary_tol:
             return z
         raise DomainError("point lies outside the closed domain")
-    u = normal_direction(dom, z)
-
-    # bracket the root along the ray
-    t_hi = 0.0
-    step = max(-rz, 1e-6) / max(dom.grad_norm(z) / 2.0, 1e-12)
-    for _ in range(200):
-        t_hi += step
-        if dom.r_val(z + t_hi * u) >= 0:
-            break
-        step *= 1.5
-    else:
-        raise DomainError("boundary bracket not found along the normal ray")
-    t_lo = 0.0
-    t = t_hi
-    for _ in range(max_iter):
-        p = z + t * u
-        val = dom.r_val(p)
-        if abs(val) <= dom.boundary_tol:
-            return p
-        if val > 0:
-            t_hi = t
-        else:
-            t_lo = t
-        dval = 2.0 * np.real(np.vdot(dom.dbar_r(p), u))
-        t_new = t - val / dval if dval > 1e-14 else 0.5 * (t_lo + t_hi)
-        if not (t_lo < t_new < t_hi):
-            t_new = 0.5 * (t_lo + t_hi)
-        t = t_new
-    raise DomainError("boundary projection did not converge")
+    return walk_to_depth(dom, z, 0.0)[0]
 
 
 def walk_to_depth(dom: DomainSpec, zs: np.ndarray, depth: float | np.ndarray) -> np.ndarray:
     """Points at the requested boundary distance on each normal ray, batched.
 
     Walks inward or outward as needed; the defining function is monotone
-    along the normal through the collar, so bisection settles it.
+    along the normal through the collar, so once the walk is bracketed
+    :func:`_line_root` settles it.
     """
     zs = np.asarray(zs, complex).reshape(-1, dom.n)
     depth = np.broadcast_to(np.asarray(depth, float), (len(zs),))
     current = -dom.r_val(zs)
     done = np.abs(current - depth) <= 1e-14 * depth
-    g = dom.dbar_r(zs)
-    u = g / np.linalg.norm(g, axis=-1, keepdims=True)
+    u = normal_direction(dom, zs)
     sign = np.where(current < depth, -1.0, 1.0)  # -u walks inward
-    step = np.abs(depth - current) / np.maximum(dom.grad_norm(zs) / 2.0, 1e-12)
-    s_hi = step.copy()
+    s_hi = np.abs(depth - current) / np.maximum(dom.grad_norm(zs) / 2.0, 1e-12)
 
     def reached(s):
         val = -dom.r_val(zs + (sign * s)[:, None] * u)
@@ -350,25 +321,64 @@ def walk_to_depth(dom: DomainSpec, zs: np.ndarray, depth: float | np.ndarray) ->
         s_hi = np.where(ok, s_hi, s_hi * 1.5)
     else:
         raise DomainError("cannot reach the requested depth along the normal ray")
-    s_lo = np.zeros_like(s_hi)
-    for _ in range(80):
-        mid = 0.5 * (s_lo + s_hi)
-        ok = reached(mid)
-        s_hi = np.where(ok, mid, s_hi)
-        s_lo = np.where(ok, s_lo, mid)
-    out = zs + (sign * s_hi)[:, None] * u
-    out[done] = zs[done]
+    out = zs.copy()
+    todo = np.flatnonzero(~done)
+    z, v, sg = zs[todo], u[todo], sign[todo]
+
+    # f(s) = sign * r(z + sign*s*u) increases in s in both directions
+    def f_df(s, idx):
+        p = z[idx] + (sg[idx] * s)[:, None] * v[idx]
+        return sg[idx] * dom.r_val(p), 2.0 * np.real(np.einsum("mi,mi->m", v[idx], np.conj(dom.dbar_r(p))))
+
+    s = _line_root(f_df, -sg * depth[todo], np.zeros(len(todo)), s_hi[todo])
+    out[todo] = z + (sg * s)[:, None] * v
     return out
+
+
+def _horner(coef: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """p(s) and p'(s) for p(s) = sum_k coef[k] * s**k, per line."""
+    p = coef[-1] * np.ones_like(s)
+    dp = np.zeros_like(s)
+    for c in coef[-2::-1]:
+        dp = dp * s + p
+        p = p * s + c
+    return p, dp
+
+
+def _line_root(f_df, level: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """s in [lo, hi] with f(s) = level, given f(lo) <= level <= f(hi) on each line.
+
+    ``f_df(s, idx)`` returns f and f' at ``s`` on the lines ``idx``.  This is
+    the one root finder for every line search on r.  Safeguarded Newton from
+    ``hi``: a step that leaves the current bracket is replaced by bisection.
+    A line stops once its step or its bracket is down to float resolution.
+    """
+    tol = 4.0 * np.finfo(float).eps
+    lo, hi, s = lo.copy(), hi.copy(), hi.copy()
+    active = np.arange(len(s))
+    for _ in range(100):
+        x, a, b = s[active], lo[active], hi[active]
+        f, df = f_df(x, active)
+        f = f - level[active]
+        below = f <= 0
+        a = np.where(below, x, a)
+        b = np.where(below, b, x)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            nxt = x - f / df
+        nxt = np.where((nxt >= a) & (nxt <= b), nxt, 0.5 * (a + b))
+        lo[active], hi[active], s[active] = a, b, nxt
+        done = (np.abs(nxt - x) <= tol * x) | (b - a <= tol * b)
+        active = active[~done]
+        if not len(active):
+            break
+    return s
 
 
 def fit_projection_constant(dom: DomainSpec, count: int = 200, seed: int = 0, depth: float = 0.25) -> float:
     """Fitted C_p with |z - p(z)| <= C_p |r(z)| over a sampled collar."""
     pts = sample_region(dom, ("shell", 1e-4, depth), count, seed)
-    ratios = []
-    for z in pts:
-        p = boundary_project(dom, z)
-        ratios.append(np.linalg.norm(p - z) / abs(dom.r_val(z)))
-    return float(np.max(ratios))
+    proj = walk_to_depth(dom, pts, 0.0)
+    return float(np.max(np.linalg.norm(proj - pts, axis=1) / np.abs(dom.r_val(pts))))
 
 
 def sample_region(dom: DomainSpec, region, count: int, seed: int = 0) -> np.ndarray:

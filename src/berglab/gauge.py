@@ -17,7 +17,7 @@ from math import gamma, pi
 import numpy as np
 from scipy.special import betainc
 
-from .domain import DomainSpec, box_uniform, surface_pool
+from .domain import DomainSpec, _horner, _line_root, box_uniform, surface_pool
 from .metric import straight_chord_upper
 
 
@@ -163,7 +163,8 @@ class RayField:
             if not np.any(grow):
                 break
             s_hi[grow] *= 1.5
-        return _ray_root(coef, np.zeros(len(omega)), np.zeros(len(omega)), s_hi)
+        zero = np.zeros(len(omega))
+        return _line_root(lambda s, idx: _horner(coef[:, idx], s), zero, zero, s_hi)
 
     def _radial_slope(self, omega: np.ndarray, s: np.ndarray) -> np.ndarray:
         """d(-r)/ds along the ray; positive approaching the boundary from inside."""
@@ -187,7 +188,7 @@ class RayField:
         if np.any(s_lo == 0):
             raise GaugeError("depth target unreachable along some ray")
         level = np.broadcast_to(-np.asarray(targets, float), radius.shape)
-        return _ray_root(coef, level, s_lo, radius)
+        return _line_root(lambda s, idx: _horner(coef[:, idx], s), level, s_lo, radius)
 
     def layer_sample(
         self,
@@ -241,55 +242,6 @@ class RayField:
         p_u = 1.0 / (u * np.log(depth_hi / depth_lo))
         density = p_u * slope * dir_density / (s ** (2 * self.dom.n - 1))
         return pts, density
-
-    def is_star_shaped(self, probes: int = 512, seed: int = 0) -> bool:
-        """Spot check: -r decreases along rays through the collar."""
-        rng = np.random.default_rng(seed)
-        omega = self.directions(probes, rng)
-        radius = self.boundary_radius(omega)
-        for frac in (0.7, 0.8, 0.9, 0.97):
-            slope = self._radial_slope(omega, frac * radius)
-            if np.any(slope < -1e-9):
-                return False
-        return True
-
-
-def _horner(coef: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """p(s) and p'(s) for p(s) = sum_k coef[k] * s**k, per ray."""
-    p = coef[-1] * np.ones_like(s)
-    dp = np.zeros_like(s)
-    for c in coef[-2::-1]:
-        dp = dp * s + p
-        p = p * s + c
-    return p, dp
-
-
-def _ray_root(coef: np.ndarray, level: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """s in [lo, hi] with p(s) = level, given p(lo) <= level <= p(hi) on each ray.
-
-    Safeguarded Newton on Horner's rule from ``hi``: a step that leaves the
-    current bracket is replaced by bisection.  A ray stops once its step or
-    its bracket is down to float resolution.
-    """
-    tol = 4.0 * np.finfo(float).eps
-    lo, hi, s = lo.copy(), hi.copy(), hi.copy()
-    active = np.arange(len(s))
-    for _ in range(100):
-        x, a, b = s[active], lo[active], hi[active]
-        f, df = _horner(coef[:, active], x)
-        f -= level[active]
-        below = f <= 0
-        a = np.where(below, x, a)
-        b = np.where(below, b, x)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            nxt = x - f / df
-        nxt = np.where((nxt >= a) & (nxt <= b), nxt, 0.5 * (a + b))
-        lo[active], hi[active], s[active] = a, b, nxt
-        done = (np.abs(nxt - x) <= tol * x) | (b - a <= tol * b)
-        active = active[~done]
-        if not len(active):
-            break
-    return s
 
 
 def _ray_field(dom: DomainSpec) -> RayField:

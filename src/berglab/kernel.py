@@ -17,6 +17,7 @@ from math import factorial, pi
 import numpy as np
 from scipy.special import roots_jacobi
 
+from ._poly import HermPoly
 from .domain import DomainSpec, complex_tangent_basis, unit_ball
 from .gauge import comparability_scale, taylor_remainder
 
@@ -234,15 +235,7 @@ def reproducing_residual(dom: DomainSpec, coeffs: dict, z: np.ndarray, degree: i
         degree = deg_h + int(np.ceil(tail)) + 8
     quad = ball_quadrature(dom.n, degree)
 
-    def h_vals(pts):
-        out = np.zeros(len(pts), complex)
-        for a, c in coeffs.items():
-            term = np.full(len(pts), complex(c))
-            for i, ai in enumerate(a):
-                if ai:
-                    term = term * pts[:, i] ** ai
-            out += term
-        return out
+    h_vals = HermPoly.from_terms(dom.n, [(a, (0,) * dom.n, c) for a, c in coeffs.items()])
 
     kz = kernel_eval(dom, EXACT_BALL, z, quad.nodes)  # K(z, w_q)
     integral = quad.integrate(h_vals(quad.nodes) * kz)

@@ -174,10 +174,6 @@ class DistanceBudget:
     nodes: int = 64
     max_iters: int = 40
     restarts: int = 2
-    seed: int = 0
-
-    def to_json(self) -> dict:
-        return {"nodes": self.nodes, "max_iters": self.max_iters, "restarts": self.restarts, "seed": self.seed}
 
 
 ORACLE_BUDGET = DistanceBudget(nodes=64, max_iters=60, restarts=2)

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_triangular
 
+from ._poly import HermPoly
 from .domain import DomainSpec, box_uniform, normal_direction, unit_ball, walk_to_depth
 from .kernel import EXACT_BALL, ball_quadrature, kernel_eval, monomial_norm_sq
 from .metric import CHEAP_BUDGET, DistanceBudget, DistanceEstimator, straight_chord_upper
@@ -60,14 +61,8 @@ class GalerkinSpace:
     def basis_eval(self, pts: np.ndarray) -> np.ndarray:
         """Matrix of normalized monomial values, shape (m, dim)."""
         pts = np.asarray(pts, complex).reshape(-1, self.n)
-        out = np.empty((len(pts), self.dim), complex)
-        for j, a in enumerate(self.alphas):
-            v = np.ones(len(pts), complex)
-            for i, ai in enumerate(a):
-                if ai:
-                    v = v * pts[:, i] ** ai
-            out[:, j] = v / self.norms[j]
-        return out
+        zero = (0,) * self.n
+        return np.stack([HermPoly(self.n, {(a, zero): 1.0})(pts) for a in self.alphas], 1) / self.norms
 
     def gram_defect(self) -> float:
         g = self.Qw.conj().T @ self.Qw
@@ -209,16 +204,7 @@ def enlarged_space(n: int, N: int, conj_degree: int) -> EnlargedSpace:
     # beyond n = 1 the angular grid shrinks to qdeg + 1 points per torus factor
     quad = ball_quadrature(n, qdeg) if n == 1 else ball_quadrature(n, qdeg, qdeg + 1)
     pts = quad.nodes
-    V = np.empty((len(pts), dim), complex)
-    for j, (a, b) in enumerate(pairs):
-        v = np.ones(len(pts), complex)
-        for i, ai in enumerate(a):
-            if ai:
-                v = v * pts[:, i] ** ai
-        for i, bi in enumerate(b):
-            if bi:
-                v = v * np.conj(pts[:, i]) ** bi
-        V[:, j] = v / pre[j]
+    V = np.stack([HermPoly(n, {ab: 1.0})(pts) for ab in pairs], 1) / pre
     U = solve_triangular(L, V.conj().T, lower=True).conj().T
     Uw = U * np.sqrt(quad.weights)[:, None]
     gal_cols = np.array([holo.index((a, (0,) * n)) for a in _multi_indices(n, N)])

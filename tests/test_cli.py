@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from berglab.cli import PlanError, emit_plot_data, load_domain, main, run_plan
+from berglab.cli import PlanError, _boundary_anchor, _radius_at_depth, emit_plot_data, load_domain, main, run_plan
 
 
 MINI_PLAN = {
@@ -80,3 +80,29 @@ def test_cli_seed_override(tmp_path):
     assert code == 0
     summary = json.loads((tmp_path / "r" / "summary.json").read_text())
     assert summary["seed"] == 9
+
+
+def _reference_axis_root(dom, level, hi):
+    """The 80-step bisection on s -> r(s * e1) that the gauge-suite anchors used: (lo, hi)."""
+    lo = 0.0
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        z = np.zeros(dom.n, complex)
+        z[0] = mid
+        if dom.r_val(z) < level:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+@pytest.mark.parametrize("name", ["disc", "ball2", "egg"])
+def test_gauge_anchors_match_reference_bisection(request, name):
+    dom = request.getfixturevalue(name)
+    for t in [2.0**-k for k in range(6, 11)]:
+        ref = _reference_axis_root(dom, -t, 2.0)[0]
+        assert abs(_radius_at_depth(dom, t) - ref) <= 2 * np.spacing(ref)
+    ref = 0.5 * sum(_reference_axis_root(dom, 0.0, 4.0))
+    anchor = _boundary_anchor(dom)
+    assert abs(anchor[0] - ref) <= 2 * np.spacing(ref)
+    assert np.all(anchor[1:] == 0)

@@ -285,6 +285,57 @@ def test_walk_to_depth_both_directions(egg):
         walk_to_depth(egg, pts[:1], 5.0)
 
 
+def _reference_walk(dom, zs, depth):
+    """The bracket-then-80-bisections normal walk that walk_to_depth's Newton root replaced."""
+    zs = np.asarray(zs, complex).reshape(-1, dom.n)
+    depth = np.broadcast_to(np.asarray(depth, float), (len(zs),))
+    current = -dom.r_val(zs)
+    done = np.abs(current - depth) <= 1e-14 * depth
+    g = dom.dbar_r(zs)
+    u = g / np.linalg.norm(g, axis=-1, keepdims=True)
+    sign = np.where(current < depth, -1.0, 1.0)
+    s_hi = np.abs(depth - current) / np.maximum(dom.grad_norm(zs) / 2.0, 1e-12)
+
+    def reached(s):
+        val = -dom.r_val(zs + (sign * s)[:, None] * u)
+        return np.where(sign < 0, val >= depth, val <= depth) | done
+
+    for _ in range(200):
+        ok = reached(s_hi)
+        if np.all(ok):
+            break
+        s_hi = np.where(ok, s_hi, s_hi * 1.5)
+    s_lo = np.zeros_like(s_hi)
+    for _ in range(80):
+        mid = 0.5 * (s_lo + s_hi)
+        ok = reached(mid)
+        s_hi = np.where(ok, mid, s_hi)
+        s_lo = np.where(ok, s_lo, mid)
+    out = zs + (sign * s_hi)[:, None] * u
+    out[done] = zs[done]
+    return out
+
+
+@pytest.mark.parametrize("name", ["disc", "ball2", "egg", "mixed", "quartic"])
+def test_walk_to_depth_matches_reference_bisection(request, name):
+    dom = request.getfixturevalue(name)
+    pts = sample_region(dom, ("shell", 1e-3, 0.3), 200, seed=11)
+    normals = normal_direction(dom, pts)
+    for depth in (0.0, 2.0**-44, 1e-8, 1e-4, 0.01, 0.1):
+        out = walk_to_depth(dom, pts, depth)
+        ref = _reference_walk(dom, pts, depth)
+        assert np.max(np.abs(-dom.r_val(out) - depth)) <= 8 * np.finfo(float).eps
+        steps = out - pts
+        assert np.allclose(np.abs(np.einsum("mi,mi->m", steps, np.conj(normals))), np.linalg.norm(steps, axis=1))
+        assert np.all(np.linalg.norm(out - ref, axis=1) <= 1e-10 * np.linalg.norm(ref - pts, axis=1))
+
+
+def test_walk_to_depth_names_a_vanishing_gradient(recwarn):
+    with pytest.raises(DomainError, match="gradient below tolerance"):
+        walk_to_depth(unit_ball(2), np.zeros((1, 2)), 0.5)
+    assert len(recwarn) == 0
+
+
 def test_complex_tangent_basis_is_orthonormal_complement():
     rng = np.random.default_rng(2)
     u = rng.standard_normal(3) + 1j * rng.standard_normal(3)
