@@ -30,7 +30,7 @@ from .domain import (
     surface_pool,
     walk_to_depth,
 )
-from .gauge import normal_gauge, cap_contains
+from .gauge import cap_contains, gauge_of_offsets, normal_gauge
 from .lattice import _greedy_colors
 from .metric import straight_chord_upper
 
@@ -211,10 +211,23 @@ def build_packing(
     the recorded slack, since stream-relative maximality only covers unseen
     points up to the stream density; a failed audit densifies the stream
     and rebuilds until the audit passes or the budget runs out.
+
+    The greedy pass is exact, not approximate.  rho(u, v) >= |u - v|^2, also
+    as computed in floating point, so a candidate conflicts with a center
+    only within Euclidean distance sqrt(c1*d); the neighbour query widens
+    that radius by a relative 1e-9, far above the rounding of a squared
+    distance, and every candidate it returns gets the full two-sided gauge
+    test.  Each accepted center rules out its later conflicting candidates,
+    and the next center is the first candidate not ruled out, so a
+    candidate joins exactly when no earlier center conflicts with it: the
+    centers, and their order, are those of testing every candidate against
+    every accepted center in stream order.
     """
     count = candidate_count
     while True:
-        centers = _greedy_packing(dom, d, c1, count, seed, max_centers)
+        pool, _ = surface_pool(dom, 0.0, count, seed)
+        stream = pool[np.random.default_rng(seed + 1).permutation(len(pool))]
+        centers = _greedy_packing(dom, stream, c1 * d, max_centers)
         if not coverage_check:
             return centers
         audit_pool, _ = surface_pool(dom, 0.0, max(count // 2, 2000), seed + 77)
@@ -229,43 +242,111 @@ def build_packing(
         count = min(2 * count, max_candidates)
 
 
-def _greedy_packing(dom, d, c1, candidate_count, seed, max_centers) -> np.ndarray:
-    pool, _ = surface_pool(dom, 0.0, candidate_count, seed)
-    rng = np.random.default_rng(seed + 1)
-    cand = pool[rng.permutation(len(pool))]
-    acc = np.empty((max_centers, dom.n), complex)
-    gacc = np.empty((max_centers, dom.n), complex)
-    m = 0
-    for v in cand:
-        g_v = dom.dbar_r(v)
-        if m:
-            diff = acc[:m] - v[None, :]
-            gauge_from_v = np.sum(np.abs(diff) ** 2, axis=-1) + np.abs(
-                np.einsum("mi,i->m", -diff, np.conj(g_v))
-            )
-            gauge_from_u = np.sum(np.abs(diff) ** 2, axis=-1) + np.abs(
-                np.einsum("mi,mi->m", diff, np.conj(gacc[:m]))
-            )
-            if not np.all(np.minimum(gauge_from_v, gauge_from_u) >= c1 * d):
-                continue
-        if m >= max_centers:
+def _greedy_packing(dom: DomainSpec, stream: np.ndarray, radius: float, max_centers: int) -> np.ndarray:
+    """The stream rows that no earlier accepted row conflicts with, in stream order.
+
+    Rows u (accepted) and v (later) conflict when the smaller of rho(u, v)
+    and rho(v, u) is not >= ``radius``.  The loop runs once per accepted row.
+    """
+    grads = _blocked(dom.dbar_r, stream)
+    within = _neighbour_query(stream)
+    reach = np.sqrt(radius)
+    live = np.ones(len(stream), bool)
+    accepted = []
+    i = 0
+    while i < len(stream):
+        i += int(np.argmax(live[i:]))
+        if not live[i]:
+            break
+        if len(accepted) >= max_centers:
             raise CoverError("packing exceeded the center budget; enlarge the cap scale")
-        acc[m] = v
-        gacc[m] = g_v
-        m += 1
-    return acc[:m].copy()
+        accepted.append(i)
+        near = within(stream[i], reach)
+        near = near[np.searchsorted(near, i, side="right"):]
+        for blk in _row_blocks(len(near)):
+            v = near[blk]
+            v = v[live[v]]
+            diff = stream[i] - stream[v]
+            gauge = np.minimum(gauge_of_offsets(diff, grads[v]), gauge_of_offsets(diff, grads[i]))
+            live[v[~(gauge >= radius)]] = False
+        i += 1
+    return stream[accepted]
 
 
 def coverage_audit(dom: DomainSpec, centers: np.ndarray, a: float, pool: np.ndarray):
-    """None when every pool point lies in some a-cap; else a witness point."""
+    """None when every pool point lies in some a-cap; else a witness point.
+
+    The witness is the first uncovered pool point.  As in the packing, a
+    pool point can lie in the a-cap of u only within Euclidean distance
+    sqrt(a) of u, since rho(u, w) >= |u - w|^2; only the pool points the
+    neighbour query returns for that radius (widened by a relative 1e-9)
+    get the exact gauge test, so the covered set is exactly that of testing
+    every pool point against every cap.
+    """
+    within = _neighbour_query(pool)
+    grads = _blocked(dom.dbar_r, centers)
+    reach = np.sqrt(a)
     covered = np.zeros(len(pool), bool)
-    for u in centers:
-        covered |= cap_contains(dom, u, a, pool)
-        if np.all(covered):
-            return None
-    if np.all(covered):
+    uncovered = len(pool)
+    for u, g in zip(centers, grads):
+        if not uncovered:
+            break
+        near = within(u, reach)
+        near = near[~covered[near]]
+        for blk in _row_blocks(len(near)):
+            hit = near[blk][gauge_of_offsets(u - pool[near[blk]], g) < a]
+            covered[hit] = True
+            uncovered -= len(hit)
+    if not uncovered:
         return None
     return pool[int(np.argmin(covered))]
+
+
+# -- neighbour query --------------------------------------------------------------------
+
+
+# relative widening of every neighbour radius: far above the rounding of a
+# squared distance, so no row within the exact radius is ever dropped
+_RADIUS_MARGIN = 1e-9
+# rows per block of a batched evaluation, so temporaries stay small
+_BLOCK_ROWS = 4096
+
+
+def _row_blocks(count: int):
+    """Slices of at most ``_BLOCK_ROWS`` rows covering range(count)."""
+    return [slice(s, s + _BLOCK_ROWS) for s in range(0, count, _BLOCK_ROWS)]
+
+
+def _blocked(fn, rows: np.ndarray) -> np.ndarray:
+    """fn(rows), evaluated block by block; ``fn`` maps (k, n) rows to (k, n) rows."""
+    out = np.empty_like(rows)
+    for blk in _row_blocks(len(rows)):
+        out[blk] = fn(rows[blk])
+    return out
+
+
+def _neighbour_query(pts: np.ndarray):
+    """``within(z, radius)``: the indices of the rows of ``pts`` within Euclidean ``radius`` of z, ascending.
+
+    The rows are sorted once on Re z_1.  A query slices the sorted rows with
+    two searchsorted calls, since |Re (z_1 - w_1)| <= |z - w|, and keeps the
+    slice rows within the radius widened by ``_RADIUS_MARGIN``.
+    """
+    order = np.argsort(pts[:, 0].real, kind="stable")
+    rows = pts[order]
+    key = rows[:, 0].real
+
+    def within(z: np.ndarray, radius: float) -> np.ndarray:
+        reach = radius * (1.0 + _RADIUS_MARGIN)
+        lo = np.searchsorted(key, z[0].real - reach, "left")
+        hi = np.searchsorted(key, z[0].real + reach, "right")
+        keep = []
+        for s in range(lo, hi, _BLOCK_ROWS):
+            diff = rows[s:min(s + _BLOCK_ROWS, hi)] - z
+            keep.append(s + np.flatnonzero(np.sum(diff.real**2 + diff.imag**2, axis=-1) <= reach**2))
+        return np.sort(order[np.concatenate(keep)]) if keep else order[:0]
+
+    return within
 
 
 # -- cells, representatives, cutoffs ----------------------------------------------------
@@ -382,11 +463,12 @@ def _overlap_counts(dom: DomainSpec, centers: np.ndarray, b: float) -> np.ndarra
     """
     m = len(centers)
     adj = np.zeros((m, m), bool)
-    grads = dom.dbar_r(centers)
+    grads = _blocked(dom.dbar_r, centers)
+    within = _neighbour_query(centers)
+    reach = np.sqrt(6.0 * b)
     for i in range(m):
-        diff = centers - centers[i][None, :]
-        gauge_i = np.sum(np.abs(diff) ** 2, axis=-1) + np.abs(np.einsum("mi,i->m", diff, np.conj(grads[i])))
-        adj[i] = gauge_i < 6.0 * b
+        near = within(centers[i], reach)
+        adj[i, near] = gauge_of_offsets(centers[near] - centers[i][None, :], grads[i]) < 6.0 * b
     adj |= adj.T
     np.fill_diagonal(adj, False)
     return adj

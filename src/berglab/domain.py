@@ -10,6 +10,7 @@ projection, region samplers) come from here.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 from typing import Optional
@@ -22,6 +23,10 @@ BOUNDARY_TOL_REL = 1e-10
 # rows per block of the surface sampler's screened draw: 512 KB at n = 2,
 # so a block stays in cache through its screen
 _SCREEN_ROWS = 16384
+# the surface sampler draws at least this many batches before it judges its
+# yield, and gives up once that yield projects past the budget of batches
+_SAMPLER_PATIENCE = 600
+_SAMPLER_BUDGET = 3000
 
 
 class DomainError(ValueError):
@@ -441,7 +446,9 @@ def surface_sample(
     the retained points are uniform for the surface measure up to O(eps).
     Draws are screened by a real-coordinate form of r, and only those that
     may lie in the slab are evaluated exactly; the points and the area are
-    those of evaluating every draw exactly.
+    those of evaluating every draw exactly.  From batch ``_SAMPLER_PATIENCE``
+    on, it gives up, naming its counts, once the yield so far projects past
+    ``_SAMPLER_BUDGET`` batches.
     Returns (points, total_surface_area_estimate).
     """
     if slab_eps is None:
@@ -455,11 +462,19 @@ def surface_sample(
     radii = np.sqrt(np.max(box[:n] ** 2, axis=1) + np.max(box[n:] ** 2, axis=1))
     slack = r_real.rounding_bound(radii)
     pts = []
+    n_kept = 0
     n_drawn = 0
     n_in_slab = 0
     grad_sum = 0.0
-    for _ in range(600):
-        m = max(8 * count, 8192)
+    m = max(8 * count, 8192)
+    for batch in itertools.count():
+        # the give-up is judged from the yield so far, never before the patience runs out
+        if batch >= _SAMPLER_PATIENCE and count * batch > _SAMPLER_BUDGET * n_kept:
+            raise DomainError(
+                f"surface sampler starved: {n_drawn} draws, {n_in_slab} slab hits and {n_kept} "
+                f"thinned acceptances (grad_cap {grad_cap:.6g}) in {batch} batches; {count} points "
+                f"at this yield need more than {_SAMPLER_BUDGET} batches; enlarge slab_eps or count"
+            )
         zz = _screened_draws(r_real, rho, slab_eps + slack, box, m, rng)
         n_drawn += m
         rv = dom.r_val(zz)
@@ -475,12 +490,10 @@ def surface_sample(
         cand = cand[acc]
         if len(cand) == 0:
             continue
-        proj = _project_to_level(dom, cand, rho)
-        pts.append(proj)
-        if sum(len(p) for p in pts) >= count:
+        pts.append(_project_to_level(dom, cand, rho))
+        n_kept += len(cand)
+        if n_kept >= count:
             break
-    if not pts or sum(len(p) for p in pts) < count:
-        raise DomainError("surface sampler starved; enlarge slab_eps or count")
     mean_grad = grad_sum / max(n_in_slab, 1)
     box_vol = float(np.prod(box[:, 1] - box[:, 0]))
     slab_vol = box_vol * n_in_slab / n_drawn

@@ -57,10 +57,16 @@ def taylor_remainder(dom: DomainSpec, z: np.ndarray, w: np.ndarray) -> np.ndarra
 def normal_gauge(dom: DomainSpec, z: np.ndarray, w: np.ndarray) -> np.ndarray:
     """rho(z, w) = |z-w|^2 + |<z-w, dbar r(z)>|, vectorized over w."""
     z = np.asarray(z, complex).reshape(-1)
-    w = np.asarray(w, complex)
-    diff = z - w
-    g = dom.dbar_r(z)
-    pairing = np.einsum("...i,i->...", diff, np.conj(g))
+    return gauge_of_offsets(z - np.asarray(w, complex), dom.dbar_r(z))
+
+
+def gauge_of_offsets(diff: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """|diff|^2 + |<diff, g>| per row: rho(z, w) for diff = z - w and g = dbar r(z).
+
+    ``g`` broadcasts against ``diff``: one gradient, or one per row.
+    Negating ``diff`` leaves every bit of the value unchanged.
+    """
+    pairing = np.einsum("...i,...i->...", diff, np.conj(g))
     return np.sum(np.abs(diff) ** 2, axis=-1) + np.abs(pairing)
 
 

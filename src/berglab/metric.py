@@ -114,20 +114,23 @@ def _segment_lengths(dom: DomainSpec, p: np.ndarray, q: np.ndarray) -> np.ndarra
 
     Segments are bucketed by the dyadic range of -r along them, so only
     boundary-hugging segments pay for deep refinement.  Escaped segments
-    (any abscissa outside the domain) come back as +inf.
+    (an endpoint or any abscissa outside the domain) come back as +inf; an
+    outside endpoint is caught before any quadrature.
     """
     p = np.asarray(p, complex)
     q = np.asarray(q, complex)
     shape = np.broadcast_shapes(p.shape, q.shape)
     p = np.broadcast_to(p, shape).reshape(-1, shape[-1])
     q = np.broadcast_to(q, shape).reshape(-1, shape[-1])
-    dp, dq, mid = np.maximum(-dom.r_val(np.stack([p, q, 0.5 * (p + q)])), 1e-300)
+    depth = -dom.r_val(np.stack([p, q, 0.5 * (p + q)]))
+    escaped = np.any(depth[:2] < 0, axis=0)
+    dp, dq, mid = np.maximum(depth, 1e-300)
     hi = np.maximum(mid, np.maximum(dp, dq))
     lo = np.minimum(dp, dq)
     lev = np.clip(np.ceil(np.log2(hi / lo)) + 2, 2, 48)
-    bucket = np.clip((np.ceil(lev / 6) * 6).astype(int), 2, 48)
-    out = np.empty(len(p))
-    for b in np.unique(bucket):
+    bucket = np.where(escaped, 0, np.clip((np.ceil(lev / 6) * 6).astype(int), 2, 48))
+    out = np.full(len(p), np.inf)
+    for b in np.unique(bucket[~escaped]):
         sel = bucket == b
         out[sel] = _segment_lengths_fixed(dom, p[sel], q[sel], int(b))
     return out.reshape(shape[:-1])

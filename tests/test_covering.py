@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from berglab.covering import (
+    COVERAGE_SLACK,
     Cover,
     CoverError,
     a_cell_samples,
@@ -18,8 +20,10 @@ from berglab.covering import (
     index_partition,
     textbook_ladder,
     _cap_sample,
+    _greedy_packing,
+    _overlap_counts,
 )
-from berglab.domain import surface_pool
+from berglab.domain import surface_pool, unit_ball
 from berglab.gauge import exponent_regression, normal_gauge
 from berglab.metric import CHEAP_BUDGET, DistanceEstimator
 
@@ -140,6 +144,136 @@ def test_neighbor_growth_exponent(disc, disc_cover):
         counts.append(int(np.sum(g < 6.0 * R * lv.d)))
     fit = exponent_regression(Rs, counts)
     assert fit["slope"] <= disc.n + 0.3
+
+
+# -- neighbour-query packing, audit and overlap against the one-at-a-time loops -------------
+
+
+def _gauge_ref(diff, g):
+    # rho as the loops below computed it, one gradient per call
+    return np.sum(np.abs(diff) ** 2, axis=-1) + np.abs(np.einsum("mi,i->m", diff, np.conj(g)))
+
+
+def _greedy_packing_ref(dom, stream, radius, max_centers):
+    """One candidate at a time, each tested against every accepted center."""
+    acc = np.empty((max_centers, dom.n), complex)
+    gacc = np.empty((max_centers, dom.n), complex)
+    m = 0
+    for v in stream:
+        g_v = dom.dbar_r(v)
+        if m:
+            diff = acc[:m] - v[None, :]
+            gauge_from_v = _gauge_ref(-diff, g_v)
+            gauge_from_u = np.sum(np.abs(diff) ** 2, axis=-1) + np.abs(
+                np.einsum("mi,mi->m", diff, np.conj(gacc[:m]))
+            )
+            if not np.all(np.minimum(gauge_from_v, gauge_from_u) >= radius):
+                continue
+        if m >= max_centers:
+            raise CoverError("packing exceeded the center budget; enlarge the cap scale")
+        acc[m] = v
+        gacc[m] = g_v
+        m += 1
+    return acc[:m].copy()
+
+
+def _coverage_audit_ref(dom, centers, a, pool):
+    """One center at a time against the whole pool."""
+    covered = np.zeros(len(pool), bool)
+    for u in centers:
+        covered |= _gauge_ref(u[None, :] - pool, dom.dbar_r(u)) < a
+        if np.all(covered):
+            return None
+    if np.all(covered):
+        return None
+    return pool[int(np.argmin(covered))]
+
+
+def _overlap_counts_ref(dom, centers, b):
+    """The adjacency one row at a time."""
+    m = len(centers)
+    adj = np.zeros((m, m), bool)
+    grads = dom.dbar_r(centers)
+    for i in range(m):
+        adj[i] = _gauge_ref(centers - centers[i][None, :], grads[i]) < 6.0 * b
+    adj |= adj.T
+    np.fill_diagonal(adj, False)
+    return adj
+
+
+def _assert_matches_reference(dom, stream, radius, pool):
+    """Packing, audits and overlaps against the loops; returns the centers and audit witnesses."""
+    ref = _greedy_packing_ref(dom, stream, radius, len(stream))
+    centers = _greedy_packing(dom, stream, radius, len(ref))
+    assert centers.shape == ref.shape and centers.tobytes() == ref.tobytes()
+    if len(ref):
+        with pytest.raises(CoverError, match="center budget"):
+            _greedy_packing(dom, stream, radius, len(ref) - 1)
+    witnesses = []
+    for a in (COVERAGE_SLACK * radius, 0.25 * radius):
+        new, old = coverage_audit(dom, ref, a, pool), _coverage_audit_ref(dom, ref, a, pool)
+        assert (new is None) == (old is None)
+        if old is not None:
+            assert new.tobytes() == old.tobytes()
+        witnesses.append(old)
+    for b in (radius, 0.1 * radius):
+        assert np.array_equal(_overlap_counts(dom, ref, b), _overlap_counts_ref(dom, ref, b))
+    return ref, witnesses
+
+
+@pytest.mark.parametrize("name", ["disc", "ball2", "egg", "mixed", "quartic"])
+def test_packing_audit_overlap_match_reference_loops(request, name):
+    dom = request.getfixturevalue(name)
+    pool, _ = surface_pool(dom, 0.0, 3000, 11)
+    stream = pool[np.random.default_rng(12).permutation(len(pool))][: 3000 if dom.n == 1 else 1200]
+    audit_pool, _ = surface_pool(dom, 0.0, 1500, 13)
+    sizes, witnesses = [], []
+    for radius in (0.3, 0.05, 0.004) if dom.n == 1 else (2.0, 0.5, 0.1):
+        centers, found = _assert_matches_reference(dom, stream, radius, audit_pool)
+        sizes.append(len(centers))
+        witnesses += found
+    # from a handful of caps to hundreds; audits that pass and audits with a witness
+    assert sizes[0] < sizes[1] < sizes[2]
+    assert any(w is None for w in witnesses) and any(w is not None for w in witnesses)
+
+
+def test_pair_at_the_filter_radius(ball2):
+    # u = 0 has a zero gradient, so rho(u, v) = |u - v|^2 exactly: at |u - v|^2
+    # equal to the radius the pair does not conflict, one ulp closer it does
+    u = np.zeros(2, complex)
+    for s, joins in ((0.5, True), (np.nextafter(0.5, 0.0), False)):
+        v = np.array([s, 0.0], complex)
+        stream = np.stack([u, v])
+        centers = _greedy_packing(ball2, stream, 0.25, 2)
+        assert centers.tobytes() == _greedy_packing_ref(ball2, stream, 0.25, 2).tobytes()
+        assert len(centers) == (2 if joins else 1)
+        witness = coverage_audit(ball2, u[None, :], 0.25, v[None, :])
+        assert (witness is not None) == joins
+        assert (_coverage_audit_ref(ball2, u[None, :], 0.25, v[None, :]) is not None) == joins
+
+
+_BALLS = {n: unit_ball(n, theta=0.25) for n in (1, 2)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.sampled_from([1, 2]),
+    seed=st.integers(0, 2**32 - 1),
+    size=st.integers(1, 120),
+    log_radius=st.floats(-9.0, 1.5),
+    grid=st.booleans(),
+)
+def test_packing_audit_overlap_match_reference_on_random_streams(n, seed, size, log_radius, grid):
+    # radii from one cap over the whole stream down to below the point
+    # spacing; on a coarse grid, repeated points and exact distance ties
+    dom = _BALLS[n]
+    rng = np.random.default_rng(seed)
+    raw = rng.uniform(-1.0, 1.0, (2 * size, 2 * n))
+    if grid:
+        raw = np.round(raw * 4.0) / 4.0
+    pts = raw[:, :n] + 1j * raw[:, n:]
+    radius = 1.0 / 16.0 if grid else 10.0**log_radius
+    _assert_matches_reference(dom, pts[:size], radius, pts[size:])
 
 
 # -- cells --------------------------------------------------------------------------------

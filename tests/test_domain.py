@@ -260,6 +260,23 @@ def test_surface_sample_matches_reference_slab_loop(request, name, slab_eps, rho
     assert rng.random() == rng_ref.random()
 
 
+# both need more batches than the 600 after which the sampler first judges its yield
+@pytest.mark.parametrize("name, count, seed", [("quartic", 4000, 2026), ("mixed", 3000, 7), ("mixed", 1500, 4)])
+def test_surface_sample_at_the_default_slab(request, name, count, seed):
+    dom = request.getfixturevalue(name)
+    pts, area = surface_sample(dom, 0.0, count, np.random.default_rng(seed))
+    assert pts.shape == (count, dom.n)
+    assert np.max(np.abs(dom.r_val(pts))) <= dom.boundary_tol
+    if name == "quartic":
+        # the circle |z|^2 = (sqrt(4.25) - 0.5) / 2
+        assert area == pytest.approx(2 * np.pi * np.sqrt((np.sqrt(4.25) - 0.5) / 2), rel=0.01)
+
+
+def test_surface_sampler_names_its_yield(disc):
+    with pytest.raises(DomainError, match=r"\d+ draws, 0 slab hits and 0 thinned acceptances \(grad_cap [\d.]+\)"):
+        surface_sample(disc, 0.0, 10, np.random.default_rng(0), slab_eps=1e-15)
+
+
 def test_real_poly_matches_herm_poly(mixed, quartic):
     from berglab._poly import RealPoly
 
