@@ -21,7 +21,7 @@ def main() -> None:
     cover = build_cover(dom, m=args.m, candidate_count=args.candidates, seed=args.seed)
     print(f"built in {time.time() - t0:.1f}s; engulfing constant {cover.c1:.3f}; "
           f"overlap budget {cover.n0_observed} (counting-bound form {cover.n0_bound:.1f})")
-    pool, _ = surface_pool(dom, 0.0, 4000, args.seed + 1234)
+    pool = surface_pool(dom, 0.0, 4000, args.seed + 1234)
     for lv in cover.levels:
         witness = coverage_audit(dom, lv.centers, lv.a, pool)
         print(

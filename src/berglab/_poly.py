@@ -111,69 +111,6 @@ class HermPoly:
         return HermPoly.from_terms(n, terms)
 
 
-class RealPoly:
-    """A real HermPoly evaluated on real coordinates z = x + i*y.
-
-    The term c z^a conj(z)^b equals c * prod_i |z_i|^(2 min(a_i, b_i)) * w_i
-    with w_i = z_i^(a_i - b_i) or conj(z_i)^(b_i - a_i); the polynomial is
-    real, so summing the real part of every term gives its value.  One table
-    of |z_i|^2 powers and (re, im) powers of z_i is shared by all terms, and
-    no complex array is formed.
-    """
-
-    def __init__(self, poly: HermPoly):
-        self.n = poly.n
-        self.terms = [
-            (c, tuple(min(ai, bi) for ai, bi in zip(a, b)), tuple(ai - bi for ai, bi in zip(a, b)))
-            for (a, b), c in poly.terms.items()
-        ]
-        # highest power of |z_i|^2 and of z_i any term needs
-        self._top_sq = [max([m[i] for _, m, _ in self.terms], default=0) for i in range(self.n)]
-        self._top_z = [max([abs(h[i]) for _, _, h in self.terms], default=0) for i in range(self.n)]
-        self.degree = poly.degree()
-
-    def __call__(self, x, y) -> np.ndarray:
-        """Value at the points with real parts ``x[i]`` and imaginary parts ``y[i]``."""
-        sq, zp = [], []  # sq[i][k] = |z_i|^(2k), zp[i][k] = (re, im) of z_i^k
-        for i in range(self.n):
-            sq.append([None, x[i] * x[i] + y[i] * y[i]] if self._top_sq[i] else [None])
-            while len(sq[i]) <= self._top_sq[i]:
-                sq[i].append(sq[i][-1] * sq[i][1])
-            zp.append([None, (x[i], y[i])])
-            while len(zp[i]) <= self._top_z[i]:
-                re, im = zp[i][-1]
-                zp[i].append((re * x[i] - im * y[i], re * y[i] + im * x[i]))
-        total = np.zeros(np.shape(x[0]))
-        for c, m, h in self.terms:
-            re, im = c.real, c.imag
-            for i, k in enumerate(h):
-                if k:
-                    zr, zi = zp[i][abs(k)]
-                    if k < 0:
-                        zi = -zi
-                    re, im = re * zr - im * zi, re * zi + im * zr
-            for i, k in enumerate(m):
-                if k:
-                    re = re * sq[i][k]
-            total += re
-        return total
-
-    def rounding_bound(self, radii) -> float:
-        """A-priori bound on |self(x, y) - Re HermPoly(z)| where every |z_i| <= radii[i].
-
-        Both evaluators form each term of degree <= d with at most
-        3d + 6n + 4 roundings of relative size eps and add T terms, so each
-        is within (3d + 6n + T + 4) * eps * B of the exact value to first
-        order, where B = sum |c| prod radii_i^(a_i + b_i).  The bound is
-        twice that, times 4 to spare for the higher-order terms.
-        """
-        # a_i + b_i = 2 min(a_i, b_i) + |a_i - b_i|
-        big = sum(abs(c) * float(np.prod([r ** (2 * k + abs(j)) for r, k, j in zip(radii, m, h)]))
-                  for c, m, h in self.terms)
-        rounds = 3 * self.degree + 6 * self.n + len(self.terms) + 4
-        return 8.0 * rounds * float(np.finfo(float).eps) * big
-
-
 def unit_vector(n: int, i: int) -> MultiIndex:
     e = [0] * n
     e[i] = 1

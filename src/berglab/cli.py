@@ -47,10 +47,19 @@ def load_domain(spec: dict) -> dom_mod.DomainSpec:
     if builtin == "ellipsoid":
         return dom_mod.ellipsoid(spec.get("weights", [1.0, 2.0]), theta=spec.get("theta", 0.125))
     if "json" in spec:
-        return dom_mod.DomainSpec.from_json(json.dumps(spec["json"]))
+        return _certified(dom_mod.DomainSpec.from_json(json.dumps(spec["json"])))
     if "path" in spec:
-        return dom_mod.DomainSpec.from_json(Path(spec["path"]).read_text())
+        return _certified(dom_mod.DomainSpec.from_json(Path(spec["path"]).read_text()))
     raise PlanError(f"cannot resolve domain spec {spec!r}")
+
+
+def _certified(dom: dom_mod.DomainSpec) -> dom_mod.DomainSpec:
+    """``dom`` once :func:`certify_pseudoconvexity` passes at its theta; else a PlanError naming the witness."""
+    cert = dom_mod.certify_pseudoconvexity(dom)
+    if not cert["theta_ok"]:
+        raise PlanError(f"domain fails certification at theta {dom.theta}: witness {cert['witness']}, "
+                        f"c_min {cert['c_min']}")
+    return dom
 
 
 def _check(name: str, passed: bool, value, **details) -> dict:
@@ -126,17 +135,21 @@ def suite_gauge(dom, seed: int, budgets: dict) -> dict:
     checks.append(_check("fr-exponent-a1", abs(fit["slope"] + 1.0) <= 0.15, fit["slope"], r2=fit["r2"]))
     ts = [0.3 * 2.0**-k for k in range(0, 4)]
     zeta = _boundary_anchor(dom)
-    sig = [gauge_mod.cap_measure(dom, zeta, t, samples=20000, seed=seed)["sigma"] for t in ts]
-    cap_fit = gauge_mod.exponent_regression(ts, sig)
+    caps = [gauge_mod.cap_measure(dom, zeta, t, samples=20000, seed=seed) for t in ts]
+    sig = [c["sigma"] for c in caps]
+    cap_fit = gauge_mod.exponent_regression(ts, sig, rel_stderr=[c["stderr"] / c["sigma"] for c in caps])
+    margin = 0.3 - abs(cap_fit["slope"] - dom.n)
     checks.append(
-        _check("cap-exponent", abs(cap_fit["slope"] - dom.n) <= 0.3, cap_fit["slope"], r2=cap_fit["r2"])
+        _check("cap-exponent", abs(cap_fit["slope"] - dom.n) <= 0.3, cap_fit["slope"], r2=cap_fit["r2"],
+               sigma=sig, stderr=[c["stderr"] for c in caps], hits=[c["hits"] for c in caps],
+               slope_stderr=cap_fit["slope_stderr"], margin_in_stderrs=margin / cap_fit["slope_stderr"])
     )
     return {"checks": checks, "tables": {"fr_regression": rows}}
 
 
 def _radius_at_depth(dom, t: float) -> float:
     """s with -r(s * e1) = t, inward of the boundary on the first coordinate axis."""
-    rays = gauge_mod._ray_field(dom)
+    rays = dom_mod._ray_field(dom)
     e1 = np.eye(1, dom.n, dtype=complex)
     return float(rays.solve_depth(e1, rays.boundary_radius(e1), np.array([t]))[0])
 
@@ -144,7 +157,7 @@ def _radius_at_depth(dom, t: float) -> float:
 def _boundary_anchor(dom) -> np.ndarray:
     """Boundary point on the first coordinate axis."""
     e1 = np.eye(1, dom.n, dtype=complex)
-    return gauge_mod._ray_field(dom).boundary_radius(e1)[0] * e1[0]
+    return dom_mod._ray_field(dom).boundary_radius(e1)[0] * e1[0]
 
 
 def suite_lattice(dom, seed: int, budgets: dict) -> dict:
@@ -279,7 +292,7 @@ def suite_covering(dom, seed: int, budgets: dict) -> dict:
         xs = _cap_sample(dom, lv.centers[i], lv.d, 400, rng)
         pairs_ok &= not np.any(cap_contains(dom, lv.centers[j], lv.d, xs))
     checks.append(_check("cap-disjointness", pairs_ok, lv.d))
-    pool, _ = dom_mod.surface_pool(dom, 0.0, 2000, seed + 5)
+    pool = dom_mod.surface_pool(dom, 0.0, 2000, seed + 5)
     witness = coverage_audit(dom, lv.centers, lv.a, pool)
     checks.append(_check("cap-coverage", witness is None, None))
     checks.append(_check("overlap-bounded", int(max(lv.colors)) + 1 <= cover.n0_observed, cover.n0_observed))

@@ -57,7 +57,7 @@ def fit_engulfing_constant(
     the scan times a safety margin.
     """
     rng = np.random.default_rng(seed)
-    pool, _ = surface_pool(dom, 0.0, 4000, seed)
+    pool = surface_pool(dom, 0.0, 4000, seed)
     worst = 1.0
     for t in scales:
         for _ in range(pairs):
@@ -225,12 +225,12 @@ def build_packing(
     """
     count = candidate_count
     while True:
-        pool, _ = surface_pool(dom, 0.0, count, seed)
+        pool = surface_pool(dom, 0.0, count, seed)
         stream = pool[np.random.default_rng(seed + 1).permutation(len(pool))]
         centers = _greedy_packing(dom, stream, c1 * d, max_centers)
         if not coverage_check:
             return centers
-        audit_pool, _ = surface_pool(dom, 0.0, max(count // 2, 2000), seed + 77)
+        audit_pool = surface_pool(dom, 0.0, max(count // 2, 2000), seed + 77)
         uncovered = coverage_audit(dom, centers, COVERAGE_SLACK * c1 * d, audit_pool)
         if uncovered is None:
             return centers
@@ -503,7 +503,7 @@ def _stream_size_for(dom: DomainSpec, d: float, base: int, seed: int) -> int:
     Measured from the fraction of a probe pool inside quarter-radius caps,
     so the greedy stream leaves no uncovered gap at the cap scale.
     """
-    pool, _ = surface_pool(dom, 0.0, 4000, seed + 31)
+    pool = surface_pool(dom, 0.0, 4000, seed + 31)
     rng = np.random.default_rng(seed + 13)
     fracs = []
     for _ in range(8):

@@ -10,23 +10,21 @@ projection, region samplers) come from here.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass, field
-from typing import Optional
+from math import gamma, pi
 
 import numpy as np
+from scipy.special import betainc
 
-from ._poly import HermPoly, RealPoly, unit_vector
+from ._poly import HermPoly, unit_vector
 
 BOUNDARY_TOL_REL = 1e-10
-# rows per block of the surface sampler's screened draw: 512 KB at n = 2,
-# so a block stays in cache through its screen
-_SCREEN_ROWS = 16384
-# the surface sampler draws at least this many batches before it judges its
-# yield, and gives up once that yield projects past the budget of batches
-_SAMPLER_PATIENCE = 600
-_SAMPLER_BUDGET = 3000
+# directions per block of the surface sampler
+_SURFACE_BLOCK = 4096
+# the surface sampler's acceptance bound sits this factor above the largest
+# density it has drawn
+_BOUND_MARGIN = 1.01
 
 
 class DomainError(ValueError):
@@ -216,6 +214,25 @@ def eval_geometry(dom: DomainSpec, z: np.ndarray) -> dict:
     return {"r": float(dom.r_val(z)), "dbar_r": dom.dbar_r(z), "hessian": dom.hessian(z)}
 
 
+def _collar_mesh(dom: DomainSpec, count: int, seed: int = 0) -> np.ndarray:
+    """Up to ``count`` box-uniform points of the collar {-3*theta < r < 0}, from a fresh generator at ``seed``."""
+    if count < 1:
+        raise DomainError("mesh_density must be >= 1")
+    rng = np.random.default_rng(seed)
+    pts = []
+    attempts = 0
+    while sum(len(p) for p in pts) < count and attempts < 200:
+        zz = box_uniform(dom, max(4 * count, 1024), rng)
+        rv = dom.r_val(zz)
+        keep = zz[(rv < 0) & (rv > -3.0 * dom.theta)]
+        if keep.size:
+            pts.append(keep)
+        attempts += 1
+    if not pts:
+        return np.empty((0, dom.n), complex)
+    return np.concatenate(pts, axis=0)[:count]
+
+
 def certify_pseudoconvexity(
     dom: DomainSpec,
     mesh_density: int = 4000,
@@ -229,22 +246,9 @@ def certify_pseudoconvexity(
     ``grad_tol`` relative to the box diameter.  A failing check reports the
     witnessing mesh point.
     """
-    if mesh_density < 1:
-        raise DomainError("mesh_density must be >= 1")
-    rng = np.random.default_rng(seed)
-    pts = []
-    target = mesh_density
-    attempts = 0
-    while sum(len(p) for p in pts) < target and attempts < 200:
-        zz = box_uniform(dom, max(4 * target, 1024), rng)
-        rv = dom.r_val(zz)
-        keep = zz[(rv < 0) & (rv > -3.0 * dom.theta)]
-        if keep.size:
-            pts.append(keep)
-        attempts += 1
-    if not pts:
+    mesh = _collar_mesh(dom, mesh_density, seed)
+    if not len(mesh):
         return {"c_min": np.nan, "theta_ok": False, "witness": None, "note": "empty mesh"}
-    mesh = np.concatenate(pts, axis=0)[:target]
 
     H = dom.hessian(mesh)
     eigs = np.linalg.eigvalsh(0.5 * (H + np.conj(np.swapaxes(H, -1, -2))))
@@ -432,110 +436,279 @@ def sample_region(dom: DomainSpec, region, count: int, seed: int = 0) -> np.ndar
     return np.concatenate(out, axis=0)[:count]
 
 
+# -- star-shaped ray field ---------------------------------------------------------
+
+
+def _sphere_area(real_dim: int) -> float:
+    return 2.0 * pi ** (real_dim / 2.0) / gamma(real_dim / 2.0)
+
+
+class RayField:
+    """Radial structure of a domain star-shaped about the origin.
+
+    Supplies boundary radii along directions, the level surfaces with their
+    surface density over directions, and depth-targeted samples with an
+    exact importance density, which is what makes thin boundary layers
+    integrable at Monte-Carlo cost.
+
+    Construction checks the hypothesis every ray method relies on: the
+    origin lies inside, and Re<z, dbar r(z)> > 0 on a collar mesh of
+    {-3*theta < r < 0} (sampled as :func:`certify_pseudoconvexity` samples
+    it), so r increases outward along each ray through the collar and each
+    ray crosses each level set there once.  A failure names its witness.
+    """
+
+    def __init__(self, dom: DomainSpec):
+        if dom.r_val(np.zeros(dom.n, complex)) >= 0:
+            raise DomainError("ray sampler requires the origin inside the domain")
+        mesh = _collar_mesh(dom, 4000)
+        radial = np.real(np.einsum("mi,mi->m", np.conj(mesh), dom.dbar_r(mesh)))
+        if len(mesh) and not radial.min() > 0:
+            i = int(np.argmin(radial))
+            raise DomainError(
+                f"domain is not star-shaped about the origin on its collar: Re<z, dbar r(z)> = "
+                f"{radial[i]:.6g} at z = {mesh[i].tolist()}"
+            )
+        self.dom = dom
+        self.sphere_area = _sphere_area(2 * dom.n)
+        # r(s * omega) = sum_k parts[k](omega) * s**k
+        self._parts = dom.r.homogeneous_parts()
+
+    def directions(self, count: int, rng: np.random.Generator) -> np.ndarray:
+        g = rng.standard_normal((count, 2 * self.dom.n))
+        g /= np.linalg.norm(g, axis=1, keepdims=True)
+        return g[:, : self.dom.n] + 1j * g[:, self.dom.n :]
+
+    # directions as real unit vectors in R^(2n)
+    @staticmethod
+    def _to_real(omega: np.ndarray) -> np.ndarray:
+        return np.concatenate([omega.real, omega.imag], axis=-1)
+
+    @staticmethod
+    def _to_complex(x: np.ndarray, n: int) -> np.ndarray:
+        return x[..., :n] + 1j * x[..., n:]
+
+    def cap_fraction(self, cos_cap: float) -> float:
+        """Uniform-measure fraction of the spherical cap {<w, axis> >= cos_cap}.
+
+        Closed form: half the regularized incomplete beta function
+        I_{1-c^2}((d-1)/2, 1/2) for c >= 0, and its complement below.
+        """
+        d = 2 * self.dom.n
+        half = 0.5 * float(betainc((d - 1) / 2.0, 0.5, 1.0 - cos_cap**2))
+        return half if cos_cap >= 0 else 1.0 - half
+
+    def cap_directions(self, axis: np.ndarray, cos_cap: float, count: int, rng: np.random.Generator) -> np.ndarray:
+        """Uniform directions in the spherical cap around ``axis`` (complex n-vector)."""
+        d = 2 * self.dom.n
+        ax = self._to_real(axis.reshape(1, -1))[0]
+        ax = ax / np.linalg.norm(ax)
+        if d == 2:
+            theta = np.arccos(cos_cap)
+            base = np.arctan2(ax[1], ax[0])
+            ang = base + rng.uniform(-theta, theta, count)
+            x = np.stack([np.cos(ang), np.sin(ang)], axis=1)
+            return self._to_complex(x, self.dom.n)
+        # heights h with density (1-h^2)^((d-3)/2) on [cos_cap, 1], by rejection
+        # under its maximum there, taken at h = max(cos_cap, 0)
+        env = max((1.0 - max(cos_cap, 0.0) ** 2) ** ((d - 3) / 2.0), 1e-300)
+        hs = np.empty(0)
+        while len(hs) < count:
+            m = max(4 * count, 1024)
+            cand = rng.uniform(cos_cap, 1.0, m)
+            acc = rng.uniform(0, env, m) < (1.0 - cand**2) ** ((d - 3) / 2.0)
+            hs = np.concatenate([hs, cand[acc]])
+        hs = hs[:count]
+        # tangential part: uniform on the (d-2)-sphere orthogonal to ax
+        g = rng.standard_normal((count, d))
+        g -= np.outer(g @ ax, ax)
+        g /= np.linalg.norm(g, axis=1, keepdims=True)
+        x = hs[:, None] * ax[None, :] + np.sqrt(np.maximum(1 - hs**2, 0.0))[:, None] * g
+        return self._to_complex(x, self.dom.n)
+
+    def _ray_coefficients(self, omega: np.ndarray) -> np.ndarray:
+        """c[k, m] with r(s * omega[m]) = sum_k c[k, m] * s**k for real s."""
+        return np.stack([np.real(p(omega)) for p in self._parts])
+
+    def boundary_radius(self, omega: np.ndarray) -> np.ndarray:
+        """Smallest s > 0 with r(s * omega) = 0 along each direction."""
+        coef = self._ray_coefficients(omega)
+        s_hi = np.full(len(omega), 0.25)
+        for _ in range(60):
+            grow = _horner(coef, s_hi)[0] < 0
+            if not np.any(grow):
+                break
+            s_hi[grow] *= 1.5
+        zero = np.zeros(len(omega))
+        return _line_root(lambda s, idx: _horner(coef[:, idx], s), zero, zero, s_hi)
+
+    @staticmethod
+    def _radial_slope(omega: np.ndarray, grad: np.ndarray) -> np.ndarray:
+        """d(-r)/ds along each ray, from ``grad`` = dbar r at the ray's point."""
+        return -2.0 * np.real(np.einsum("mi,mi->m", np.conj(omega), grad))
+
+    def solve_depth(self, omega: np.ndarray, radius: np.ndarray, targets: np.ndarray) -> np.ndarray:
+        """s with -r(s*omega) = target, searching inward from the boundary."""
+        coef = self._ray_coefficients(omega)
+        s_lo = np.zeros_like(radius)
+        # bracket: walk inward until -r >= target
+        frac = np.full(len(radius), 0.5)
+        for _ in range(200):
+            cand = radius * frac
+            deep = -_horner(coef, cand)[0] >= targets
+            s_lo = np.where(deep & (s_lo == 0), cand, s_lo)
+            frac = np.where(s_lo == 0, frac * 0.7, frac)
+            if np.all(s_lo > 0):
+                break
+        if np.any(s_lo == 0):
+            raise DomainError("depth target unreachable along some ray")
+        level = np.broadcast_to(-np.asarray(targets, float), radius.shape)
+        return _line_root(lambda s, idx: _horner(coef[:, idx], s), level, s_lo, radius)
+
+    def level_points(self, omega: np.ndarray, rho: float) -> tuple[np.ndarray, np.ndarray]:
+        """The points s*omega of the level surface {-r = rho}, and its density J over directions.
+
+        The surface element at s*omega is J(omega) d(omega) with
+        J = s^(2n-1) |grad r| / |d r/ds|: the sphere's element scaled to
+        radius s, divided by the cosine between the ray and the normal.
+        """
+        s = self.boundary_radius(omega)
+        if rho > 0:
+            s = self.solve_depth(omega, s, np.full(len(omega), rho))
+        pts = s[:, None] * omega
+        grad = self.dom.dbar_r(pts)
+        slope = np.abs(self._radial_slope(omega, grad))
+        return pts, s ** (2 * self.dom.n - 1) * 2.0 * np.linalg.norm(grad, axis=1) / slope
+
+    def layer_sample(
+        self,
+        depth_lo: float,
+        depth_hi: float,
+        count: int,
+        rng: np.random.Generator,
+        focus: tuple[np.ndarray, float] | None = None,
+        focus_weight: float = 0.5,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Points with -r in [depth_lo, depth_hi], log-uniform in depth.
+
+        ``focus = (axis, cos_cap)`` mixes in directions concentrated in the
+        spherical cap around ``axis``, which is what keeps the variance of
+        gauge-localized integrands finite.  Returns (points, density) where
+        density is the exact Lebesgue pdf of each drawn point, so 1/density
+        importance weights are unbiased.
+        """
+        if not (0 < depth_lo < depth_hi):
+            raise DomainError("need 0 < depth_lo < depth_hi")
+        if focus is None:
+            omega = self.directions(count, rng)
+            dir_density = np.full(count, 1.0 / self.sphere_area)
+        else:
+            axis, cos_caps = focus
+            cos_caps = np.atleast_1d(np.asarray(cos_caps, float))
+            fracs = np.array([self.cap_fraction(c) for c in cos_caps])
+            n_cap_total = int(round(focus_weight * count))
+            per_cap = np.full(len(cos_caps), n_cap_total // len(cos_caps))
+            per_cap[: n_cap_total - int(np.sum(per_cap))] += 1
+            parts = [self.directions(count - n_cap_total, rng)]
+            for c, m in zip(cos_caps, per_cap):
+                if m > 0:
+                    parts.append(self.cap_directions(np.asarray(axis, complex), float(c), int(m), rng))
+            omega = np.concatenate(parts, axis=0)
+            ax = self._to_real(np.asarray(axis, complex).reshape(1, -1))[0]
+            ax /= np.linalg.norm(ax)
+            height = self._to_real(omega) @ ax
+            dir_density = np.full(len(omega), (1.0 - focus_weight) / self.sphere_area)
+            for c, frac in zip(cos_caps, fracs):
+                in_cap = height >= c
+                dir_density = dir_density + np.where(
+                    in_cap, focus_weight / (len(cos_caps) * self.sphere_area * frac), 0.0
+                )
+        radius = self.boundary_radius(omega)
+        u = np.exp(rng.uniform(np.log(depth_lo), np.log(depth_hi), count))
+        s = self.solve_depth(omega, radius, u)
+        pts = s[:, None] * omega
+        slope = np.abs(self._radial_slope(omega, self.dom.dbar_r(pts)))
+        slope = np.maximum(slope, 1e-14)
+        p_u = 1.0 / (u * np.log(depth_hi / depth_lo))
+        density = p_u * slope * dir_density / (s ** (2 * self.dom.n - 1))
+        return pts, density
+
+
+def _ray_field(dom: DomainSpec) -> RayField:
+    return dom.memo("rayfield", lambda: RayField(dom))
+
+
+# -- level surfaces ---------------------------------------------------------------
+
+
 def surface_sample(
     dom: DomainSpec,
     rho: float,
     count: int,
     rng: np.random.Generator,
-    slab_eps: Optional[float] = None,
-) -> tuple[np.ndarray, float]:
-    """Approximately uniform samples of the level surface {-r = rho}.
+    cone: tuple[np.ndarray, float] | None = None,
+) -> tuple[np.ndarray, float, float]:
+    """Uniform samples of the level surface {-r = rho}, drawn along rays.
 
-    Thin-slab rejection plus Newton projection onto the level set; the
-    co-area density 1/|grad r| is undone by gradient-weighted thinning, so
-    the retained points are uniform for the surface measure up to O(eps).
-    Draws are screened by a real-coordinate form of r, and only those that
-    may lie in the slab are evaluated exactly; the points and the area are
-    those of evaluating every draw exactly.  From batch ``_SAMPLER_PATIENCE``
-    on, it gives up, naming its counts, once the yield so far projects past
-    ``_SAMPLER_BUDGET`` batches.
-    Returns (points, total_surface_area_estimate).
+    Directions are uniform on the sphere, or uniform in the direction cone
+    ``cone = (axis, cos)`` (:meth:`RayField.cap_directions`); the sampled
+    surface is the part of the level surface the cone's rays meet.  Each
+    direction's level point carries the surface density J of
+    :meth:`RayField.level_points` and is accepted with probability
+    J / J_cap, so accepted points are uniform for the surface measure.
+    J_cap must bound every density drawn.  It starts from the first block
+    and sits ``_BOUND_MARGIN`` above the largest density seen; a draw above
+    it raises the bound, and every earlier draw is re-decided against the
+    raised bound with its own uniform variate.  Densities are never
+    clipped, so the result is that of rejection with the final bound from
+    the first draw on, and it is deterministic for a fixed generator.
+    The area is the cone's solid angle times mean(J) over all draws.
+
+    Returns (points, area, area_stderr).
     """
-    if slab_eps is None:
-        slab_eps = 5e-4 * dom.box_diameter()
-    box = dom.bounding_box
-    n = dom.n
-    grad_cap = _grad_cap(dom, rng)
-    # the real-coordinate form of r stays within `slack` of r_val on the box,
-    # so the screen keeps every draw that r_val puts in the slab
-    r_real = RealPoly(dom.r)
-    radii = np.sqrt(np.max(box[:n] ** 2, axis=1) + np.max(box[n:] ** 2, axis=1))
-    slack = r_real.rounding_bound(radii)
-    pts = []
-    n_kept = 0
-    n_drawn = 0
-    n_in_slab = 0
-    grad_sum = 0.0
-    m = max(8 * count, 8192)
-    for batch in itertools.count():
-        # the give-up is judged from the yield so far, never before the patience runs out
-        if batch >= _SAMPLER_PATIENCE and count * batch > _SAMPLER_BUDGET * n_kept:
-            raise DomainError(
-                f"surface sampler starved: {n_drawn} draws, {n_in_slab} slab hits and {n_kept} "
-                f"thinned acceptances (grad_cap {grad_cap:.6g}) in {batch} batches; {count} points "
-                f"at this yield need more than {_SAMPLER_BUDGET} batches; enlarge slab_eps or count"
-            )
-        zz = _screened_draws(r_real, rho, slab_eps + slack, box, m, rng)
-        n_drawn += m
-        rv = dom.r_val(zz)
-        sel = np.abs(-rv - rho) < slab_eps
-        cand = zz[sel]
-        n_in_slab += len(cand)
-        if len(cand) == 0:
-            continue
-        gn = dom.grad_norm(cand)
-        grad_sum += float(np.sum(gn))
-        # thin by |grad r| to convert the co-area density into surface-uniform
-        acc = rng.uniform(0, grad_cap, size=len(cand)) < gn
-        cand = cand[acc]
-        if len(cand) == 0:
-            continue
-        pts.append(_project_to_level(dom, cand, rho))
-        n_kept += len(cand)
-        if n_kept >= count:
-            break
-    mean_grad = grad_sum / max(n_in_slab, 1)
-    box_vol = float(np.prod(box[:, 1] - box[:, 0]))
-    slab_vol = box_vol * n_in_slab / n_drawn
-    area = slab_vol * mean_grad / (2.0 * slab_eps)
-    all_pts = np.concatenate(pts, axis=0)[:count]
-    return all_pts, float(area)
+    rays = _ray_field(dom)
+    if cone is None:
+        solid = rays.sphere_area
+
+        def draw():
+            return rays.directions(_SURFACE_BLOCK, rng)
+    else:
+        axis, cos_cap = np.asarray(cone[0], complex), float(cone[1])
+        solid = rays.sphere_area * rays.cap_fraction(cos_cap)
+
+        def draw():
+            return rays.cap_directions(axis, cos_cap, _SURFACE_BLOCK, rng)
+
+    pts, dens, unif = np.empty((0, dom.n), complex), np.empty(0), np.empty(0)
+    j_cap = 0.0
+    drawn, j_sum, j_sq = 0, 0.0, 0.0
+    while len(pts) < count:
+        p, j = rays.level_points(draw(), rho)
+        u = rng.random(len(j))
+        top = float(np.max(j))
+        if not np.isfinite(top):
+            i = int(np.argmax(j))
+            raise DomainError(f"level surface density is not finite at {p[i].tolist()}: the ray is tangent there")
+        drawn += len(j)
+        j_sum += float(np.sum(j))
+        j_sq += float(j @ j)
+        if top > j_cap:
+            j_cap = _BOUND_MARGIN * top
+            keep = unif * j_cap < dens
+            pts, dens, unif = pts[keep], dens[keep], unif[keep]
+        keep = u * j_cap < j
+        pts = np.concatenate([pts, p[keep]])
+        dens = np.concatenate([dens, j[keep]])
+        unif = np.concatenate([unif, u[keep]])
+    mean = j_sum / drawn
+    spread = np.sqrt(max(j_sq / drawn - mean * mean, 0.0) / drawn)
+    return pts[:count], solid * mean, solid * float(spread)
 
 
-def surface_pool(dom: DomainSpec, rho: float, count: int, seed: int) -> tuple[np.ndarray, float]:
-    """:func:`surface_sample` of {-r = rho} from a fresh generator at ``seed``, once per domain."""
+def surface_pool(dom: DomainSpec, rho: float, count: int, seed: int) -> np.ndarray:
+    """:func:`surface_sample` points of {-r = rho} from a fresh generator at ``seed``, once per domain."""
     return dom.memo(("surfpool", round(rho, 14), count, seed),
-                    lambda: surface_sample(dom, rho, count, np.random.default_rng(seed)))
-
-
-def _screened_draws(r_real: RealPoly, rho: float, band: float, box: np.ndarray, m: int,
-                    rng: np.random.Generator) -> np.ndarray:
-    """The rows of rng.uniform(box[:, 0], box[:, 1], (m, 2n)) with |-r - rho| < band.
-
-    The variates, their scaling and the generator's final state are those of
-    the single uniform call, bit for bit; the draw is made in cache-sized
-    blocks, each transposed so that every real coordinate is contiguous.
-    Rows come back in draw order as complex points.
-    """
-    n = r_real.n
-    lo, width = box[:, 0], box[:, 1] - box[:, 0]
-    kept = []
-    for start in range(0, m, _SCREEN_ROWS):
-        xy = rng.random((min(_SCREEN_ROWS, m - start), 2 * n)).T.copy()
-        xy *= width[:, None]
-        xy += lo[:, None]
-        near = np.flatnonzero(np.abs(-r_real(xy[:n], xy[n:]) - rho) < band)
-        kept.append((xy[:n, near] + 1j * xy[n:, near]).T)
-    return np.concatenate(kept)
-
-
-def _grad_cap(dom: DomainSpec, rng: np.random.Generator) -> float:
-    """Upper bound for |grad r| over the box, from a coarse probe."""
-    zz = box_uniform(dom, 2048, rng)
-    corners = dom.bounding_box[:, 1][None, :]
-    zc = corners[:, : dom.n] + 1j * corners[:, dom.n :]
-    probe = np.concatenate([zz, zc], axis=0)
-    return 1.5 * float(np.max(dom.grad_norm(probe)))
+                    lambda: surface_sample(dom, rho, count, np.random.default_rng(seed)))[0]
 
 
 def _project_to_level(dom: DomainSpec, pts: np.ndarray, rho: float, iters: int = 40) -> np.ndarray:
@@ -551,9 +724,3 @@ def _project_to_level(dom: DomainSpec, pts: np.ndarray, rho: float, iters: int =
         step = val / np.maximum(2.0 * gn2, 1e-30)
         z = z - step[:, None] * g
     return z
-
-
-def surface_area(dom: DomainSpec, rho: float, seed: int = 0, count: int = 4096) -> float:
-    rng = np.random.default_rng(seed)
-    _, area = surface_sample(dom, rho, count, rng)
-    return area

@@ -12,12 +12,11 @@ sampled along rays from the star center with an exact importance density.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gamma, pi
+from math import pi
 
 import numpy as np
-from scipy.special import betainc
 
-from .domain import DomainSpec, _horner, _line_root, box_uniform, surface_pool
+from .domain import DomainSpec, RayField, _ray_field, box_uniform, surface_sample  # noqa: F401  (RayField: re-export)
 from .metric import straight_chord_upper
 
 
@@ -80,178 +79,6 @@ def gauge_eval(dom: DomainSpec, z: np.ndarray, w: np.ndarray) -> GaugeValue:
     rho = float(normal_gauge(dom, z, np.asarray(w, complex).reshape(-1)))
     F = float(abs(dom.r_val(np.asarray(z, complex))) + abs(dom.r_val(np.asarray(w, complex))) + rho)
     return GaugeValue(X=X, rho=rho, F=F)
-
-
-# -- star-shaped ray field -------------------------------------------------------
-
-
-def _sphere_area(real_dim: int) -> float:
-    return 2.0 * pi ** (real_dim / 2.0) / gamma(real_dim / 2.0)
-
-
-class RayField:
-    """Radial structure of a domain star-shaped about the origin.
-
-    Supplies boundary radii along directions and depth-targeted samples with
-    an exact importance density, which is what makes thin boundary layers
-    integrable at Monte-Carlo cost.
-    """
-
-    def __init__(self, dom: DomainSpec):
-        if dom.r_val(np.zeros(dom.n, complex)) >= 0:
-            raise GaugeError("ray sampler requires the origin inside the domain")
-        self.dom = dom
-        self.sphere_area = _sphere_area(2 * dom.n)
-        # r(s * omega) = sum_k parts[k](omega) * s**k
-        self._parts = dom.r.homogeneous_parts()
-
-    def directions(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        g = rng.standard_normal((count, 2 * self.dom.n))
-        g /= np.linalg.norm(g, axis=1, keepdims=True)
-        return g[:, : self.dom.n] + 1j * g[:, self.dom.n :]
-
-    # directions as real unit vectors in R^(2n)
-    @staticmethod
-    def _to_real(omega: np.ndarray) -> np.ndarray:
-        return np.concatenate([omega.real, omega.imag], axis=-1)
-
-    @staticmethod
-    def _to_complex(x: np.ndarray, n: int) -> np.ndarray:
-        return x[..., :n] + 1j * x[..., n:]
-
-    def cap_fraction(self, cos_cap: float) -> float:
-        """Uniform-measure fraction of the spherical cap {<w, axis> >= cos_cap}.
-
-        Closed form: half the regularized incomplete beta function
-        I_{1-c^2}((d-1)/2, 1/2) for c >= 0, and its complement below.
-        """
-        d = 2 * self.dom.n
-        half = 0.5 * float(betainc((d - 1) / 2.0, 0.5, 1.0 - cos_cap**2))
-        return half if cos_cap >= 0 else 1.0 - half
-
-    def cap_directions(self, axis: np.ndarray, cos_cap: float, count: int, rng: np.random.Generator) -> np.ndarray:
-        """Uniform directions in the spherical cap around ``axis`` (complex n-vector)."""
-        d = 2 * self.dom.n
-        ax = self._to_real(axis.reshape(1, -1))[0]
-        ax = ax / np.linalg.norm(ax)
-        if d == 2:
-            theta = np.arccos(cos_cap)
-            base = np.arctan2(ax[1], ax[0])
-            ang = base + rng.uniform(-theta, theta, count)
-            x = np.stack([np.cos(ang), np.sin(ang)], axis=1)
-            return self._to_complex(x, self.dom.n)
-        # heights h with density (1-h^2)^((d-3)/2) on [cos_cap, 1], by rejection
-        env = max((1.0 - cos_cap**2) ** ((d - 3) / 2.0), 1e-300)
-        hs = np.empty(0)
-        while len(hs) < count:
-            m = max(4 * count, 1024)
-            cand = rng.uniform(cos_cap, 1.0, m)
-            acc = rng.uniform(0, env, m) < (1.0 - cand**2) ** ((d - 3) / 2.0)
-            hs = np.concatenate([hs, cand[acc]])
-        hs = hs[:count]
-        # tangential part: uniform on the (d-2)-sphere orthogonal to ax
-        g = rng.standard_normal((count, d))
-        g -= np.outer(g @ ax, ax)
-        g /= np.linalg.norm(g, axis=1, keepdims=True)
-        x = hs[:, None] * ax[None, :] + np.sqrt(np.maximum(1 - hs**2, 0.0))[:, None] * g
-        return self._to_complex(x, self.dom.n)
-
-    def _ray_coefficients(self, omega: np.ndarray) -> np.ndarray:
-        """c[k, m] with r(s * omega[m]) = sum_k c[k, m] * s**k for real s."""
-        return np.stack([np.real(p(omega)) for p in self._parts])
-
-    def boundary_radius(self, omega: np.ndarray) -> np.ndarray:
-        """Smallest s > 0 with r(s * omega) = 0 along each direction."""
-        coef = self._ray_coefficients(omega)
-        s_hi = np.full(len(omega), 0.25)
-        for _ in range(60):
-            grow = _horner(coef, s_hi)[0] < 0
-            if not np.any(grow):
-                break
-            s_hi[grow] *= 1.5
-        zero = np.zeros(len(omega))
-        return _line_root(lambda s, idx: _horner(coef[:, idx], s), zero, zero, s_hi)
-
-    def _radial_slope(self, omega: np.ndarray, s: np.ndarray) -> np.ndarray:
-        """d(-r)/ds along the ray; positive approaching the boundary from inside."""
-        pts = s[:, None] * omega
-        g = self.dom.dbar_r(pts)
-        return -2.0 * np.real(np.einsum("mi,mi->m", np.conj(omega), g))
-
-    def solve_depth(self, omega: np.ndarray, radius: np.ndarray, targets: np.ndarray) -> np.ndarray:
-        """s with -r(s*omega) = target, searching inward from the boundary."""
-        coef = self._ray_coefficients(omega)
-        s_lo = np.zeros_like(radius)
-        # bracket: walk inward until -r >= target
-        frac = np.full(len(radius), 0.5)
-        for _ in range(200):
-            cand = radius * frac
-            deep = -_horner(coef, cand)[0] >= targets
-            s_lo = np.where(deep & (s_lo == 0), cand, s_lo)
-            frac = np.where(s_lo == 0, frac * 0.7, frac)
-            if np.all(s_lo > 0):
-                break
-        if np.any(s_lo == 0):
-            raise GaugeError("depth target unreachable along some ray")
-        level = np.broadcast_to(-np.asarray(targets, float), radius.shape)
-        return _line_root(lambda s, idx: _horner(coef[:, idx], s), level, s_lo, radius)
-
-    def layer_sample(
-        self,
-        depth_lo: float,
-        depth_hi: float,
-        count: int,
-        rng: np.random.Generator,
-        focus: tuple[np.ndarray, float] | None = None,
-        focus_weight: float = 0.5,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Points with -r in [depth_lo, depth_hi], log-uniform in depth.
-
-        ``focus = (axis, cos_cap)`` mixes in directions concentrated in the
-        spherical cap around ``axis``, which is what keeps the variance of
-        gauge-localized integrands finite.  Returns (points, density) where
-        density is the exact Lebesgue pdf of each drawn point, so 1/density
-        importance weights are unbiased.
-        """
-        if not (0 < depth_lo < depth_hi):
-            raise GaugeError("need 0 < depth_lo < depth_hi")
-        if focus is None:
-            omega = self.directions(count, rng)
-            dir_density = np.full(count, 1.0 / self.sphere_area)
-        else:
-            axis, cos_caps = focus
-            cos_caps = np.atleast_1d(np.asarray(cos_caps, float))
-            fracs = np.array([self.cap_fraction(c) for c in cos_caps])
-            n_cap_total = int(round(focus_weight * count))
-            per_cap = np.full(len(cos_caps), n_cap_total // len(cos_caps))
-            per_cap[: n_cap_total - int(np.sum(per_cap))] += 1
-            parts = [self.directions(count - n_cap_total, rng)]
-            for c, m in zip(cos_caps, per_cap):
-                if m > 0:
-                    parts.append(self.cap_directions(np.asarray(axis, complex), float(c), int(m), rng))
-            omega = np.concatenate(parts, axis=0)
-            ax = self._to_real(np.asarray(axis, complex).reshape(1, -1))[0]
-            ax /= np.linalg.norm(ax)
-            height = self._to_real(omega) @ ax
-            dir_density = np.full(len(omega), (1.0 - focus_weight) / self.sphere_area)
-            for c, frac in zip(cos_caps, fracs):
-                in_cap = height >= c
-                dir_density = dir_density + np.where(
-                    in_cap, focus_weight / (len(cos_caps) * self.sphere_area * frac), 0.0
-                )
-        radius = self.boundary_radius(omega)
-        u = np.exp(rng.uniform(np.log(depth_lo), np.log(depth_hi), count))
-        s = self.solve_depth(omega, radius, u)
-        pts = s[:, None] * omega
-        slope = np.abs(self._radial_slope(omega, s))
-        slope = np.maximum(slope, 1e-14)
-        p_u = 1.0 / (u * np.log(depth_hi / depth_lo))
-        density = p_u * slope * dir_density / (s ** (2 * self.dom.n - 1))
-        return pts, density
-
-
-def _ray_field(dom: DomainSpec) -> RayField:
-    return dom.memo("rayfield", lambda: RayField(dom))
 
 
 # -- integral estimators ---------------------------------------------------------
@@ -426,8 +253,13 @@ def layered_mc_integral(
     return {"estimate": total, "stderr": float(np.sqrt(max(var, 0.0)))}
 
 
-def exponent_regression(depths: np.ndarray, estimates: np.ndarray) -> dict:
-    """Least-squares slope of log(estimate) against log(depth), with R^2."""
+def exponent_regression(depths: np.ndarray, estimates: np.ndarray, rel_stderr=None) -> dict:
+    """Least-squares slope of log(estimate) against log(depth), with R^2.
+
+    Given each estimate's relative stderr, var(log estimate) ~ rel_stderr^2
+    is propagated through the fit into the slope's stderr ("slope_stderr"),
+    treating the estimates as independent.
+    """
     x = np.log(np.asarray(depths, float))
     y = np.log(np.asarray(estimates, float))
     A = np.stack([x, np.ones_like(x)], axis=1)
@@ -436,7 +268,12 @@ def exponent_regression(depths: np.ndarray, estimates: np.ndarray) -> dict:
     ss_res = float(np.sum((y - yhat) ** 2))
     ss_tot = float(np.sum((y - np.mean(y)) ** 2))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    return {"slope": float(coef[0]), "intercept": float(coef[1]), "r2": r2}
+    out = {"slope": float(coef[0]), "intercept": float(coef[1]), "r2": r2}
+    if rel_stderr is not None:
+        # the slope is sum_i w_i y_i with w_i = (x_i - mean x) / sum_k (x_k - mean x)^2
+        w = (x - np.mean(x)) / np.sum((x - np.mean(x)) ** 2)
+        out["slope_stderr"] = float(np.sqrt(np.sum((w * np.asarray(rel_stderr, float)) ** 2)))
+    return out
 
 
 # -- surface caps ---------------------------------------------------------------
@@ -447,6 +284,11 @@ def cap_contains(dom: DomainSpec, zeta: np.ndarray, t: float, xi: np.ndarray) ->
     return normal_gauge(dom, zeta, xi) < t
 
 
+# the cone around a cap is widened by this relative margin in t, far above the
+# rounding of a direction's height, so no cap point falls outside it
+_CONE_MARGIN = 1e-12
+
+
 def cap_measure(
     dom: DomainSpec,
     zeta: np.ndarray,
@@ -455,18 +297,32 @@ def cap_measure(
     samples: int = 20000,
     seed: int = 0,
 ) -> dict:
-    """Surface measure of the cap around zeta on the level surface {-r = rho}."""
+    """Surface measure of the cap around zeta on the level surface {-r = rho}.
+
+    rho(zeta, xi) >= |zeta - xi|^2, so every cap point lies within
+    Euclidean distance sqrt(t) of zeta, and its direction from the origin
+    within the cone around zeta/|zeta| of cosine sqrt(1 - t/|zeta|^2); once
+    t >= |zeta|^2 the cone is the whole sphere.  The cone is widened by a
+    relative ``_CONE_MARGIN`` in t, so rounding in a direction's height
+    cannot drop a cap point.  :func:`surface_sample` draws ``samples``
+    uniform points of the level surface in that cone; sigma is the cone's
+    area times the fraction of them in the cap, and its stderr combines
+    the binomial error of that fraction with the stderr of the area.
+    """
     if t <= 0:
         raise GaugeError("cap radius must be positive")
     zeta = np.asarray(zeta, complex).reshape(-1)
-    pts, area = surface_pool(dom, rho, samples, seed)
-    member = cap_contains(dom, zeta, t, pts)
-    frac = float(np.mean(member))
-    if frac == 0.0:
+    norm_sq = float(np.real(np.vdot(zeta, zeta)))
+    reach = t * (1.0 + _CONE_MARGIN)
+    cone = (zeta, np.sqrt(1.0 - reach / norm_sq)) if reach < norm_sq else None
+    pts, area, area_stderr = surface_sample(dom, rho, samples, np.random.default_rng(seed), cone)
+    hits = int(np.count_nonzero(cap_contains(dom, zeta, t, pts)))
+    if hits == 0:
         raise GaugeError("empty cap at the sampler resolution")
+    frac = hits / len(pts)
     sigma = frac * area
-    stderr = area * float(np.sqrt(frac * (1 - frac) / len(pts)))
-    return {"sigma": sigma, "stderr": stderr, "surface_area": area}
+    stderr = sigma * float(np.sqrt((1.0 - frac) / hits + (area_stderr / area) ** 2))
+    return {"sigma": sigma, "stderr": stderr, "surface_area": area, "hits": hits}
 
 
 def shell_volume(

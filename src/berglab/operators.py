@@ -20,7 +20,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from ._poly import HermPoly
-from .domain import DomainSpec, box_uniform, normal_direction, unit_ball, walk_to_depth
+from .domain import DomainSpec, _ray_field, box_uniform, normal_direction, unit_ball, walk_to_depth
 from .kernel import EXACT_BALL, ball_quadrature, kernel_eval, monomial_norm_sq
 from .metric import CHEAP_BUDGET, DistanceBudget, DistanceEstimator, straight_chord_upper
 
@@ -310,8 +310,6 @@ def oscillation_profile(
 
 
 def _shell_point(dom: DomainSpec, t: float, rng: np.random.Generator) -> np.ndarray:
-    from .gauge import _ray_field
-
     rays = _ray_field(dom)
     pts, _ = rays.layer_sample(t * 0.9, t * 1.1, 1, rng)
     return pts[0]

@@ -368,7 +368,7 @@ def test_criterion_8_covering_suite(n):
     details.append(f"disjointness pairs {tested}")
 
     # coverage audit on a fresh pool
-    pool, _ = surface_pool(dom, 0.0, 4000, 424242)
+    pool = surface_pool(dom, 0.0, 4000, 424242)
     for lv_i in cover.levels:
         if coverage_audit(dom, lv_i.centers, lv_i.a, pool) is not None:
             ok = False

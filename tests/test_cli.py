@@ -106,3 +106,44 @@ def test_gauge_anchors_match_reference_bisection(request, name):
     anchor = _boundary_anchor(dom)
     assert abs(anchor[0] - ref) <= 2 * np.spacing(ref)
     assert np.all(anchor[1:] == 0)
+
+
+def test_load_domain_certifies_json_and_path_domains(tmp_path, egg):
+    assert load_domain({"json": json.loads(egg.to_json())}).tag == "ellipsoid"
+    # |z1|^2 - |z2|^2 - 1 < 0 in a box: its Levi form is indefinite
+    saddle = {
+        "n": 2,
+        "r": [[[1, 0], [1, 0], [1.0, 0.0]], [[0, 1], [0, 1], [-1.0, 0.0]], [[0, 0], [0, 0], [-1.0, 0.0]]],
+        "bounding_box": [[-2.0, 2.0]] * 4,
+        "c": 1.0,
+        "theta": 0.25,
+        "tag": "custom",
+    }
+    with pytest.raises(PlanError, match=r"fails certification at theta 0.25: witness \{'kind': 'hessian', 'z': \["):
+        load_domain({"json": saddle})
+    path = tmp_path / "saddle.json"
+    path.write_text(json.dumps(saddle))
+    with pytest.raises(PlanError, match="witness"):
+        load_domain({"path": str(path)})
+    assert main(["run", "--plan", str(_write_plan(tmp_path, {"domain": {"path": str(path)}, "suites": []})),
+                 "--out", str(tmp_path / "r")]) == 2
+
+
+def _write_plan(tmp_path, plan):
+    p = tmp_path / "plan.json"
+    p.write_text(json.dumps(plan))
+    return p
+
+
+def test_cap_exponent_row_reports_its_uncertainty(disc):
+    from berglab.cli import suite_gauge
+
+    row = next(c for c in suite_gauge(disc, 2026, {"fr_samples": 4000})["checks"] if c["name"] == "cap-exponent")
+    det = row["details"]
+    assert len(det["sigma"]) == len(det["stderr"]) == len(det["hits"]) == 4
+    assert all(0 < s < 0.025 * v for s, v in zip(det["stderr"], det["sigma"]))
+    assert all(isinstance(h, int) and h > 0 for h in det["hits"])
+    assert 0 < det["slope_stderr"] < 0.05
+    margin = 0.3 - abs(row["value"] - 1)
+    assert det["margin_in_stderrs"] == pytest.approx(margin / det["slope_stderr"])
+    assert row["passed"] == (margin >= 0)

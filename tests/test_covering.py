@@ -87,7 +87,7 @@ def test_engulfing_property_holds(disc):
     # spot audit of the fitted constant on fresh overlapping cap pairs
     c1 = fit_engulfing_constant(disc, seed=0)
     rng = np.random.default_rng(3)
-    pool, _ = surface_pool(disc, 0.0, 2000, 3)
+    pool = surface_pool(disc, 0.0, 2000, 3)
     t = 0.01
     hits = 0
     for _ in range(40):
@@ -120,7 +120,7 @@ def test_packing_disjointness_sampled(disc_cover, disc):
 
 
 def test_packing_coverage(disc_cover, disc):
-    pool, _ = surface_pool(disc, 0.0, 3000, 99)
+    pool = surface_pool(disc, 0.0, 3000, 99)
     for lv in disc_cover.levels:
         assert coverage_audit(disc, lv.centers, lv.a, pool) is None
 
@@ -224,9 +224,9 @@ def _assert_matches_reference(dom, stream, radius, pool):
 @pytest.mark.parametrize("name", ["disc", "ball2", "egg", "mixed", "quartic"])
 def test_packing_audit_overlap_match_reference_loops(request, name):
     dom = request.getfixturevalue(name)
-    pool, _ = surface_pool(dom, 0.0, 3000, 11)
+    pool = surface_pool(dom, 0.0, 3000, 11)
     stream = pool[np.random.default_rng(12).permutation(len(pool))][: 3000 if dom.n == 1 else 1200]
-    audit_pool, _ = surface_pool(dom, 0.0, 1500, 13)
+    audit_pool = surface_pool(dom, 0.0, 1500, 13)
     sizes, witnesses = [], []
     for radius in (0.3, 0.05, 0.004) if dom.n == 1 else (2.0, 0.5, 0.1):
         centers, found = _assert_matches_reference(dom, stream, radius, audit_pool)

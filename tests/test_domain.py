@@ -178,7 +178,7 @@ def test_sample_region_deterministic(disc):
 
 def test_surface_area_disc(disc):
     rng = np.random.default_rng(0)
-    _, area = surface_sample(disc, 0.0, 2000, rng)
+    _, area, _ = surface_sample(disc, 0.0, 2000, rng)
     assert area == pytest.approx(2 * np.pi, rel=0.05)
 
 
@@ -205,66 +205,93 @@ def test_reject_complex_polynomial():
         custom_domain(1, [((1,), (0,), 1.0), ((0,), (0,), -1.0)], [[-2, 2]] * 2, c=1.0, theta=0.1)
 
 
-def _reference_surface_sample(dom, rho, count, rng, slab_eps=None):
-    """The slab loop evaluating r_val on every draw, kept as the reference."""
-    from berglab.domain import _grad_cap, _project_to_level
-
-    if slab_eps is None:
-        slab_eps = 5e-4 * dom.box_diameter()
-    box = dom.bounding_box
-    grad_cap = _grad_cap(dom, rng)
-    pts = []
-    n_drawn = 0
-    n_in_slab = 0
-    grad_sum = 0.0
-    for _ in range(600):
-        m = max(8 * count, 8192)
-        raw = rng.uniform(box[:, 0], box[:, 1], size=(m, 2 * dom.n))
-        zz = raw[:, : dom.n] + 1j * raw[:, dom.n :]
-        n_drawn += m
-        rv = dom.r_val(zz)
-        sel = np.abs(-rv - rho) < slab_eps
-        cand = zz[sel]
-        n_in_slab += len(cand)
-        if len(cand) == 0:
-            continue
-        gn = dom.grad_norm(cand)
-        grad_sum += float(np.sum(gn))
-        acc = rng.uniform(0, grad_cap, size=len(cand)) < gn
-        cand = cand[acc]
-        if len(cand) == 0:
-            continue
-        proj = _project_to_level(dom, cand, rho)
-        pts.append(proj)
-        if sum(len(p) for p in pts) >= count:
-            break
-    if not pts or sum(len(p) for p in pts) < count:
-        raise DomainError("surface sampler starved; enlarge slab_eps or count")
-    mean_grad = grad_sum / max(n_in_slab, 1)
-    box_vol = float(np.prod(box[:, 1] - box[:, 0]))
-    slab_vol = box_vol * n_in_slab / n_drawn
-    area = slab_vol * mean_grad / (2.0 * slab_eps)
-    return np.concatenate(pts, axis=0)[:count], float(area)
+# every closed form is exact; the tolerance is a few of the estimator's own
+# stderrs, with a relative floor for rounding where J is constant
+_A = 1 / np.sqrt(2)
+_EGG_AREA = 4 * np.pi**2 * _A * (1 - _A**3) / (3 * (1 - _A**2))
 
 
-# the mixed domain's gradient cap starves the default slab at any count
-@pytest.mark.parametrize("name, slab_eps", [("egg", None), ("ball2", None), ("mixed", 0.01)])
-@pytest.mark.parametrize("rho, count, seed", [(0.0, 1500, 4), (0.05, 800, 9)])
-def test_surface_sample_matches_reference_slab_loop(request, name, slab_eps, rho, count, seed):
+@pytest.mark.parametrize(
+    "name, rho, exact",
+    [
+        ("disc", 0.0, 2 * np.pi),
+        ("ball2", 0.0, 2 * np.pi**2),
+        ("egg", 0.0, _EGG_AREA),
+        # the circle |z|^2 = (sqrt(4.25) - 0.5) / 2
+        ("quartic", 0.0, 2 * np.pi * np.sqrt((np.sqrt(4.25) - 0.5) / 2)),
+        ("disc", 0.3, 2 * np.pi * np.sqrt(0.7)),
+        ("ball2", 0.3, 2 * np.pi**2 * 0.7**1.5),
+        # {-r = rho} is the ellipsoid scaled by sqrt(1 - rho)
+        ("egg", 0.2, _EGG_AREA * 0.8**1.5),
+    ],
+)
+def test_surface_area_oracles(request, name, rho, exact):
     dom = request.getfixturevalue(name)
-    rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
-    pts, area = surface_sample(dom, rho, count, rng, slab_eps)
-    pts_ref, area_ref = _reference_surface_sample(dom, rho, count, rng_ref, slab_eps)
-    assert pts.tobytes() == pts_ref.tobytes()
-    assert area == area_ref
-    assert rng.random() == rng_ref.random()
+    pts, area, stderr = surface_sample(dom, rho, 4000, np.random.default_rng(21))
+    assert abs(area - exact) <= 4 * stderr + 1e-9 * exact
+    assert stderr <= 0.01 * exact
+    assert np.max(np.abs(-dom.r_val(pts) - rho)) <= 8 * np.finfo(float).eps
 
 
-# both need more batches than the 600 after which the sampler first judges its yield
+def test_surface_sample_is_uniform_on_the_sphere(ball2):
+    # |xi_1|^2 of a uniform point of the unit sphere in C^2 is uniform on [0, 1]
+    from scipy.stats import kstest
+
+    pts, _, _ = surface_sample(ball2, 0.0, 5000, np.random.default_rng(8))
+    assert kstest(np.abs(pts[:, 0]) ** 2, "uniform").pvalue > 0.01
+
+
+def test_surface_sample_matches_its_importance_weights(egg):
+    # the rejection step against the J-weighted mean over independent uniform directions
+    from berglab.domain import _ray_field
+
+    pts, _, _ = surface_sample(egg, 0.0, 20000, np.random.default_rng(5))
+    f = np.abs(pts[:, 0]) ** 2
+    rays = _ray_field(egg)
+    q, jac = rays.level_points(rays.directions(200000, np.random.default_rng(6)), 0.0)
+    ref = np.sum(jac * np.abs(q[:, 0]) ** 2) / np.sum(jac)
+    assert abs(np.mean(f) - ref) <= 4 * np.std(f) / np.sqrt(len(f))
+
+
+def _reference_ray_rejection(dom, rho, count, rng, block):
+    """Every draw kept, each decided against the bound raised over all draws so far."""
+    from berglab.domain import _BOUND_MARGIN, _ray_field
+
+    rays = _ray_field(dom)
+    pts, jac, unif = [], [], []
+    j_cap, raises = 0.0, 0
+    while True:
+        p, j = rays.level_points(rays.directions(block, rng), rho)
+        pts.append(p)
+        jac.append(j)
+        unif.append(rng.random(block))
+        if j.max() > j_cap:
+            j_cap = _BOUND_MARGIN * j.max()
+            raises += 1
+        keep = np.concatenate(unif) * j_cap < np.concatenate(jac)
+        if np.count_nonzero(keep) >= count:
+            return np.concatenate(pts)[keep][:count], np.mean(np.concatenate(jac)), raises
+
+
+@pytest.mark.parametrize("name, rho", [("egg", 0.0), ("mixed", 0.0), ("egg", 0.05)])
+def test_surface_sample_bound_restart(request, monkeypatch, name, rho):
+    import berglab.domain as domain_mod
+
+    dom = request.getfixturevalue(name)
+    block = 16
+    monkeypatch.setattr(domain_mod, "_SURFACE_BLOCK", block)
+    pts, area, _ = surface_sample(dom, rho, 600, np.random.default_rng(3))
+    ref, mean_j, raises = _reference_ray_rejection(dom, rho, 600, np.random.default_rng(3), block)
+    # small blocks see the density's maximum late, so the bound is raised after the first block
+    assert raises >= 2
+    assert pts.tobytes() == ref.tobytes()
+    assert area == pytest.approx(domain_mod._ray_field(dom).sphere_area * mean_j, rel=1e-12)
+
+
 @pytest.mark.parametrize("name, count, seed", [("quartic", 4000, 2026), ("mixed", 3000, 7), ("mixed", 1500, 4)])
 def test_surface_sample_at_the_default_slab(request, name, count, seed):
     dom = request.getfixturevalue(name)
-    pts, area = surface_sample(dom, 0.0, count, np.random.default_rng(seed))
+    pts, area, _ = surface_sample(dom, 0.0, count, np.random.default_rng(seed))
     assert pts.shape == (count, dom.n)
     assert np.max(np.abs(dom.r_val(pts))) <= dom.boundary_tol
     if name == "quartic":
@@ -272,21 +299,19 @@ def test_surface_sample_at_the_default_slab(request, name, count, seed):
         assert area == pytest.approx(2 * np.pi * np.sqrt((np.sqrt(4.25) - 0.5) / 2), rel=0.01)
 
 
-def test_surface_sampler_names_its_yield(disc):
-    with pytest.raises(DomainError, match=r"\d+ draws, 0 slab hits and 0 thinned acceptances \(grad_cap [\d.]+\)"):
-        surface_sample(disc, 0.0, 10, np.random.default_rng(0), slab_eps=1e-15)
-
-
-def test_real_poly_matches_herm_poly(mixed, quartic):
-    from berglab._poly import RealPoly
-
-    rng = np.random.default_rng(5)
-    for dom in (mixed, quartic):
-        z = rng.uniform(-1.2, 1.2, (500, dom.n)) + 1j * rng.uniform(-1.2, 1.2, (500, dom.n))
-        real = RealPoly(dom.r)
-        bound = real.rounding_bound(np.full(dom.n, np.sqrt(2) * 1.2))
-        assert 0 < bound < 1e-10
-        assert np.max(np.abs(real(z.real.T, z.imag.T) - dom.r_val(z))) <= bound
+def test_ray_field_checks_star_shape():
+    # {|z - 0.95|^2 < 1}: its collar {-0.75 < r < 0} reaches round the origin,
+    # where r decreases outward along the ray (at z = 0.3, say)
+    shifted = custom_domain(
+        1,
+        [((1,), (1,), 1.0), ((1,), (0,), -0.95), ((0,), (1,), -0.95), ((0,), (0,), 0.95**2 - 1.0)],
+        [[-0.1, 2.0], [-1.05, 1.05]],
+        c=1.0,
+        theta=0.25,
+    )
+    assert certify_pseudoconvexity(shifted)["theta_ok"]
+    with pytest.raises(DomainError, match=r"not star-shaped .* at z = \[\("):
+        surface_sample(shifted, 0.0, 100, np.random.default_rng(0))
 
 
 def test_walk_to_depth_both_directions(egg):

@@ -176,6 +176,62 @@ def test_cap_exponent_ball(ball2):
     assert fit["slope"] == pytest.approx(2.0, abs=0.15)
 
 
+def _ball2_cap_oracle(t):
+    """sigma of the cap around (1, 0) on the unit sphere of C^2, by quadrature.
+
+    On the sphere rho((1, 0), (w, xi_2)) = 2(1 - Re w) + |1 - w|, and the
+    surface measure pushed forward to w is 2*pi times area on the unit disc.
+    In polar coordinates w = 1 - s e^(i phi) the cap is s < t / (1 + 2 cos phi)
+    and the disc is s < 2 cos phi.
+    """
+    from scipy.integrate import quad
+
+    def half_sq(phi):
+        return 0.5 * min(t / (1 + 2 * np.cos(phi)), 2 * np.cos(phi)) ** 2
+
+    return 2 * np.pi * quad(half_sq, -np.pi / 2, np.pi / 2, epsabs=1e-13, epsrel=1e-12, limit=200)[0]
+
+
+def test_ball2_cap_oracle_values():
+    quoted = [0.1934, 0.05258, 0.01381, 0.003546]
+    for k, q in enumerate(quoted):
+        assert _ball2_cap_oracle(0.3 * 2.0**-k) == pytest.approx(q, abs=0.5 * 10.0 ** np.floor(np.log10(q) - 3))
+
+
+@pytest.mark.parametrize("seed", [2026, 1])
+def test_cap_measure_matches_exact_caps(disc, ball2, seed):
+    ts = [0.3 * 2.0**-k for k in range(4)]
+    for dom, exact in (
+        (disc, lambda t: 4 * np.arcsin((np.sqrt(1 + 4 * t) - 1) / 4)),
+        (ball2, _ball2_cap_oracle),
+    ):
+        zeta = np.eye(1, dom.n, dtype=complex)[0]
+        for t in ts:
+            res = cap_measure(dom, zeta, t, samples=20000, seed=seed)
+            assert abs(res["sigma"] - exact(t)) <= 4 * res["stderr"]
+            assert res["stderr"] <= 0.025 * res["sigma"]
+            assert 0 < res["hits"] <= 20000
+
+
+def test_cap_measure_stderr_combines_both_errors(egg):
+    zeta = np.array([1.0, 0], complex)
+    res = cap_measure(egg, zeta, 0.1, samples=5000, seed=4)
+    frac = res["hits"] / 5000
+    binomial = res["sigma"] * np.sqrt((1 - frac) / res["hits"])
+    # the egg's density over directions varies, so its cone area carries a stderr too
+    assert res["stderr"] > binomial
+    assert res["sigma"] == pytest.approx(frac * res["surface_area"], rel=1e-15)
+
+
+def test_slope_stderr_propagates_log_errors():
+    ts = np.array([0.3 * 2.0**-k for k in range(4)])
+    x = np.log(ts)
+    fit = exponent_regression(ts, ts**2, rel_stderr=[0.02] * 4)
+    assert fit["slope"] == pytest.approx(2.0)
+    assert fit["slope_stderr"] == pytest.approx(0.02 / np.sqrt(np.sum((x - x.mean()) ** 2)), rel=1e-12)
+    assert "slope_stderr" not in exponent_regression(ts, ts**2)
+
+
 def test_shell_volume_scan_bounded(disc):
     z = np.array([0.9 + 0j])
     ratios = [shell_volume(disc, z, k=0, j=j, samples=20000, seed=4)["bound_ratio"] for j in range(5)]
@@ -280,6 +336,18 @@ def test_ray_roots_match_reference_bisection(request, name):
         s = rays.solve_depth(omega, radius, targets)
         s_ref = _reference_solve_depth(dom, omega, radius_ref, targets)
         assert np.all(np.abs(s - s_ref) <= 2e-15 * s_ref)
+
+
+@pytest.mark.parametrize("cos_cap", [-0.5, 0.0, 0.6])
+def test_cap_directions_heights(ball2, cos_cap):
+    from berglab.gauge import RayField
+
+    rays = RayField(ball2)
+    h = rays.cap_directions(np.array([1, 0], complex), cos_cap, 100000, np.random.default_rng(0))[:, 0].real
+    assert h.min() >= cos_cap
+    # the share of the cap above height 0.75, against the closed form
+    share = rays.cap_fraction(0.75) / rays.cap_fraction(cos_cap)
+    assert abs(np.mean(h >= 0.75) - share) <= 4 * np.sqrt(share * (1 - share) / len(h))
 
 
 def test_cap_fraction_normaliser(ball2):
