@@ -1,11 +1,12 @@
 """Bounded strongly pseudo-convex domains given by polynomial defining functions.
 
 A domain is the sublevel set {r < 0} of a real polynomial r in (z, conj(z)).
-The class carries exact first and second derivative tables of r, the Levi
-positivity constant c, the near-boundary threshold theta, and a real
-bounding box for rejection sampling.  All geometric quantities used by the
-rest of the library (gradient, complex Hessian, normal direction, boundary
-projection, region samplers) come from here.
+The class carries exact derivative tables of r (first and second order, and
+the third-order ones the path-length gradient needs), the Levi positivity
+constant c, the near-boundary threshold theta, and a real bounding box for
+rejection sampling.  All geometric quantities used by the rest of the library
+(gradient, complex Hessian, normal direction, boundary projection, region
+samplers) come from here.
 """
 
 from __future__ import annotations
@@ -85,6 +86,16 @@ class DomainSpec:
 
         return self.memo("holhess", build)
 
+    def _dbar2_polys(self) -> dict[tuple[int, int], HermPoly]:
+        # (j, k) -> dbar_j dbar_k r for j <= k; the table is symmetric
+        return self.memo("dbar2", lambda: {(j, k): self._grad_polys()[j].dbar(k)
+                                           for j in range(self.n) for k in range(j, self.n)})
+
+    def _hess_dbar_polys(self) -> dict[tuple[int, int, int], HermPoly]:
+        # (i, j, k) -> d_i dbar_j dbar_k r for j <= k; symmetric in (j, k)
+        return self.memo("hessdbar", lambda: {(i, j, k): p.d(i) for (j, k), p in self._dbar2_polys().items()
+                                              for i in range(self.n)})
+
     # -- pointwise geometry ------------------------------------------------
 
     def r_val(self, z: np.ndarray) -> np.ndarray:
@@ -111,6 +122,23 @@ class DomainSpec:
             for j in range(self.n):
                 H[..., i, j] = polys[i][j](z)
         return H
+
+    def dbar2_r(self, z: np.ndarray) -> np.ndarray:
+        """G with G[..., j, k] = (dbar_j dbar_k r)(z); symmetric in (j, k)."""
+        z = np.asarray(z, dtype=complex)
+        G = np.empty(z.shape[:-1] + (self.n, self.n), dtype=complex)
+        for (j, k), p in self._dbar2_polys().items():
+            G[..., j, k] = G[..., k, j] = p(z)
+        return G
+
+    def hessian_dbar(self, z: np.ndarray) -> np.ndarray:
+        """T with T[..., i, j, k] = (d_i dbar_j dbar_k r)(z): the conj(z_k)-derivative
+        of the complex Hessian, symmetric in (j, k)."""
+        z = np.asarray(z, dtype=complex)
+        T = np.empty(z.shape[:-1] + (self.n,) * 3, dtype=complex)
+        for (i, j, k), p in self._hess_dbar_polys().items():
+            T[..., i, j, k] = T[..., i, k, j] = p(z)
+        return T
 
     def grad_norm(self, z: np.ndarray) -> np.ndarray:
         """Euclidean norm of the real gradient of r; equals 2*|dbar r|."""

@@ -2,10 +2,11 @@
 
 The metric tensor blends d dbar log(1/-r) near the boundary into the
 Euclidean metric deep inside, through a quintic smoothstep in r.  Distances
-are estimated from above by optimizing piecewise-linear paths; every
-consumer in this library treats the optimizer output as the working metric,
-so inequalities checked downstream are stated in the direction that stays
-valid under over-estimation.
+are estimated from above by optimizing piecewise-linear paths, descending on
+the exact gradient of their Gauss-Legendre length; every consumer in this
+library treats the optimizer output as the working metric, so inequalities
+checked downstream are stated in the direction that stays valid under
+over-estimation.
 """
 
 from __future__ import annotations
@@ -32,6 +33,12 @@ def _smoothstep(x: np.ndarray) -> np.ndarray:
     """Quintic smoothstep: 0 for x<=0, 1 for x>=1, C^2 in between."""
     t = np.clip(x, 0.0, 1.0)
     return t * t * t * (t * (6.0 * t - 15.0) + 10.0)
+
+
+def _smoothstep_slope(x: np.ndarray) -> np.ndarray:
+    """Derivative of :func:`_smoothstep`."""
+    t = np.clip(x, 0.0, 1.0)
+    return 30.0 * (t * (1.0 - t)) ** 2
 
 
 def psi_blend(dom: DomainSpec, r_val: np.ndarray) -> np.ndarray:
@@ -65,14 +72,16 @@ def metric_tensor(dom: DomainSpec, z: np.ndarray) -> np.ndarray:
     return B
 
 
-def metric_form(dom: DomainSpec, z: np.ndarray, xi: np.ndarray) -> np.ndarray:
+def metric_form(dom: DomainSpec, z: np.ndarray, xi: np.ndarray, rv: np.ndarray | None = None) -> np.ndarray:
     """Quadratic form sum B[i,j](z) xi_i conj(xi_j), vectorized, no matrices.
 
     Faster than building the tensor; used on every quadrature abscissa.
+    ``rv`` is r(z) when the caller already has it.
     """
     z = np.asarray(z, dtype=complex)
     xi = np.asarray(xi, dtype=complex)
-    rv = dom.r_val(z)
+    if rv is None:
+        rv = dom.r_val(z)
     if np.any(rv >= 0):
         raise MetricError("quadrature abscissa escaped the domain")
     psi = psi_blend(dom, rv)
@@ -82,6 +91,42 @@ def metric_form(dom: DomainSpec, z: np.ndarray, xi: np.ndarray) -> np.ndarray:
     normal = np.abs(np.einsum("...i,...i->...", xi, np.conj(g))) ** 2
     eucl = np.sum(np.abs(xi) ** 2, axis=-1)
     return psi * (levi / (-rv) + normal / rv**2) + (1.0 - psi) * eucl
+
+
+def _form_gradients(dom: DomainSpec, z: np.ndarray, xi: np.ndarray, rv: np.ndarray):
+    """:func:`metric_form` Q(z, xi) and its Wirtinger derivatives dQ/dconj(z), dQ/dconj(xi).
+
+    With s = -r, L = sum H[i,j] xi_i conj(xi_j), u = sum xi_i d_i r, N = |u|^2 and
+    E = |xi|^2, Q = psi(r) (L/s + N/s^2) + (1 - psi(r)) E.  Differentiating in
+    conj(z_k) brings in dbar_k r, d_i dbar_j dbar_k r (through L) and
+    dbar_i dbar_k r (through conj(u)); differentiating in conj(xi_k) needs only
+    the Hessian and dbar r.
+    """
+    # scalars per point keep a trailing axis of length 1 to broadcast against vectors
+    rv = rv[..., None]
+    s = -rv
+    x = (rv + 2.0 * dom.theta) / dom.theta
+    psi = _smoothstep(x)
+    dpsi = _smoothstep_slope(x) / dom.theta
+    g = dom.dbar_r(z)
+    H = dom.hessian(z)
+    G = dom.dbar2_r(z)
+    T = dom.hessian_dbar(z)
+    xic = np.conj(xi)
+    h_xi = np.einsum("...ik,...i->...k", H, xi)
+    levi = np.real(np.sum(h_xi * xic, axis=-1, keepdims=True))
+    u = np.sum(xi * np.conj(g), axis=-1, keepdims=True)
+    normal = np.abs(u) ** 2
+    eucl = np.sum(np.abs(xi) ** 2, axis=-1, keepdims=True)
+    near = levi / s + normal / s**2
+    form = (psi * near + (1.0 - psi) * eucl)[..., 0]
+    d_levi = np.einsum("...ijk,...i,...j->...k", T, xi, xic)
+    d_normal = np.conj(u) * h_xi + u * np.einsum("...jk,...j->...k", G, xic)
+    q_z = dpsi * g * (near - eucl) + psi * (
+        d_levi / s + d_normal / s**2 + g * (levi / s**2 + 2.0 * normal / s**3)
+    )
+    q_xi = psi * (h_xi / s + u * g / s**2) + (1.0 - psi) * xi
+    return form, q_z, q_xi
 
 
 # -- paths --------------------------------------------------------------------
@@ -109,45 +154,63 @@ def _refinement_breaks(level: int) -> np.ndarray:
     return np.concatenate([[0.0], lead, 1.0 - lead[::-1], [1.0]])
 
 
-def _segment_lengths(dom: DomainSpec, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Quadrature lengths of straight segments p->q, vectorized over batches.
+def _segment_buckets(dom: DomainSpec, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Refinement level of each segment p->q (rows), 0 where an endpoint is outside.
 
     Segments are bucketed by the dyadic range of -r along them, so only
-    boundary-hugging segments pay for deep refinement.  Escaped segments
-    (an endpoint or any abscissa outside the domain) come back as +inf; an
-    outside endpoint is caught before any quadrature.
+    boundary-hugging segments pay for deep refinement.
     """
-    p = np.asarray(p, complex)
-    q = np.asarray(q, complex)
-    shape = np.broadcast_shapes(p.shape, q.shape)
-    p = np.broadcast_to(p, shape).reshape(-1, shape[-1])
-    q = np.broadcast_to(q, shape).reshape(-1, shape[-1])
     depth = -dom.r_val(np.stack([p, q, 0.5 * (p + q)]))
     escaped = np.any(depth[:2] < 0, axis=0)
     dp, dq, mid = np.maximum(depth, 1e-300)
     hi = np.maximum(mid, np.maximum(dp, dq))
     lo = np.minimum(dp, dq)
     lev = np.clip(np.ceil(np.log2(hi / lo)) + 2, 2, 48)
-    bucket = np.where(escaped, 0, np.clip((np.ceil(lev / 6) * 6).astype(int), 2, 48))
+    return np.where(escaped, 0, np.clip((np.ceil(lev / 6) * 6).astype(int), 2, 48))
+
+
+def _segment_lengths(dom: DomainSpec, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Quadrature lengths of straight segments p->q, vectorized over batches.
+
+    Escaped segments (an endpoint or any abscissa outside the domain) come
+    back as +inf; an outside endpoint is caught before any quadrature.
+    """
+    p = np.asarray(p, complex)
+    q = np.asarray(q, complex)
+    shape = np.broadcast_shapes(p.shape, q.shape)
+    p = np.broadcast_to(p, shape).reshape(-1, shape[-1])
+    q = np.broadcast_to(q, shape).reshape(-1, shape[-1])
+    bucket = _segment_buckets(dom, p, q)
     out = np.full(len(p), np.inf)
-    for b in np.unique(bucket[~escaped]):
+    for b in np.unique(bucket[bucket > 0]):
         sel = bucket == b
         out[sel] = _segment_lengths_fixed(dom, p[sel], q[sel], int(b))
     return out.reshape(shape[:-1])
 
 
-def _segment_lengths_fixed(dom: DomainSpec, p: np.ndarray, q: np.ndarray, level: int) -> np.ndarray:
-    v = q - p
+def _abscissae(dom: DomainSpec, p: np.ndarray, q: np.ndarray, level: int):
+    """Gauss-Legendre rule on the dyadic pieces of [0, 1] at ``level``, placed on p->q.
+
+    Returns the parameters t and weights w, shape (pieces, 4), the points
+    (segments, pieces, 4, n), r at the points, and the mask of segments whose
+    abscissae all lie inside the domain.
+    """
     brk = _refinement_breaks(level)
     widths = brk[1:] - brk[:-1]
-    t = brk[:-1, None] + widths[:, None] * _GL_T[None, :]  # (pieces, 4)
+    t = brk[:-1, None] + widths[:, None] * _GL_T[None, :]
     w = widths[:, None] * _GL_W[None, :]
-    pts = p[:, None, None, :] + t[None, :, :, None] * v[:, None, None, :]
-    inside = np.all(dom.r_val(pts) < 0, axis=(-1, -2))
+    pts = p[:, None, None, :] + t[None, :, :, None] * (q - p)[:, None, None, :]
+    rv = dom.r_val(pts)
+    return t, w, pts, rv, np.all(rv < 0, axis=(-1, -2))
+
+
+def _segment_lengths_fixed(dom: DomainSpec, p: np.ndarray, q: np.ndarray, level: int) -> np.ndarray:
+    _, w, pts, rv, inside = _abscissae(dom, p, q, level)
     out = np.full(len(p), np.inf)
     if np.any(inside):
         pts = pts[inside]
-        speeds2 = metric_form(dom, pts, np.broadcast_to(v[inside][:, None, None, :], pts.shape))
+        xi = np.broadcast_to((q - p)[inside][:, None, None, :], pts.shape)
+        speeds2 = metric_form(dom, pts, xi, rv=rv[inside])
         speeds = np.sqrt(np.maximum(speeds2, 0.0))
         out[inside] = np.sum(speeds * w, axis=(-1, -2))
     return out
@@ -249,52 +312,60 @@ def _feasible(dom: DomainSpec, nodes: np.ndarray) -> bool:
     return bool(np.all(dom.r_val(allp) < 0))
 
 
-def _length_gradient(dom: DomainSpec, nodes: np.ndarray, h: float) -> np.ndarray:
-    """Central-difference gradient of the polyline length in the interior nodes.
+def _length_gradient(dom: DomainSpec, nodes: np.ndarray) -> np.ndarray:
+    """Exact gradient of the quadrature length of a polyline in its interior nodes.
 
-    Moving one node only changes its two adjacent segments, so the finite
-    differences are evaluated on a batch of segment pairs rather than on
-    whole polylines: one quadrature call per perturbed coordinate, holding
-    the in- and out-segments of both signs.  Batching all 4n perturbations
-    into one call would hold every abscissa of the polish at once.
+    Returns dL/dRe + i dL/dIm = 2 dL/dconj(node) for each interior node,
+    shape (K-1, n).  Each segment's length is sum_a w_a sqrt(Q(z_a, v)) with
+    z_a = p + t_a v and v = q - p, so p enters z_a with the real weight
+    1 - t_a and v with -1, and q with t_a and +1.  The refinement buckets are
+    held at the current nodes; a segment with any abscissa outside the domain
+    contributes nothing.
     """
-    k1, n = nodes.shape
-    m = k1 - 2
-    idx = np.arange(1, k1 - 1)
-    grad = np.zeros((m, n), dtype=complex)
-    left, mid, right = nodes[idx - 1], nodes[idx], nodes[idx + 1]
-    for comp in (1.0, 1j):
-        for j in range(n):
-            shift = np.zeros((m, n), complex)
-            shift[:, j] = comp * h
-            p_ends = np.concatenate([mid + shift, mid - shift])  # perturbed node
-            # in-segments of both signs, then out-segments
-            seg = _segment_lengths(dom, np.concatenate([left, left, p_ends]), np.concatenate([p_ends, right, right]))
-            tot = seg[: 2 * m] + seg[2 * m :]
-            deriv = (tot[:m] - tot[m:]) / (2 * h)
-            deriv = np.where(np.isfinite(deriv), deriv, 0.0)
-            grad[:, j] += comp * deriv
-    return grad
+    p, q = nodes[:-1], nodes[1:]
+    grad_p = np.zeros_like(p)
+    grad_q = np.zeros_like(q)
+    bucket = _segment_buckets(dom, p, q)
+    for b in np.unique(bucket[bucket > 0]):
+        sel = np.flatnonzero(bucket == b)
+        t, w, pts, rv, inside = _abscissae(dom, p[sel], q[sel], int(b))
+        sel = sel[inside]
+        if len(sel) == 0:
+            continue
+        pts = pts[inside]
+        xi = np.broadcast_to((q - p)[sel][:, None, None, :], pts.shape)
+        speeds2, d_z, d_xi = _form_gradients(dom, pts, xi, rv[inside])
+        # d sqrt(Q) = dQ / (2 sqrt(Q)), and the gradient is twice the conj-derivative
+        speeds = np.sqrt(np.maximum(speeds2, 0.0))
+        c = np.divide(w, speeds, out=np.zeros_like(speeds), where=speeds > 0)[..., None]
+        grad_p[sel] = np.sum(c * ((1.0 - t)[..., None] * d_z - d_xi), axis=(1, 2))
+        grad_q[sel] = np.sum(c * (t[..., None] * d_z + d_xi), axis=(1, 2))
+    return grad_q[:-1] + grad_p[1:]
 
 
-def _optimize_nodes(dom: DomainSpec, nodes: np.ndarray, max_iters: int) -> np.ndarray:
+def _optimize_nodes(dom: DomainSpec, nodes: np.ndarray, max_iters: int) -> tuple[np.ndarray, int, bool]:
     """Projected gradient descent on interior node positions.
 
-    The objective is the quadrature length; steps that push any abscissa out
-    of the domain are rejected by halving, which plays the role of the
-    interior barrier.
+    The objective is the quadrature length, and each step follows its exact
+    gradient (:func:`_length_gradient`); steps that push any abscissa out of
+    the domain are rejected by halving, which plays the role of the interior
+    barrier.  Returns the nodes, the number of gradient evaluations, and
+    whether the descent converged: the gradient fell below tolerance or no
+    step along it shortened the path any more.  Running out of ``max_iters``
+    is not convergence.
     """
-    if max_iters <= 0 or len(nodes) < 3:
-        return nodes
+    if len(nodes) < 3:
+        return nodes, 0, True
+    if max_iters <= 0:
+        return nodes, 0, False
     k1, _ = nodes.shape
-    h = 1e-6 * (1.0 + float(np.max(np.abs(nodes))))
     lr = 0.1
     best = _polyline_length(dom, nodes)
     for it in range(max_iters):
-        grad = _length_gradient(dom, nodes, h)
+        grad = _length_gradient(dom, nodes)
         gn = float(np.sqrt(np.sum(np.abs(grad) ** 2)))
         if gn < 1e-12:
-            break
+            return nodes, it + 1, True
         scale = lr * max(np.max(np.abs(nodes[1:-1])), 1e-3) / gn
         improved = False
         for _ in range(12):
@@ -308,11 +379,11 @@ def _optimize_nodes(dom: DomainSpec, nodes: np.ndarray, max_iters: int) -> np.nd
         if not improved:
             lr *= 0.5
             if lr < 1e-6:
-                break
+                return nodes, it + 1, True
         if it == max_iters // 2:
             nodes = _resample_polyline(nodes, k1 - 1)
             best = _polyline_length(dom, nodes)
-    return nodes
+    return nodes, max_iters, False
 
 
 def distance(dom: DomainSpec, z: np.ndarray, w: np.ndarray, budget: DistanceBudget = SCAN_BUDGET) -> dict:
@@ -321,13 +392,16 @@ def distance(dom: DomainSpec, z: np.ndarray, w: np.ndarray, budget: DistanceBudg
     Multi-start local optimization: a straight seed plus an inward-retreat
     seed (both directions).  The pair is canonically ordered before
     optimizing, so the estimate is exactly symmetric in (z, w).
+    ``converged`` reports whether the last descent on the winning seed
+    converged (see :func:`_optimize_nodes`); ``iterations`` counts the
+    gradient evaluations over all seeds.
     """
     z = np.asarray(z, dtype=complex).reshape(-1)
     w = np.asarray(w, dtype=complex).reshape(-1)
     if dom.r_val(z) >= 0 or dom.r_val(w) >= 0:
         raise MetricError("distance endpoints must be interior")
     if np.array_equal(z, w):
-        return {"d_upper": 0.0, "path": PathPolyline(np.stack([z, w])), "converged": True}
+        return {"d_upper": 0.0, "path": PathPolyline(np.stack([z, w])), "converged": True, "iterations": 0}
 
     key = tuple(np.concatenate([z.view(float), w.view(float)]))
     key_rev = tuple(np.concatenate([w.view(float), z.view(float)]))
@@ -344,6 +418,7 @@ def distance(dom: DomainSpec, z: np.ndarray, w: np.ndarray, budget: DistanceBudg
     best_len = np.inf
     best_nodes = None
     converged = False
+    iterations = 0
     k_opt = min(k, 16)
     for seed_nodes in seeds:
         if not _feasible(dom, seed_nodes):
@@ -353,18 +428,19 @@ def distance(dom: DomainSpec, z: np.ndarray, w: np.ndarray, budget: DistanceBudg
         # optimize the shape on a coarse polyline, then refine the node count
         # for quadrature accuracy and polish
         coarse = _resample_polyline(seed_nodes, k_opt) if k_opt < k else seed_nodes
-        coarse = _optimize_nodes(dom, coarse, budget.max_iters)
+        coarse, its, done = _optimize_nodes(dom, coarse, budget.max_iters)
+        iterations += its
         nodes = _resample_polyline(coarse, k) if k_opt < k else coarse
         if k_opt < k and budget.max_iters > 0:
-            nodes = _optimize_nodes(dom, nodes, max(budget.max_iters // 4, 2))
+            nodes, its, done = _optimize_nodes(dom, nodes, max(budget.max_iters // 4, 2))
+            iterations += its
         val = _polyline_length(dom, nodes)
         if val < best_len:
-            best_len, best_nodes = val, nodes
-            converged = True
+            best_len, best_nodes, converged = val, nodes, done
     if best_nodes is None:
         raise MetricError("no feasible path seed; endpoints may hug a nonconvex boundary")
     path = PathPolyline(best_nodes if not swapped else best_nodes[::-1].copy())
-    return {"d_upper": float(best_len), "path": path, "converged": converged}
+    return {"d_upper": float(best_len), "path": path, "converged": converged, "iterations": iterations}
 
 
 def straight_chord_upper(dom: DomainSpec, z: np.ndarray, w: np.ndarray) -> np.ndarray:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from berglab.domain import sample_region, unit_ball
+from berglab.domain import custom_domain, sample_region, unit_ball
 from berglab.gauge import RayField, normal_gauge
 from berglab.metric import (
     _GL_T,
@@ -10,14 +10,17 @@ from berglab.metric import (
     CHEAP_BUDGET,
     ORACLE_BUDGET,
     SCAN_BUDGET,
+    DistanceBudget,
     DistanceEstimator,
     MetricError,
     PathPolyline,
     Polydisc,
     _inward_point,
     _length_gradient,
+    _optimize_nodes,
     _refinement_breaks,
     _segment_lengths,
+    _straight_seed,
     distance,
     metric_ball_volume,
     metric_form,
@@ -143,8 +146,12 @@ def _segment_lengths_fixed_ref(dom, p, q, level):
     return np.where(escaped, np.inf, lengths)
 
 
-def _length_gradient_ref(dom, nodes, h):
-    """Two quadrature calls per perturbed coordinate; also reports escapes."""
+def _length_gradient_fd(dom, nodes, h):
+    """Central-difference gradient of the polyline length in the interior nodes.
+
+    The finite-difference reference for the exact gradient: two quadrature
+    calls per perturbed coordinate; also reports escapes.
+    """
     k1, n = nodes.shape
     m = k1 - 2
     idx = np.arange(1, k1 - 1)
@@ -176,23 +183,82 @@ def _radial_nodes(dom, fractions, seed):
     return np.asarray(fractions)[:, None] * rays.boundary_radius(omega)[:, None] * omega
 
 
-@pytest.mark.parametrize("name", ["disc", "egg", "mixed", "quartic"])
+@pytest.fixture(scope="module")
+def quartic2():
+    """{|z|^4 + 0.5|z|^2 + 0.4 Re(z1 conj(z2)^2) < 1} in C^2: third derivatives of r
+    with every index pattern."""
+    terms = [((2, 0), (2, 0), 1.0), ((1, 1), (1, 1), 2.0), ((0, 2), (0, 2), 1.0), ((1, 0), (1, 0), 0.5),
+             ((0, 1), (0, 1), 0.5), ((1, 0), (0, 2), 0.2), ((0, 2), (1, 0), 0.2), ((0, 0), (0, 0), -1.0)]
+    return custom_domain(2, terms, [[-1.1, 1.1]] * 4, c=1.0, theta=0.1)
+
+
+@pytest.mark.parametrize("name", ["disc", "egg", "mixed", "quartic", "quartic2"])
 def test_quadrature_matches_reference_loops(name, request):
     dom = request.getfixturevalue(name)
     deep = _radial_nodes(dom, [0.0, 0.3, 0.7, 0.9, 0.5, 0.99, 0.2], seed=1)
+    # nodes in the blend band theta < -r < 2*theta, where psi' != 0
+    blend = _radial_nodes(dom, [0.6, 0.8, 0.85, 0.9, 0.93, 0.95, 0.87, 0.5], seed=4)
+    depth = -dom.r_val(blend[1:-1])
+    assert np.any((dom.theta < depth) & (depth < 2 * dom.theta))
     # nodes within ~1e-11 of the boundary: +-h node moves leave the domain
     shallow = _radial_nodes(dom, [0.6, 1 - 1e-11, 1 - 2e-11, 1 - 1e-11, 0.8], seed=2)
     outside = _radial_nodes(dom, [0.5, 1.05, 0.4, 1 - 1e-14, 0.3], seed=3)
-    for nodes in (deep, shallow, outside):
+    for nodes in (deep, blend, shallow, outside):
         new = _segment_lengths(dom, nodes[:-1], nodes[1:])
         ref = _segment_lengths_ref(dom, nodes[:-1], nodes[1:])
         assert new.tobytes() == ref.tobytes()
     assert np.isinf(_segment_lengths(dom, outside[:-1], outside[1:])).any()
-    for nodes in (deep, shallow):
+    for nodes in (deep, blend, shallow):
         h = 1e-6 * (1.0 + float(np.max(np.abs(nodes))))
-        ref, escapes = _length_gradient_ref(dom, nodes, h)
-        assert _length_gradient(dom, nodes, h).tobytes() == ref.tobytes()
+        ref, escapes = _length_gradient_fd(dom, nodes, h)
+        exact = _length_gradient(dom, nodes)
+        assert exact.shape == ref.shape
+        assert np.all(np.isfinite(exact))
         assert (escapes > 0) == (nodes is shallow)
+        if nodes is not shallow:
+            assert np.max(np.abs(exact - ref)) <= 1e-6 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("name", ["quartic", "quartic2"])
+def test_third_derivative_tables_match_central_differences(name, request):
+    dom = request.getfixturevalue(name)
+    z = sample_region(dom, "interior", 6, seed=7)
+    h = 1e-5
+    for k in range(dom.n):
+        e = np.zeros(dom.n, complex)
+        e[k] = h
+
+        def dbar_k(f):
+            # dbar_k = (d/dx_k + i d/dy_k) / 2, by central differences
+            dx = (f(z + e) - f(z - e)) / (2 * h)
+            dy = (f(z + 1j * e) - f(z - 1j * e)) / (2 * h)
+            return 0.5 * (dx + 1j * dy)
+
+        G = dom.dbar2_r(z)[..., :, k]
+        T = dom.hessian_dbar(z)[..., k]
+        np.testing.assert_allclose(G, dbar_k(dom.dbar_r), rtol=0, atol=1e-8)
+        np.testing.assert_allclose(T, dbar_k(dom.hessian), rtol=0, atol=1e-8)
+    assert np.array_equal(dom.dbar2_r(z), np.swapaxes(dom.dbar2_r(z), -1, -2))
+    assert np.array_equal(dom.hessian_dbar(z), np.swapaxes(dom.hessian_dbar(z), -1, -2))
+
+
+def test_straight_radial_seed_is_stationary(ball2_global):
+    # the exact gradient of an already-optimal path is at rounding level, so
+    # the descent stops on its first gradient
+    nodes = _straight_seed(np.zeros(2, complex), np.array([0.5, 0], complex), 16)
+    assert np.linalg.norm(_length_gradient(ball2_global, nodes)) < 1e-12
+    out, iterations, converged = _optimize_nodes(ball2_global, nodes, 40)
+    assert out is nodes and iterations == 1 and converged
+
+
+def test_distance_reports_convergence(disc_global, ball2_global):
+    res = distance(ball2_global, np.zeros(2, complex), np.array([0.5, 0], complex), ORACLE_BUDGET)
+    assert res["converged"] and res["iterations"] == 2  # coarse descent, then polish
+    z, w = np.array([0.5 + 0j]), np.array([0.5j])
+    assert distance(disc_global, z, w, CHEAP_BUDGET)["converged"] is False
+    # one iteration cannot straighten the curved path: the budget runs out
+    res = distance(disc_global, z, w, DistanceBudget(nodes=16, max_iters=1))
+    assert not res["converged"] and res["iterations"] == 2  # one per seed
 
 
 # -- distance -------------------------------------------------------------------
