@@ -129,10 +129,15 @@ def suite_gauge(dom, seed: int, budgets: dict) -> dict:
                 "mode": "plain",
             }
         )
-    fit = gauge_mod.exponent_regression(depths, ests)
+    stderrs = [row["stderr"] for row in rows]
+    fit = gauge_mod.exponent_regression(depths, ests, rel_stderr=[s / e for s, e in zip(stderrs, ests)])
     for row in rows:
         row["fitted_slope"] = fit["slope"]
-    checks.append(_check("fr-exponent-a1", abs(fit["slope"] + 1.0) <= 0.15, fit["slope"], r2=fit["r2"]))
+    fr_margin = 0.15 - abs(fit["slope"] + 1.0)
+    checks.append(
+        _check("fr-exponent-a1", abs(fit["slope"] + 1.0) <= 0.15, fit["slope"], r2=fit["r2"], stderr=stderrs,
+               slope_stderr=fit["slope_stderr"], margin_in_stderrs=fr_margin / fit["slope_stderr"])
+    )
     ts = [0.3 * 2.0**-k for k in range(0, 4)]
     zeta = _boundary_anchor(dom)
     caps = [gauge_mod.cap_measure(dom, zeta, t, samples=20000, seed=seed) for t in ts]

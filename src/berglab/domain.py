@@ -1,18 +1,23 @@
 """Bounded strongly pseudo-convex domains given by polynomial defining functions.
 
 A domain is the sublevel set {r < 0} of a real polynomial r in (z, conj(z)).
-The class carries exact derivative tables of r (first and second order, and
-the third-order ones the path-length gradient needs), the Levi positivity
-constant c, the near-boundary threshold theta, and a real bounding box for
-rejection sampling.  All geometric quantities used by the rest of the library
-(gradient, complex Hessian, normal direction, boundary projection, region
-samplers) come from here.
+The class carries the Levi positivity constant c, the near-boundary
+threshold theta, a real bounding box for rejection sampling, and exact
+derivatives of r through one primitive: ``DomainSpec.partial`` builds any
+mixed Wirtinger derivative of r as a polynomial, and
+``DomainSpec.derivatives`` evaluates a whole symmetric table of them
+(gradient, complex Hessian, and the third-order tables the path-length
+gradient needs).  Every box rejection draw goes through ``_box_reject``.
+All geometric quantities used by the rest of the library (gradient, complex
+Hessian, normal direction, boundary projection, region samplers) come from
+here.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import combinations_with_replacement, permutations
 from math import gamma, pi
 
 import numpy as np
@@ -71,30 +76,46 @@ class DomainSpec:
 
     # -- derivative tables ------------------------------------------------
 
-    def _grad_polys(self) -> list[HermPoly]:
-        return self.memo("dbar", lambda: [self.r.dbar(i) for i in range(self.n)])
+    def partial(self, d=(), dbar=()) -> HermPoly:
+        """The polynomial d_{d...} dbar_{dbar...} r, memoized per domain.
 
-    def _hess_polys(self) -> list[list[HermPoly]]:
-        # hess[i][j] = d_i dbar_j r
-        return self.memo("hess", lambda: [[d.d(i) for d in self._grad_polys()] for i in range(self.n)])
+        The conj(z) derivatives are taken first, then the z derivatives,
+        each in the order given.
+        """
+        d, dbar = tuple(d), tuple(dbar)
 
-    def _holo_hess_polys(self) -> list[list[HermPoly]]:
-        # hol[i][j] = d_i d_j r  (used by the gauge Taylor form)
         def build():
-            ds = [self.r.d(i) for i in range(self.n)]
-            return [[ds[j].d(i) for j in range(self.n)] for i in range(self.n)]
+            p = self.r
+            for j in dbar:
+                p = p.dbar(j)
+            for i in d:
+                p = p.d(i)
+            return p
 
-        return self.memo("holhess", build)
+        return self.memo(("partial", d, dbar), build)
 
-    def _dbar2_polys(self) -> dict[tuple[int, int], HermPoly]:
-        # (j, k) -> dbar_j dbar_k r for j <= k; the table is symmetric
-        return self.memo("dbar2", lambda: {(j, k): self._grad_polys()[j].dbar(k)
-                                           for j in range(self.n) for k in range(j, self.n)})
+    def derivatives(self, z: np.ndarray, holo: int, anti: int) -> np.ndarray:
+        """D with D[..., i_1..i_holo, j_1..j_anti] = (d_i_1..d_i_holo dbar_j_1..dbar_j_anti r)(z).
 
-    def _hess_dbar_polys(self) -> dict[tuple[int, int, int], HermPoly]:
-        # (i, j, k) -> d_i dbar_j dbar_k r for j <= k; symmetric in (j, k)
-        return self.memo("hessdbar", lambda: {(i, j, k): p.d(i) for (j, k), p in self._dbar2_polys().items()
-                                              for i in range(self.n)})
+        The table is symmetric within each index group: each polynomial is
+        evaluated once per sorted index tuple and written to every
+        permutation slot.
+        """
+        def build():
+            rows = []
+            for d in combinations_with_replacement(range(self.n), holo):
+                for b in combinations_with_replacement(range(self.n), anti):
+                    slots = [(...,) + i + j for i in set(permutations(d)) for j in set(permutations(b))]
+                    rows.append((self.partial(d, b), slots))
+            return rows
+
+        z = np.asarray(z, dtype=complex)
+        out = np.empty(z.shape[:-1] + (self.n,) * (holo + anti), dtype=complex)
+        for p, slots in self.memo(("derivatives", holo, anti), build):
+            v = p(z)
+            for s in slots:
+                out[s] = v
+        return out
 
     # -- pointwise geometry ------------------------------------------------
 
@@ -103,11 +124,7 @@ class DomainSpec:
 
     def dbar_r(self, z: np.ndarray) -> np.ndarray:
         """(dbar_1 r, ..., dbar_n r) at z; shape (..., n)."""
-        z = np.asarray(z, dtype=complex)
-        out = np.empty(z.shape, dtype=complex)
-        for i, p in enumerate(self._grad_polys()):
-            out[..., i] = p(z)
-        return out
+        return self.derivatives(z, 0, 1)
 
     def hessian(self, z: np.ndarray) -> np.ndarray:
         """Complex Hessian H with H[..., i, j] = (d_i dbar_j r)(z).
@@ -115,30 +132,7 @@ class DomainSpec:
         The Levi quadratic form sum_{i,j} H[i,j] xi_i conj(xi_j) is evaluated
         by :func:`levi_form`.
         """
-        z = np.asarray(z, dtype=complex)
-        H = np.empty(z.shape[:-1] + (self.n, self.n), dtype=complex)
-        polys = self._hess_polys()
-        for i in range(self.n):
-            for j in range(self.n):
-                H[..., i, j] = polys[i][j](z)
-        return H
-
-    def dbar2_r(self, z: np.ndarray) -> np.ndarray:
-        """G with G[..., j, k] = (dbar_j dbar_k r)(z); symmetric in (j, k)."""
-        z = np.asarray(z, dtype=complex)
-        G = np.empty(z.shape[:-1] + (self.n, self.n), dtype=complex)
-        for (j, k), p in self._dbar2_polys().items():
-            G[..., j, k] = G[..., k, j] = p(z)
-        return G
-
-    def hessian_dbar(self, z: np.ndarray) -> np.ndarray:
-        """T with T[..., i, j, k] = (d_i dbar_j dbar_k r)(z): the conj(z_k)-derivative
-        of the complex Hessian, symmetric in (j, k)."""
-        z = np.asarray(z, dtype=complex)
-        T = np.empty(z.shape[:-1] + (self.n,) * 3, dtype=complex)
-        for (i, j, k), p in self._hess_dbar_polys().items():
-            T[..., i, j, k] = T[..., i, k, j] = p(z)
-        return T
+        return self.derivatives(z, 1, 1)
 
     def grad_norm(self, z: np.ndarray) -> np.ndarray:
         """Euclidean norm of the real gradient of r; equals 2*|dbar r|."""
@@ -201,6 +195,24 @@ def box_uniform(dom: DomainSpec, count: int, rng: np.random.Generator) -> np.nda
     return raw[:, : dom.n] + 1j * raw[:, dom.n :]
 
 
+def _box_reject(dom: DomainSpec, keep, count: int, rng: np.random.Generator, block: int, tries: int):
+    """Blocks of ``block`` :func:`box_uniform` points, kept where ``keep(r)`` holds.
+
+    Draws until ``count`` points are kept or ``tries`` blocks are drawn, and
+    returns (points[:count], hits, drawn): the kept points, and the numbers
+    kept and drawn over all blocks.  Giving up is the caller's decision.
+    """
+    kept, hits, drawn = [], 0, 0
+    while hits < count and drawn < tries * block:
+        zz = box_uniform(dom, block, rng)
+        drawn += block
+        sel = zz[keep(dom.r_val(zz))]
+        hits += len(sel)
+        kept.append(sel)
+    pts = np.concatenate(kept, axis=0) if kept else np.empty((0, dom.n), complex)
+    return pts[:count], hits, drawn
+
+
 # -- constructors ------------------------------------------------------------
 
 
@@ -246,19 +258,8 @@ def _collar_mesh(dom: DomainSpec, count: int, seed: int = 0) -> np.ndarray:
     """Up to ``count`` box-uniform points of the collar {-3*theta < r < 0}, from a fresh generator at ``seed``."""
     if count < 1:
         raise DomainError("mesh_density must be >= 1")
-    rng = np.random.default_rng(seed)
-    pts = []
-    attempts = 0
-    while sum(len(p) for p in pts) < count and attempts < 200:
-        zz = box_uniform(dom, max(4 * count, 1024), rng)
-        rv = dom.r_val(zz)
-        keep = zz[(rv < 0) & (rv > -3.0 * dom.theta)]
-        if keep.size:
-            pts.append(keep)
-        attempts += 1
-    if not pts:
-        return np.empty((0, dom.n), complex)
-    return np.concatenate(pts, axis=0)[:count]
+    return _box_reject(dom, lambda rv: (rv < 0) & (rv > -3.0 * dom.theta), count, np.random.default_rng(seed),
+                       max(4 * count, 1024), 200)[0]
 
 
 def certify_pseudoconvexity(
@@ -449,19 +450,10 @@ def sample_region(dom: DomainSpec, region, count: int, seed: int = 0) -> np.ndar
     else:
         raise DomainError(f"unknown region {region!r}")
 
-    out = []
-    got = 0
-    for _ in range(400):
-        zz = box_uniform(dom, max(4 * count, 4096), rng)
-        sel = zz[keep(dom.r_val(zz))]
-        if sel.size:
-            out.append(sel)
-            got += len(sel)
-        if got >= count:
-            break
-    if got < count:
+    pts, hits, _ = _box_reject(dom, keep, count, rng, max(4 * count, 4096), 400)
+    if hits < count:
         raise DomainError("acceptance rate too low for region sampling")
-    return np.concatenate(out, axis=0)[:count]
+    return pts
 
 
 # -- star-shaped ray field ---------------------------------------------------------

@@ -16,7 +16,7 @@ from math import pi
 
 import numpy as np
 
-from .domain import DomainSpec, RayField, _ray_field, box_uniform, surface_sample  # noqa: F401  (RayField: re-export)
+from .domain import DomainSpec, RayField, _box_reject, _ray_field, box_uniform, surface_sample  # noqa: F401  (RayField: re-export)
 from .metric import straight_chord_upper
 
 
@@ -46,10 +46,10 @@ def taylor_remainder(dom: DomainSpec, z: np.ndarray, w: np.ndarray) -> np.ndarra
     d_r = np.conj(dom.dbar_r(w))  # d r / d w_j  (r real)
     for j in range(dom.n):
         out = out - d_r[..., j] * diff[..., j]
-    hol = dom._holo_hess_polys()
+    hol = dom.derivatives(w, 2, 0)
     for j in range(dom.n):
         for k_ in range(dom.n):
-            out = out - 0.5 * hol[j][k_](w) * diff[..., j] * diff[..., k_]
+            out = out - 0.5 * hol[..., j, k_] * diff[..., j] * diff[..., k_]
     return out
 
 
@@ -88,20 +88,11 @@ def _bulk_sample(dom: DomainSpec, t_split: float, count: int, rng: np.random.Gen
     """Uniform samples of {-r >= t_split} with their exact density."""
     box = dom.bounding_box
     vol_box = float(np.prod(box[:, 1] - box[:, 0]))
-    kept = []
-    drawn = 0
-    hits = 0
-    while sum(len(k) for k in kept) < count and drawn < 400 * max(count, 1):
-        m = max(2 * count, 8192)
-        zz = box_uniform(dom, m, rng)
-        drawn += m
-        sel = zz[-dom.r_val(zz) >= t_split]
-        hits += len(sel)
-        if len(sel):
-            kept.append(sel)
-    if not kept:
+    block = max(2 * count, 8192)
+    pts, hits, drawn = _box_reject(dom, lambda rv: -rv >= t_split, count, rng, block,
+                                   -(-400 * max(count, 1) // block))
+    if not hits:
         raise GaugeError("bulk sampler found no interior points")
-    pts = np.concatenate(kept, axis=0)[:count]
     vol_est = vol_box * hits / drawn
     density = np.full(len(pts), 1.0 / max(vol_est, 1e-300))
     return pts, density

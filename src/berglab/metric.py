@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import DomainError, DomainSpec, box_uniform, complex_tangent_basis, walk_to_depth
+from .domain import DomainError, DomainSpec, box_uniform, complex_tangent_basis, levi_form, walk_to_depth
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(4)
 _GL_T = 0.5 * (_GL_NODES + 1.0)
@@ -87,7 +87,7 @@ def metric_form(dom: DomainSpec, z: np.ndarray, xi: np.ndarray, rv: np.ndarray |
     psi = psi_blend(dom, rv)
     H = dom.hessian(z)
     g = dom.dbar_r(z)
-    levi = np.real(np.einsum("...ij,...i,...j->...", H, xi, np.conj(xi)))
+    levi = levi_form(H, xi)
     normal = np.abs(np.einsum("...i,...i->...", xi, np.conj(g))) ** 2
     eucl = np.sum(np.abs(xi) ** 2, axis=-1)
     return psi * (levi / (-rv) + normal / rv**2) + (1.0 - psi) * eucl
@@ -110,8 +110,8 @@ def _form_gradients(dom: DomainSpec, z: np.ndarray, xi: np.ndarray, rv: np.ndarr
     dpsi = _smoothstep_slope(x) / dom.theta
     g = dom.dbar_r(z)
     H = dom.hessian(z)
-    G = dom.dbar2_r(z)
-    T = dom.hessian_dbar(z)
+    G = dom.derivatives(z, 0, 2)
+    T = dom.derivatives(z, 1, 2)
     xic = np.conj(xi)
     h_xi = np.einsum("...ik,...i->...k", H, xi)
     levi = np.real(np.sum(h_xi * xic, axis=-1, keepdims=True))

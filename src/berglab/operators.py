@@ -121,9 +121,6 @@ class OperatorMatrix:
     def norm(self) -> float:
         return float(np.linalg.norm(self.matrix, 2))
 
-    def __matmul__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        return OperatorMatrix(self.matrix @ other.matrix, f"({self.label})({other.label})")
-
 
 def _symbol_values(space: GalerkinSpace, f) -> np.ndarray:
     vals = f(space.quad.nodes)

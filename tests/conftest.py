@@ -49,5 +49,14 @@ def quartic():
     return custom_domain(1, [((2,), (2,), 1.0), ((1,), (1,), 0.5), ((0,), (0,), -1.0)], [[-1.1, 1.1]] * 2, c=1.0, theta=0.1)
 
 
+@pytest.fixture(scope="session")
+def quartic2():
+    """{|z|^4 + 0.5|z|^2 + 0.4 Re(z1 conj(z2)^2) < 1} in C^2: third derivatives of r
+    with every index pattern."""
+    terms = [((2, 0), (2, 0), 1.0), ((1, 1), (1, 1), 2.0), ((0, 2), (0, 2), 1.0), ((1, 0), (1, 0), 0.5),
+             ((0, 1), (0, 1), 0.5), ((1, 0), (0, 2), 0.2), ((0, 2), (1, 0), 0.2), ((0, 0), (0, 0), -1.0)]
+    return custom_domain(2, terms, [[-1.1, 1.1]] * 4, c=1.0, theta=0.1)
+
+
 def cpoint(*vals):
     return np.asarray(vals, dtype=complex)

@@ -147,3 +147,23 @@ def test_cap_exponent_row_reports_its_uncertainty(disc):
     margin = 0.3 - abs(row["value"] - 1)
     assert det["margin_in_stderrs"] == pytest.approx(margin / det["slope_stderr"])
     assert row["passed"] == (margin >= 0)
+
+
+def test_fr_exponent_row_reports_its_uncertainty(disc):
+    from berglab.cli import suite_gauge
+
+    out = suite_gauge(disc, 2026, {"fr_samples": 4000})
+    row = next(c for c in out["checks"] if c["name"] == "fr-exponent-a1")
+    det = row["details"]
+    table = out["tables"]["fr_regression"]
+    assert set(det) == {"r2", "stderr", "slope_stderr", "margin_in_stderrs"}
+    assert det["stderr"] == [t["stderr"] for t in table]
+    assert len(det["stderr"]) == 5 and all(s > 0 for s in det["stderr"])
+    # var(log estimate) ~ (stderr/estimate)^2, propagated through the least-squares slope
+    x = np.array([t["log_abs_r"] for t in table])
+    rel = np.array(det["stderr"]) / np.exp([t["log_estimate"] for t in table])
+    w = (x - x.mean()) / np.sum((x - x.mean()) ** 2)
+    assert det["slope_stderr"] == pytest.approx(np.sqrt(np.sum((w * rel) ** 2)), rel=1e-9)
+    margin = 0.15 - abs(row["value"] + 1)
+    assert det["margin_in_stderrs"] == pytest.approx(margin / det["slope_stderr"])
+    assert row["passed"] == (margin >= 0)

@@ -6,6 +6,8 @@ from berglab._poly import HermPoly
 from berglab.domain import (
     DomainError,
     DomainSpec,
+    _collar_mesh,
+    box_uniform,
     boundary_project,
     certify_pseudoconvexity,
     complex_tangent_basis,
@@ -20,6 +22,7 @@ from berglab.domain import (
     unit_ball,
     walk_to_depth,
 )
+from berglab.gauge import GaugeError, _bulk_sample, taylor_remainder
 
 
 def test_ball_geometry_at_center(ball2):
@@ -75,6 +78,77 @@ def test_geometry_matches_finite_differences(make_dom, mixed):
             xi = rng.standard_normal(2) + 1j * rng.standard_normal(2)
             form = np.real(np.einsum("ij,i,j->", g["hessian"], xi, np.conj(xi)))
             assert form == pytest.approx(_finite_diff_levi(dom_i, z, xi), rel=1e-4, abs=1e-6)
+
+
+# Reference derivative tables: the per-order builders and evaluators that
+# DomainSpec.partial / DomainSpec.derivatives replaced, as they were written.
+
+
+def _reference_polys(dom):
+    n = dom.n
+    grad = [dom.r.dbar(i) for i in range(n)]
+    hess = [[d.d(i) for d in grad] for i in range(n)]
+    ds = [dom.r.d(i) for i in range(n)]
+    holo = [[ds[j].d(i) for j in range(n)] for i in range(n)]
+    dbar2 = {(j, k): grad[j].dbar(k) for j in range(n) for k in range(j, n)}
+    hess_dbar = {(i, j, k): p.d(i) for (j, k), p in dbar2.items() for i in range(n)}
+    return grad, hess, holo, dbar2, hess_dbar
+
+
+def _reference_tables(dom, z):
+    grad, hess, holo, dbar2, hess_dbar = _reference_polys(dom)
+    n, lead = dom.n, z.shape[:-1]
+    g = np.empty(z.shape, complex)
+    for i, p in enumerate(grad):
+        g[..., i] = p(z)
+    H = np.empty(lead + (n, n), complex)
+    hol = np.empty(lead + (n, n), complex)
+    for i in range(n):
+        for j in range(n):
+            H[..., i, j] = hess[i][j](z)
+            hol[..., i, j] = holo[i][j](z)
+    G = np.empty(lead + (n, n), complex)
+    for (j, k), p in dbar2.items():
+        G[..., j, k] = G[..., k, j] = p(z)
+    T = np.empty(lead + (n, n, n), complex)
+    for (i, j, k), p in hess_dbar.items():
+        T[..., i, j, k] = T[..., i, k, j] = p(z)
+    return g, H, hol, G, T
+
+
+def _reference_taylor_remainder(dom, z, w, hol):
+    diff = z - w
+    out = -dom.r_val(w).astype(complex)
+    d_r = np.conj(dom.dbar_r(w))
+    for j in range(dom.n):
+        out = out - d_r[..., j] * diff[..., j]
+    for j in range(dom.n):
+        for k in range(dom.n):
+            out = out - 0.5 * hol[..., j, k] * diff[..., j] * diff[..., k]
+    return out
+
+
+@pytest.mark.parametrize("name", ["disc", "ball2", "egg", "mixed", "quartic", "quartic2"])
+def test_derivative_tables_match_reference_builders(request, name):
+    dom = request.getfixturevalue(name)
+    pts = sample_region(dom, "interior", 12, seed=8)
+    for z in (pts, pts.reshape(3, 4, dom.n), pts[0]):
+        g, H, hol, G, T = _reference_tables(dom, z)
+        assert dom.dbar_r(z).tobytes() == g.tobytes()
+        assert dom.hessian(z).tobytes() == H.tobytes()
+        assert dom.derivatives(z, 0, 2).tobytes() == G.tobytes()
+        assert dom.derivatives(z, 1, 2).tobytes() == T.tobytes()
+        assert dom.derivatives(z, 2, 0).tobytes() == hol.tobytes()
+        assert dom.derivatives(z, 0, 1).shape == z.shape
+        assert dom.derivatives(z, 1, 2).shape == z.shape[:-1] + (dom.n,) * 3
+    _, _, _, dbar2, hess_dbar = _reference_polys(dom)
+    for (j, k), p in dbar2.items():
+        assert list(dom.partial((), (j, k)).terms.items()) == list(p.terms.items())
+    for (i, j, k), p in hess_dbar.items():
+        assert list(dom.partial((i,), (j, k)).terms.items()) == list(p.terms.items())
+    w = pts[1:]
+    ref = _reference_taylor_remainder(dom, pts[0], w, _reference_tables(dom, w)[2])
+    assert taylor_remainder(dom, pts[0], w).tobytes() == ref.tobytes()
 
 
 def test_certify_ball(ball2):
@@ -174,6 +248,104 @@ def test_sample_region_deterministic(disc):
     a = sample_region(disc, "interior", 100, seed=11)
     b = sample_region(disc, "interior", 100, seed=11)
     assert np.array_equal(a, b)
+
+
+# Reference box-rejection loops: the three loops that domain._box_reject
+# replaced, as they were written.
+
+
+def _reference_collar_mesh(dom, count, seed):
+    rng = np.random.default_rng(seed)
+    pts = []
+    attempts = 0
+    while sum(len(p) for p in pts) < count and attempts < 200:
+        zz = box_uniform(dom, max(4 * count, 1024), rng)
+        rv = dom.r_val(zz)
+        keep = zz[(rv < 0) & (rv > -3.0 * dom.theta)]
+        if keep.size:
+            pts.append(keep)
+        attempts += 1
+    if not pts:
+        return np.empty((0, dom.n), complex)
+    return np.concatenate(pts, axis=0)[:count]
+
+
+def _reference_sample_region(dom, keep, count, seed):
+    rng = np.random.default_rng(seed)
+    out = []
+    got = 0
+    for _ in range(400):
+        zz = box_uniform(dom, max(4 * count, 4096), rng)
+        sel = zz[keep(dom.r_val(zz))]
+        if sel.size:
+            out.append(sel)
+            got += len(sel)
+        if got >= count:
+            break
+    if got < count:
+        raise DomainError("acceptance rate too low for region sampling")
+    return np.concatenate(out, axis=0)[:count]
+
+
+def _reference_bulk_sample(dom, t_split, count, rng):
+    box = dom.bounding_box
+    vol_box = float(np.prod(box[:, 1] - box[:, 0]))
+    kept = []
+    drawn = 0
+    hits = 0
+    while sum(len(k) for k in kept) < count and drawn < 400 * max(count, 1):
+        m = max(2 * count, 8192)
+        zz = box_uniform(dom, m, rng)
+        drawn += m
+        sel = zz[-dom.r_val(zz) >= t_split]
+        hits += len(sel)
+        if len(sel):
+            kept.append(sel)
+    if not kept:
+        raise GaugeError("bulk sampler found no interior points")
+    pts = np.concatenate(kept, axis=0)[:count]
+    vol_est = vol_box * hits / drawn
+    density = np.full(len(pts), 1.0 / max(vol_est, 1e-300))
+    return pts, density
+
+
+@pytest.mark.parametrize("name", ["disc", "ball2", "egg"])
+def test_box_rejection_matches_reference_loops(request, name):
+    dom = request.getfixturevalue(name)
+    for count, seed in ((4000, 0), (7, 3), (2500, 11)):
+        assert _collar_mesh(dom, count, seed).tobytes() == _reference_collar_mesh(dom, count, seed).tobytes()
+    for count, seed in ((500, 4), (20000, 9)):
+        ref = _reference_sample_region(dom, lambda rv: rv < 0, count, seed)
+        assert sample_region(dom, "interior", count, seed).tobytes() == ref.tobytes()
+        ref = _reference_sample_region(dom, lambda rv: (-rv >= 0.25) & (-rv <= 0.5), count, seed)
+        assert sample_region(dom, ("shell", 0.25, 0.5), count, seed).tobytes() == ref.tobytes()
+    # a first block that keeps exactly ``count`` points ends the draw
+    zz = box_uniform(dom, 8192, np.random.default_rng(6))
+    exact = int(np.sum(-dom.r_val(zz) >= 0.5))
+    for t_split, count, seed in ((0.5, 3000, 1), (0.1, 9000, 2), (0.9, 40, 5), (0.5, exact, 6)):
+        rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        pts, dens = _bulk_sample(dom, t_split, count, rng)
+        pts_ref, dens_ref = _reference_bulk_sample(dom, t_split, count, rng_ref)
+        assert pts.tobytes() == pts_ref.tobytes() and dens.tobytes() == dens_ref.tobytes()
+        # the generator is left where the reference leaves it
+        assert rng.random() == rng_ref.random()
+
+
+def test_box_rejection_give_ups(disc):
+    with pytest.raises(DomainError):
+        sample_region(disc, ("shell", 2.0, 3.0), 10)
+    # asking for nothing draws nothing (the old loop drew a block and could fail to concatenate)
+    assert sample_region(disc, ("shell", 2.0, 3.0), 0).shape == (0, 1)
+    rng, rng_ref = np.random.default_rng(0), np.random.default_rng(0)
+    with pytest.raises(GaugeError):
+        _bulk_sample(disc, 2.0, 10, rng)
+    with pytest.raises(GaugeError):
+        _reference_bulk_sample(disc, 2.0, 10, rng_ref)
+    assert rng.random() == rng_ref.random()
+    # a collar of zero width: every block is drawn and the mesh comes back empty
+    thin = unit_ball(1, theta=1e-300)
+    mesh = _collar_mesh(thin, 5)
+    assert mesh.shape == (0, 1) and mesh.tobytes() == _reference_collar_mesh(thin, 5, 0).tobytes()
 
 
 def test_surface_area_disc(disc):

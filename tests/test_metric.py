@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from berglab.domain import custom_domain, sample_region, unit_ball
+from berglab.domain import sample_region, unit_ball
 from berglab.gauge import RayField, normal_gauge
 from berglab.metric import (
     _GL_T,
@@ -183,15 +183,6 @@ def _radial_nodes(dom, fractions, seed):
     return np.asarray(fractions)[:, None] * rays.boundary_radius(omega)[:, None] * omega
 
 
-@pytest.fixture(scope="module")
-def quartic2():
-    """{|z|^4 + 0.5|z|^2 + 0.4 Re(z1 conj(z2)^2) < 1} in C^2: third derivatives of r
-    with every index pattern."""
-    terms = [((2, 0), (2, 0), 1.0), ((1, 1), (1, 1), 2.0), ((0, 2), (0, 2), 1.0), ((1, 0), (1, 0), 0.5),
-             ((0, 1), (0, 1), 0.5), ((1, 0), (0, 2), 0.2), ((0, 2), (1, 0), 0.2), ((0, 0), (0, 0), -1.0)]
-    return custom_domain(2, terms, [[-1.1, 1.1]] * 4, c=1.0, theta=0.1)
-
-
 @pytest.mark.parametrize("name", ["disc", "egg", "mixed", "quartic", "quartic2"])
 def test_quadrature_matches_reference_loops(name, request):
     dom = request.getfixturevalue(name)
@@ -234,12 +225,12 @@ def test_third_derivative_tables_match_central_differences(name, request):
             dy = (f(z + 1j * e) - f(z - 1j * e)) / (2 * h)
             return 0.5 * (dx + 1j * dy)
 
-        G = dom.dbar2_r(z)[..., :, k]
-        T = dom.hessian_dbar(z)[..., k]
+        G = dom.derivatives(z, 0, 2)[..., :, k]
+        T = dom.derivatives(z, 1, 2)[..., k]
         np.testing.assert_allclose(G, dbar_k(dom.dbar_r), rtol=0, atol=1e-8)
         np.testing.assert_allclose(T, dbar_k(dom.hessian), rtol=0, atol=1e-8)
-    assert np.array_equal(dom.dbar2_r(z), np.swapaxes(dom.dbar2_r(z), -1, -2))
-    assert np.array_equal(dom.hessian_dbar(z), np.swapaxes(dom.hessian_dbar(z), -1, -2))
+    assert np.array_equal(dom.derivatives(z, 0, 2), np.swapaxes(dom.derivatives(z, 0, 2), -1, -2))
+    assert np.array_equal(dom.derivatives(z, 1, 2), np.swapaxes(dom.derivatives(z, 1, 2), -1, -2))
 
 
 def test_straight_radial_seed_is_stationary(ball2_global):
