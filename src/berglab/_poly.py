@@ -36,9 +36,10 @@ class HermPoly:
         acc = {k: v for k, v in acc.items() if v != 0}
         return HermPoly(n, acc)
 
-    def is_real(self, tol: float = 1e-12) -> bool:
+    def is_real(self) -> bool:
+        """coeff(alpha, beta) == conj(coeff(beta, alpha)) on every term, to 1e-12."""
         for (a, b), c in self.terms.items():
-            if abs(c - np.conj(self.terms.get((b, a), 0.0))) > tol:
+            if abs(c - np.conj(self.terms.get((b, a), 0.0))) > 1e-12:
                 return False
         return True
 

@@ -42,25 +42,19 @@ class CoverError(ValueError):
 # -- engulfing constant ---------------------------------------------------------
 
 
-def fit_engulfing_constant(
-    dom: DomainSpec,
-    scales=(0.05, 0.02, 0.008),
-    pairs: int = 40,
-    cap_samples: int = 200,
-    seed: int = 0,
-    margin: float = 1.15,
-) -> float:
+def fit_engulfing_constant(dom: DomainSpec, seed: int = 0) -> float:
     """Fitted C1: overlapping caps of radius t sit inside the C1*t cap.
 
-    For sampled cap pairs with a common point, C1 is the smallest factor
-    engulfing one cap in the other's dilation; the fit reports the max over
-    the scan times a safety margin.
+    For 40 sampled cap pairs with a common point at each of the radii
+    t = 0.05, 0.02 and 0.008, C1 is the smallest factor engulfing one cap
+    (200 samples) in the other's dilation; the fit reports the max over the
+    scan times a safety margin of 1.15.
     """
     rng = np.random.default_rng(seed)
     pool = surface_pool(dom, 0.0, 4000, seed)
     worst = 1.0
-    for t in scales:
-        for _ in range(pairs):
+    for t in (0.05, 0.02, 0.008):
+        for _ in range(40):
             zeta = pool[rng.integers(len(pool))]
             near = pool[normal_gauge(dom, zeta, pool) < 4.0 * t]
             if len(near) < 2:
@@ -70,10 +64,10 @@ def fit_engulfing_constant(
                 cap_contains(dom, zeta, t, _cap_sample(dom, xi, t, 32, rng))
             )):
                 continue
-            xs = _cap_sample(dom, xi, t, cap_samples, rng)
+            xs = _cap_sample(dom, xi, t, 200, rng)
             ratio = float(np.max(normal_gauge(dom, zeta, xs))) / t
             worst = max(worst, ratio)
-    return margin * worst
+    return 1.15 * worst
 
 
 def _cap_sample(dom: DomainSpec, center: np.ndarray, t: float, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -191,6 +185,8 @@ def _c2j(arr: np.ndarray) -> list:
 
 
 COVERAGE_SLACK = 1.2
+# the largest candidate stream a packing densifies to after failed audits
+_MAX_CANDIDATES = 300000
 
 
 def build_packing(
@@ -199,9 +195,7 @@ def build_packing(
     c1: float,
     candidate_count: int = 20000,
     seed: int = 0,
-    coverage_check: bool = True,
     max_centers: int = 40000,
-    max_candidates: int = 300000,
 ) -> np.ndarray:
     """Greedy maximal packing of boundary caps of gauge radius d.
 
@@ -210,7 +204,8 @@ def build_packing(
     audited on a fresh boundary pool at the maximality radius inflated by
     the recorded slack, since stream-relative maximality only covers unseen
     points up to the stream density; a failed audit densifies the stream
-    and rebuilds until the audit passes or the budget runs out.
+    and rebuilds until the audit passes or the stream reaches
+    ``_MAX_CANDIDATES``.
 
     The greedy pass is exact, not approximate.  rho(u, v) >= |u - v|^2, also
     as computed in floating point, so a candidate conflicts with a center
@@ -228,18 +223,16 @@ def build_packing(
         pool = surface_pool(dom, 0.0, count, seed)
         stream = pool[np.random.default_rng(seed + 1).permutation(len(pool))]
         centers = _greedy_packing(dom, stream, c1 * d, max_centers)
-        if not coverage_check:
-            return centers
         audit_pool = surface_pool(dom, 0.0, max(count // 2, 2000), seed + 77)
         uncovered = coverage_audit(dom, centers, COVERAGE_SLACK * c1 * d, audit_pool)
         if uncovered is None:
             return centers
-        if count >= max_candidates:
+        if count >= _MAX_CANDIDATES:
             raise CoverError(
                 f"coverage audit failed at stream size {count}; uncovered boundary sample "
                 f"{uncovered.tolist()}"
             )
-        count = min(2 * count, max_candidates)
+        count = min(2 * count, _MAX_CANDIDATES)
 
 
 def _greedy_packing(dom: DomainSpec, stream: np.ndarray, radius: float, max_centers: int) -> np.ndarray:

@@ -255,25 +255,25 @@ def eval_geometry(dom: DomainSpec, z: np.ndarray) -> dict:
 
 
 def _collar_mesh(dom: DomainSpec, count: int, seed: int = 0) -> np.ndarray:
-    """Up to ``count`` box-uniform points of the collar {-3*theta < r < 0}, from a fresh generator at ``seed``."""
+    """Up to ``count`` box-uniform points of the collar {-3*theta < r < 0}, from a fresh generator at ``seed``.
+
+    Drawn once per domain, count and seed; callers share the array and must not write to it.
+    """
     if count < 1:
         raise DomainError("mesh_density must be >= 1")
-    return _box_reject(dom, lambda rv: (rv < 0) & (rv > -3.0 * dom.theta), count, np.random.default_rng(seed),
-                       max(4 * count, 1024), 200)[0]
+    # a copy, so the memo holds ``count`` points and not every point the blocks kept
+    return dom.memo(("collar", count, seed), lambda: _box_reject(
+        dom, lambda rv: (rv < 0) & (rv > -3.0 * dom.theta), count, np.random.default_rng(seed),
+        max(4 * count, 1024), 200)[0].copy())
 
 
-def certify_pseudoconvexity(
-    dom: DomainSpec,
-    mesh_density: int = 4000,
-    seed: int = 0,
-    grad_tol: float = 1e-6,
-) -> dict:
+def certify_pseudoconvexity(dom: DomainSpec, mesh_density: int = 4000, seed: int = 0) -> dict:
     """Sample {r > -3*theta} inside the box and check the two defining bounds.
 
     c_min is the smallest Hessian eigenvalue seen on the mesh; the
     certificate holds when c_min >= c/2 and the gradient norm stays above
-    ``grad_tol`` relative to the box diameter.  A failing check reports the
-    witnessing mesh point.
+    1e-6 times the box diameter.  A failing check reports the witnessing
+    mesh point.
     """
     mesh = _collar_mesh(dom, mesh_density, seed)
     if not len(mesh):
@@ -287,7 +287,7 @@ def certify_pseudoconvexity(
 
     gn = dom.grad_norm(mesh)
     i_g = int(np.argmin(gn))
-    grad_ok = bool(gn[i_g] > grad_tol * dom.box_diameter())
+    grad_ok = bool(gn[i_g] > 1e-6 * dom.box_diameter())
     hess_ok = bool(c_min >= dom.c / 2.0)
 
     witness = None
@@ -298,9 +298,9 @@ def certify_pseudoconvexity(
     return {"c_min": c_min, "theta_ok": hess_ok and grad_ok, "witness": witness}
 
 
-def select_theta(dom: DomainSpec, k_range=range(1, 12), mesh_density: int = 2000, seed: int = 0) -> float:
-    """Largest theta = 2**-k whose certification passes; dyadic grid search."""
-    for k in k_range:
+def select_theta(dom: DomainSpec, mesh_density: int = 2000, seed: int = 0) -> float:
+    """Largest theta = 2**-k, k = 1..11, whose certification passes; dyadic grid search."""
+    for k in range(1, 12):
         cand = DomainSpec(dom.n, dom.r, dom.bounding_box, dom.c, 2.0 ** (-k), dom.tag)
         res = certify_pseudoconvexity(cand, mesh_density=mesh_density, seed=seed)
         if res["theta_ok"]:
@@ -308,11 +308,11 @@ def select_theta(dom: DomainSpec, k_range=range(1, 12), mesh_density: int = 2000
     raise DomainError("no dyadic theta in range passes certification")
 
 
-def normal_direction(dom: DomainSpec, z: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Unit outward-tilted direction dbar r / |dbar r| at z."""
+def normal_direction(dom: DomainSpec, z: np.ndarray) -> np.ndarray:
+    """Unit outward-tilted direction dbar r / |dbar r| at z; |dbar r| < 1e-12 raises."""
     g = dom.dbar_r(z)
     nrm = np.linalg.norm(g, axis=-1, keepdims=True)
-    if np.any(nrm < tol):
+    if np.any(nrm < 1e-12):
         raise DomainError("gradient below tolerance; point outside the guaranteed collar")
     return g / nrm
 
@@ -368,7 +368,7 @@ def walk_to_depth(dom: DomainSpec, zs: np.ndarray, depth: float | np.ndarray) ->
         p = z[idx] + (sg[idx] * s)[:, None] * v[idx]
         return sg[idx] * dom.r_val(p), 2.0 * np.real(np.einsum("mi,mi->m", v[idx], np.conj(dom.dbar_r(p))))
 
-    s = _line_root(f_df, -sg * depth[todo], np.zeros(len(todo)), s_hi[todo])
+    s = _line_root(f_df, -sg * depth[todo], np.zeros(len(todo)), s_hi[todo], np.linalg.norm(z, axis=1))
     out[todo] = z + (sg * s)[:, None] * v
     return out
 
@@ -383,15 +383,20 @@ def _horner(coef: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return p, dp
 
 
-def _line_root(f_df, level: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+def _line_root(f_df, level: np.ndarray, lo: np.ndarray, hi: np.ndarray, scale) -> np.ndarray:
     """s in [lo, hi] with f(s) = level, given f(lo) <= level <= f(hi) on each line.
 
     ``f_df(s, idx)`` returns f and f' at ``s`` on the lines ``idx``.  This is
     the one root finder for every line search on r.  Safeguarded Newton from
     ``hi``: a step that leaves the current bracket is replaced by bisection.
-    A line stops once its step or its bracket is down to float resolution.
+    A line stops once its step is at most 4 eps max(s, scale) or its bracket
+    [a, b] is at most 4 eps max(b, scale).  ``scale`` is the size of the
+    line's base point: a walk from z moves to z + s*u, which rounds at about
+    eps |z|, so a step far below that no longer moves the point.  A ray from
+    the origin has scale 0.
     """
     tol = 4.0 * np.finfo(float).eps
+    scale = np.broadcast_to(np.asarray(scale, float), lo.shape)
     lo, hi, s = lo.copy(), hi.copy(), hi.copy()
     active = np.arange(len(s))
     for _ in range(100):
@@ -405,16 +410,17 @@ def _line_root(f_df, level: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.nd
             nxt = x - f / df
         nxt = np.where((nxt >= a) & (nxt <= b), nxt, 0.5 * (a + b))
         lo[active], hi[active], s[active] = a, b, nxt
-        done = (np.abs(nxt - x) <= tol * x) | (b - a <= tol * b)
+        floor = scale[active]
+        done = (np.abs(nxt - x) <= tol * np.maximum(x, floor)) | (b - a <= tol * np.maximum(b, floor))
         active = active[~done]
         if not len(active):
             break
     return s
 
 
-def fit_projection_constant(dom: DomainSpec, count: int = 200, seed: int = 0, depth: float = 0.25) -> float:
-    """Fitted C_p with |z - p(z)| <= C_p |r(z)| over a sampled collar."""
-    pts = sample_region(dom, ("shell", 1e-4, depth), count, seed)
+def fit_projection_constant(dom: DomainSpec, count: int = 200, seed: int = 0) -> float:
+    """Fitted C_p with |z - p(z)| <= C_p |r(z)| over the sampled collar {1e-4 <= -r <= 0.25}."""
+    pts = sample_region(dom, ("shell", 1e-4, 0.25), count, seed)
     proj = walk_to_depth(dom, pts, 0.0)
     return float(np.max(np.linalg.norm(proj - pts, axis=1) / np.abs(dom.r_val(pts))))
 
@@ -560,7 +566,7 @@ class RayField:
                 break
             s_hi[grow] *= 1.5
         zero = np.zeros(len(omega))
-        return _line_root(lambda s, idx: _horner(coef[:, idx], s), zero, zero, s_hi)
+        return _line_root(lambda s, idx: _horner(coef[:, idx], s), zero, zero, s_hi, 0.0)
 
     @staticmethod
     def _radial_slope(omega: np.ndarray, grad: np.ndarray) -> np.ndarray:
@@ -583,7 +589,7 @@ class RayField:
         if np.any(s_lo == 0):
             raise DomainError("depth target unreachable along some ray")
         level = np.broadcast_to(-np.asarray(targets, float), radius.shape)
-        return _line_root(lambda s, idx: _horner(coef[:, idx], s), level, s_lo, radius)
+        return _line_root(lambda s, idx: _horner(coef[:, idx], s), level, s_lo, radius, 0.0)
 
     def level_points(self, omega: np.ndarray, rho: float) -> tuple[np.ndarray, np.ndarray]:
         """The points s*omega of the level surface {-r = rho}, and its density J over directions.
@@ -607,13 +613,13 @@ class RayField:
         count: int,
         rng: np.random.Generator,
         focus: tuple[np.ndarray, float] | None = None,
-        focus_weight: float = 0.5,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Points with -r in [depth_lo, depth_hi], log-uniform in depth.
 
-        ``focus = (axis, cos_cap)`` mixes in directions concentrated in the
-        spherical cap around ``axis``, which is what keeps the variance of
-        gauge-localized integrands finite.  Returns (points, density) where
+        ``focus = (axis, cos_caps)`` draws half of the directions uniformly
+        and splits the other half evenly over the spherical caps around
+        ``axis``, one per cosine in ``cos_caps``, which is what keeps the
+        variance of gauge-localized integrands finite.  Returns (points, density) where
         density is the exact Lebesgue pdf of each drawn point, so 1/density
         importance weights are unbiased.
         """
@@ -626,7 +632,7 @@ class RayField:
             axis, cos_caps = focus
             cos_caps = np.atleast_1d(np.asarray(cos_caps, float))
             fracs = np.array([self.cap_fraction(c) for c in cos_caps])
-            n_cap_total = int(round(focus_weight * count))
+            n_cap_total = int(round(0.5 * count))
             per_cap = np.full(len(cos_caps), n_cap_total // len(cos_caps))
             per_cap[: n_cap_total - int(np.sum(per_cap))] += 1
             parts = [self.directions(count - n_cap_total, rng)]
@@ -637,11 +643,11 @@ class RayField:
             ax = self._to_real(np.asarray(axis, complex).reshape(1, -1))[0]
             ax /= np.linalg.norm(ax)
             height = self._to_real(omega) @ ax
-            dir_density = np.full(len(omega), (1.0 - focus_weight) / self.sphere_area)
+            dir_density = np.full(len(omega), 0.5 / self.sphere_area)
             for c, frac in zip(cos_caps, fracs):
                 in_cap = height >= c
                 dir_density = dir_density + np.where(
-                    in_cap, focus_weight / (len(cos_caps) * self.sphere_area * frac), 0.0
+                    in_cap, 0.5 / (len(cos_caps) * self.sphere_area * frac), 0.0
                 )
         radius = self.boundary_radius(omega)
         u = np.exp(rng.uniform(np.log(depth_lo), np.log(depth_hi), count))
@@ -731,10 +737,10 @@ def surface_pool(dom: DomainSpec, rho: float, count: int, seed: int) -> np.ndarr
                     lambda: surface_sample(dom, rho, count, np.random.default_rng(seed)))[0]
 
 
-def _project_to_level(dom: DomainSpec, pts: np.ndarray, rho: float, iters: int = 40) -> np.ndarray:
-    """Newton along the gradient direction onto {-r = rho}, vectorized."""
+def _project_to_level(dom: DomainSpec, pts: np.ndarray, rho: float) -> np.ndarray:
+    """Newton along the gradient direction onto {-r = rho}, vectorized; at most 40 steps."""
     z = np.array(pts, dtype=complex)
-    for _ in range(iters):
+    for _ in range(40):
         val = dom.r_val(z) + rho
         if np.all(np.abs(val) <= dom.boundary_tol):
             break

@@ -116,7 +116,6 @@ def fr_integral(
     tail_radius: float | None = None,
     samples: int = 200000,
     seed: int = 0,
-    depth_floor: float | None = None,
 ) -> dict:
     """Monte-Carlo estimate of the boundary-weighted kernel integral.
 
@@ -131,7 +130,9 @@ def fr_integral(
                    distance upper bound d(z, w).
 
     Estimates are stratified: uniform rejection on the bulk plus a ray-importance
-    boundary layer, split across dyadic depth bands.
+    boundary layer, split across dyadic depth bands down to the depth floor
+    of :func:`layered_mc_integral`; tail mode lowers that floor to where
+    the mass outside the metric ball sits.
     """
     if kappa <= -1:
         raise GaugeError("kappa must exceed -1")
@@ -143,13 +144,11 @@ def fr_integral(
     rz = abs(float(dom.r_val(z)))
     power = dom.n + 1 + kappa + a
 
-    t_split = min(dom.theta, 2.0 ** (-3))
-    if depth_floor is None:
-        depth_floor = min(rz * 2.0 ** (-12), 2.0 ** (-24))
-        if mode == "tail":
-            # the surviving mass at exclusion radius R sits at depth
-            # ~ exp(-2R) relative to the domain scale; keep sampling it
-            depth_floor = min(depth_floor, max(rz * np.exp(-2.0 * (tail_radius + 4.0)), 2.0 ** (-44)))
+    depth_floor = None
+    if mode == "tail":
+        # the surviving mass at exclusion radius R sits at depth
+        # ~ exp(-2R) relative to the domain scale; keep sampling it
+        depth_floor = max(rz * np.exp(-2.0 * (tail_radius + 4.0)), 2.0 ** (-44))
 
     def integrand(pts: np.ndarray) -> np.ndarray:
         rw = np.abs(dom.r_val(pts))
@@ -163,8 +162,7 @@ def fr_integral(
             vals = vals * rz**a * _chord_with_center_detour(dom, z, pts)
         return vals
 
-    res = layered_mc_integral(dom, z, integrand, samples=samples, seed=seed, depth_floor=depth_floor,
-                              t_split=t_split)
+    res = layered_mc_integral(dom, z, integrand, samples=samples, seed=seed, depth_floor=depth_floor)
     if res["estimate"] < -1e-12:
         raise GaugeError("negative integral estimate signals a sampler bug")
     return res
@@ -177,22 +175,23 @@ def layered_mc_integral(
     samples: int = 100000,
     seed: int = 0,
     depth_floor: float | None = None,
-    t_split: float | None = None,
 ) -> dict:
     """Monte-Carlo integral over the domain for boundary-concentrated integrands.
 
-    Uniform rejection covers the bulk; the boundary layer is sampled along
-    rays in dyadic depth bands with a Neyman-style allocation from a pilot
-    pass and a multi-scale directional focus toward z.
+    Uniform rejection covers the bulk {-r >= t_split}, t_split =
+    min(theta, 1/8).  The boundary layer down to the depth floor
+    min(|r(z)|/2^12, 2^-24), lowered further to ``depth_floor`` when one is
+    given, is sampled along rays in dyadic depth bands with a Neyman-style
+    allocation from a pilot pass and a multi-scale directional focus
+    toward z.
     """
     z = np.asarray(z, complex).reshape(-1)
     rz = abs(float(dom.r_val(z)))
     rng = np.random.default_rng(seed)
     rays = _ray_field(dom)
-    if t_split is None:
-        t_split = min(dom.theta, 2.0 ** (-3))
-    if depth_floor is None:
-        depth_floor = min(rz * 2.0 ** (-12), 2.0 ** (-24))
+    t_split = min(dom.theta, 2.0 ** (-3))
+    floor = min(rz * 2.0 ** (-12), 2.0 ** (-24))
+    depth_floor = floor if depth_floor is None else min(floor, depth_floor)
 
     z_norm = float(np.linalg.norm(z))
     bands = []
@@ -280,15 +279,8 @@ def cap_contains(dom: DomainSpec, zeta: np.ndarray, t: float, xi: np.ndarray) ->
 _CONE_MARGIN = 1e-12
 
 
-def cap_measure(
-    dom: DomainSpec,
-    zeta: np.ndarray,
-    t: float,
-    rho: float = 0.0,
-    samples: int = 20000,
-    seed: int = 0,
-) -> dict:
-    """Surface measure of the cap around zeta on the level surface {-r = rho}.
+def cap_measure(dom: DomainSpec, zeta: np.ndarray, t: float, samples: int = 20000, seed: int = 0) -> dict:
+    """Surface measure of the cap around zeta on the boundary {r = 0}.
 
     rho(zeta, xi) >= |zeta - xi|^2, so every cap point lies within
     Euclidean distance sqrt(t) of zeta, and its direction from the origin
@@ -296,7 +288,7 @@ def cap_measure(
     t >= |zeta|^2 the cone is the whole sphere.  The cone is widened by a
     relative ``_CONE_MARGIN`` in t, so rounding in a direction's height
     cannot drop a cap point.  :func:`surface_sample` draws ``samples``
-    uniform points of the level surface in that cone; sigma is the cone's
+    uniform points of the boundary in that cone; sigma is the cone's
     area times the fraction of them in the cap, and its stderr combines
     the binomial error of that fraction with the stderr of the area.
     """
@@ -306,7 +298,7 @@ def cap_measure(
     norm_sq = float(np.real(np.vdot(zeta, zeta)))
     reach = t * (1.0 + _CONE_MARGIN)
     cone = (zeta, np.sqrt(1.0 - reach / norm_sq)) if reach < norm_sq else None
-    pts, area, area_stderr = surface_sample(dom, rho, samples, np.random.default_rng(seed), cone)
+    pts, area, area_stderr = surface_sample(dom, 0.0, samples, np.random.default_rng(seed), cone)
     hits = int(np.count_nonzero(cap_contains(dom, zeta, t, pts)))
     if hits == 0:
         raise GaugeError("empty cap at the sampler resolution")

@@ -29,8 +29,6 @@ class KernelError(ValueError):
 @dataclass(frozen=True)
 class KernelMode:
     tag: str  # "exact-ball" | "fefferman-leading"
-    near_diag_delta: float = 0.35
-    x_floor: float = 1e-3
 
     def __post_init__(self):
         if self.tag not in ("exact-ball", "fefferman-leading"):
@@ -39,6 +37,10 @@ class KernelMode:
 
 EXACT_BALL = KernelMode("exact-ball")
 FEFFERMAN = KernelMode("fefferman-leading")
+# the leading mode is trusted only where |r(z)| + |r(w)| + |z - w| < _NEAR_DIAG
+# and |X(z, w)| >= _X_FLOOR * F(z, w)
+_NEAR_DIAG = 0.35
+_X_FLOOR = 1e-3
 
 
 def hermitian_inner(z: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -64,10 +66,10 @@ def kernel_eval(dom: DomainSpec, mode: KernelMode, z: np.ndarray, w: np.ndarray)
     rz = abs(float(dom.r_val(z)))
     rw = np.abs(dom.r_val(w))
     gap = np.linalg.norm(np.conj(w) - np.conj(z.reshape(-1)), axis=-1)
-    if np.any(rz + rw + gap >= mode.near_diag_delta):
+    if np.any(rz + rw + gap >= _NEAR_DIAG):
         raise KernelError("leading-term mode requested outside its near-diagonal region")
     X = taylor_remainder(dom, z, w)
-    if np.any(np.abs(X) < mode.x_floor * F):
+    if np.any(np.abs(X) < _X_FLOOR * F):
         raise KernelError("Taylor denominator too close to zero for the leading term")
     C = leading_constant(dom.n)
     grad2 = dom.grad_norm(w) ** 2
@@ -217,7 +219,7 @@ def normalized_kernel(dom: DomainSpec, mode: KernelMode, z: np.ndarray) -> Norma
     return NormalizedKernel(dom, mode, z, float(np.sqrt(np.real(kzz))))
 
 
-def reproducing_residual(dom: DomainSpec, coeffs: dict, z: np.ndarray, degree: int | None = None) -> float:
+def reproducing_residual(dom: DomainSpec, coeffs: dict, z: np.ndarray) -> float:
     """|h(z) - quadrature<h, K_z>| for a polynomial h given by monomial coeffs.
 
     ``coeffs`` maps multi-indices to complex coefficients.  Exact-ball mode
@@ -227,13 +229,11 @@ def reproducing_residual(dom: DomainSpec, coeffs: dict, z: np.ndarray, degree: i
     _check_exact_ball(dom)
     z = np.asarray(z, complex).reshape(-1)
     deg_h = max((sum(a) for a in coeffs), default=0)
-    if degree is None:
-        # the kernel's monomial coefficients decay like |z|^k; cover the
-        # series down to 1e-12 relative
-        zmax = min(float(np.linalg.norm(z)), 1.0 - 1e-9)
-        tail = 30.0 / max(-np.log(max(zmax, 0.1)), 1e-9)
-        degree = deg_h + int(np.ceil(tail)) + 8
-    quad = ball_quadrature(dom.n, degree)
+    # the kernel's monomial coefficients decay like |z|^k; cover the
+    # series down to 1e-12 relative
+    zmax = min(float(np.linalg.norm(z)), 1.0 - 1e-9)
+    tail = 30.0 / max(-np.log(max(zmax, 0.1)), 1e-9)
+    quad = ball_quadrature(dom.n, deg_h + int(np.ceil(tail)) + 8)
 
     h_vals = HermPoly.from_terms(dom.n, [(a, (0,) * dom.n, c) for a, c in coeffs.items()])
 

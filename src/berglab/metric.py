@@ -551,13 +551,13 @@ def _ball_uniform(count: int, dim: int, rng: np.random.Generator) -> np.ndarray:
     return pts[:, :dim] + 1j * pts[:, dim:]
 
 
-def region_contains(dom: DomainSpec, region, w: np.ndarray, budget: DistanceBudget = SCAN_BUDGET) -> bool:
-    """Membership for metric balls ("ball", z, a) and Polydisc regions."""
+def region_contains(dom: DomainSpec, region, w: np.ndarray) -> bool:
+    """Membership for metric balls ("ball", z, a), decided at ``SCAN_BUDGET``, and Polydisc regions."""
     if isinstance(region, Polydisc):
         return bool(region.contains(w))
     if isinstance(region, tuple) and region[0] == "ball":
         _, z, a = region
-        est = DistanceEstimator(dom, budget)
+        est = DistanceEstimator(dom, SCAN_BUDGET)
         return est(np.asarray(z, complex), np.asarray(w, complex)) < a
     raise MetricError(f"unknown region {region!r}")
 
@@ -592,17 +592,17 @@ def uniform_box_sampler(dom: DomainSpec):
     return draw
 
 
-def ball_superset_sampler(dom: DomainSpec, z: np.ndarray, a: float, engulf: float = 3.0):
+def ball_superset_sampler(dom: DomainSpec, z: np.ndarray, a: float):
     """Sampler for a polydisc superset of the metric ball D(z, a).
 
     Uses the tangential sqrt(-r) / normal (-r) scaling with a generous
-    engulfing factor; density is uniform on the polydisc.
+    engulfing factor of 3; density is uniform on the polydisc.
     """
     z = np.asarray(z, complex).reshape(-1)
     rz = -float(dom.r_val(z))
     axis = dom.dbar_r(z)
     amax = max(a, 0.3)
-    pd = Polydisc(z, axis, engulf * (1 + amax) * np.sqrt(rz), engulf * (1 + amax) * rz)
+    pd = Polydisc(z, axis, 3.0 * (1 + amax) * np.sqrt(rz), 3.0 * (1 + amax) * rz)
     vol = _polydisc_volume(pd, dom.n)
 
     def draw(count: int, rng: np.random.Generator):
@@ -620,11 +620,10 @@ def _polydisc_volume(pd: Polydisc, n: int) -> float:
     return tang * pi * pd.b**2
 
 
-def metric_ball_volume(dom: DomainSpec, z, a: float, samples: int = 20000, seed: int = 0,
-                       budget: DistanceBudget = CHEAP_BUDGET) -> dict:
-    """mu(D(z, a)) with membership decided by the chord/optimizer bound."""
+def metric_ball_volume(dom: DomainSpec, z, a: float, samples: int = 20000, seed: int = 0) -> dict:
+    """mu(D(z, a)) with membership decided by the chord bound, or by a ``CHEAP_BUDGET`` estimate near the edge."""
     z = np.asarray(z, complex).reshape(-1)
-    est = DistanceEstimator(dom, budget)
+    est = DistanceEstimator(dom, CHEAP_BUDGET)
     sampler = ball_superset_sampler(dom, z, a)
 
     def member(pts):

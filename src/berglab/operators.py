@@ -22,7 +22,7 @@ from scipy.linalg import solve_triangular
 from ._poly import HermPoly
 from .domain import DomainSpec, _ray_field, box_uniform, normal_direction, unit_ball, walk_to_depth
 from .kernel import EXACT_BALL, ball_quadrature, kernel_eval, monomial_norm_sq
-from .metric import CHEAP_BUDGET, DistanceBudget, DistanceEstimator, straight_chord_upper
+from .metric import CHEAP_BUDGET, DistanceEstimator, straight_chord_upper
 
 
 class OperatorError(ValueError):
@@ -208,13 +208,13 @@ def enlarged_space(n: int, N: int, conj_degree: int) -> EnlargedSpace:
     return EnlargedSpace(n, N, conj_degree, pairs, len(holo), L, quad, Uw, gal_cols)
 
 
-def hankel_and_commutator(space: GalerkinSpace, f, conj_degree: int = 2) -> dict:
+def hankel_and_commutator(space: GalerkinSpace, f) -> dict:
     """Norms of the Hankel blocks (1-P) M_f P and (1-P) M_conj(f) P.
 
-    Realized on the enlarged truncation; the commutator norm of [M_f, P]
-    equals the larger of the two Hankel norms.
+    Realized on the enlarged truncation with conjugate degrees up to 2; the
+    commutator norm of [M_f, P] equals the larger of the two Hankel norms.
     """
-    enl = enlarged_space(space.n, space.N, conj_degree)
+    enl = enlarged_space(space.n, space.N, 2)
     if enl.dim > 4000:
         raise OperatorError("enlarged truncation too large")
     fv = np.asarray(f(enl.quad.nodes), complex).reshape(-1)
@@ -229,23 +229,23 @@ def hankel_and_commutator(space: GalerkinSpace, f, conj_degree: int = 2) -> dict
 # -- Berezin transform --------------------------------------------------------------
 
 
-def berezin(space: GalerkinSpace, A: OperatorMatrix, z: np.ndarray, mass_floor: float = 1e-8) -> complex:
-    """<A k_z, k_z> on the truncated normalized kernel, renormalized."""
+def berezin(space: GalerkinSpace, A: OperatorMatrix, z: np.ndarray) -> complex:
+    """<A k_z, k_z> on the truncated normalized kernel, renormalized; a kernel mass below 1e-8 raises."""
     v = space.kernel_coeffs(z)
     m2 = float(np.sum(np.abs(v) ** 2))
-    if m2 < mass_floor:
+    if m2 < 1e-8:
         raise OperatorError("truncated kernel mass too small at this depth")
     return complex(np.vdot(v, A.matrix @ v) / m2)
 
 
-def resolution_limit(space: GalerkinSpace, mass: float = 0.99) -> float:
-    """Deepest boundary distance where the truncated kernel keeps the mass."""
+def resolution_limit(space: GalerkinSpace) -> float:
+    """Deepest boundary distance where the truncated kernel keeps 0.99 of its mass."""
     lo, hi = 1e-12, 1.0
     for _ in range(60):
         mid = np.sqrt(lo * hi)
         z = np.zeros(space.n, complex)
         z[0] = np.sqrt(1 - mid)
-        if space.truncation_mass(z) >= mass:
+        if space.truncation_mass(z) >= 0.99:
             hi = mid
         else:
             lo = mid
@@ -269,18 +269,16 @@ def oscillation_profile(
     pair_samples: int = 40,
     seed: int = 0,
     shells: tuple[int, int] = (2, 12),
-    budget: DistanceBudget = CHEAP_BUDGET,
-    partners: int = 12,
-    radius: float = 1.0,
 ) -> OscillationProfile:
     """Sampled sup of |f(z) - f(w)| over pairs within estimator distance 1.
 
-    Pairs are generated inside scaled tangential/normal boxes and kept only
-    when the estimator confirms the distance bound, so the recorded sup is a
-    true lower bound for the continuum oscillation.
+    Each of the ``pair_samples`` points per shell gets 12 partners drawn
+    inside scaled tangential/normal boxes, kept only when the
+    ``CHEAP_BUDGET`` estimator confirms the distance bound, so the recorded
+    sup is a true lower bound for the continuum oscillation.
     """
     rng = np.random.default_rng(seed)
-    est = DistanceEstimator(dom, budget)
+    est = DistanceEstimator(dom, CHEAP_BUDGET)
     k_lo, k_hi = shells
     depths = []
     sups = []
@@ -290,11 +288,11 @@ def oscillation_profile(
         for _ in range(pair_samples):
             z = _shell_point(dom, t, rng)
             fz = complex(f(z.reshape(1, -1))[0])
-            ws = _nearby_candidates(dom, z, rng, partners)
+            ws = _nearby_candidates(dom, z, rng, 12)
             for w in ws:
                 if dom.r_val(w) >= 0:
                     continue
-                if est(z, w) <= radius:
+                if est(z, w) <= 1.0:
                     fw = complex(f(w.reshape(1, -1))[0])
                     sup_k = max(sup_k, abs(fz - fw))
         depths.append(t)
@@ -458,19 +456,18 @@ def compactness_report(
     space: GalerkinSpace,
     A: OperatorMatrix,
     boundary_grid: np.ndarray | None = None,
-    R: float = 2.0,
-    partners: int = 6,
-    head_drop: int = 2,
     seed: int = 0,
-    mass: float = 0.99,
 ) -> dict:
     """Berezin, off-diagonal and singular-value tails of a truncated operator.
 
-    The boundary grid walks toward the boundary but stops at the depth where
-    the truncated kernels still hold the requested mass.
+    The boundary grid walks toward the boundary but stops at the
+    :func:`resolution_limit`.  At each depth the off-diagonal entry is the
+    largest over 6 nearby partners within estimator distance 2; the
+    singular-value tail is the share of the singular values beyond the
+    degree N - 2 head.
     """
     dom = _ball_domain(space.n)
-    limit = resolution_limit(space, mass)
+    limit = resolution_limit(space)
     if boundary_grid is None:
         ks = np.arange(1, 40)
         depths = 2.0 ** (-ks * 0.5)
@@ -494,9 +491,9 @@ def compactness_report(
         v = space.kernel_coeffs(z)
         v = v / np.linalg.norm(v)
         off = 0.0
-        for _ in range(partners):
+        for _ in range(6):
             w = _nearby_candidates(dom, z, rng, 1)[0]
-            if dom.r_val(w) >= 0 or est(z, w) >= R:
+            if dom.r_val(w) >= 0 or est(z, w) >= 2.0:
                 continue
             u = space.kernel_coeffs(w)
             u = u / np.linalg.norm(u)
@@ -505,7 +502,7 @@ def compactness_report(
         offdiag_by_depth.append(off)
 
     sv = np.linalg.svd(A.matrix, compute_uv=False)
-    head = len(_multi_indices(space.n, max(space.N - head_drop, 0)))
+    head = len(_multi_indices(space.n, max(space.N - 2, 0)))
     total_mass = float(np.sum(sv))
     sv_tail = float(np.sum(sv[head:]) / total_mass) if total_mass > 0 else 0.0
 
@@ -520,18 +517,18 @@ def compactness_report(
     }
 
 
-def partition_toeplitz_h(space: GalerkinSpace, h, n0: int, tol: float = 1e-6) -> dict:
+def partition_toeplitz_h(space: GalerkinSpace, h, n0: int) -> dict:
     """Assemble T_h for h = indicator of the deep set plus the squared cutoffs.
 
     The callable ``h`` must keep 1 <= h <= 3*n0 + 1 pointwise; the Hermitian
-    compression then has spectrum inside [1 - tol, 3*n0 + 1 + tol] and a
+    compression then has spectrum inside [1 - 1e-6, 3*n0 + 1 + 1e-6] and a
     bounded inverse.
     """
     T = toeplitz_matrix(space, h, "T_h")
     M = 0.5 * (T.matrix + T.matrix.conj().T)
     evals, evecs = np.linalg.eigh(M)
     lo, hi = float(evals[0]), float(evals[-1])
-    ok = lo >= 1.0 - tol and hi <= 3 * n0 + 1 + tol
+    ok = lo >= 1.0 - 1e-6 and hi <= 3 * n0 + 1 + 1e-6
     inv_norm = 1.0 / lo if lo > 0 else float("inf")
     out = {"T_h": T, "eig_min": lo, "eig_max": hi, "inv_norm": inv_norm, "ok": bool(ok)}
     if not ok:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from berglab import domain as domain_mod
 from berglab._poly import HermPoly
 from berglab.domain import (
     DomainError,
@@ -331,6 +332,13 @@ def test_box_rejection_matches_reference_loops(request, name):
         assert rng.random() == rng_ref.random()
 
 
+def test_collar_mesh_is_drawn_once_per_domain():
+    dom = unit_ball(1)
+    mesh = _collar_mesh(dom, 4000)
+    assert _collar_mesh(dom, 4000) is mesh
+    assert _collar_mesh(dom, 4000, 1) is not mesh
+
+
 def test_box_rejection_give_ups(disc):
     with pytest.raises(DomainError):
         sample_region(disc, ("shell", 2.0, 3.0), 10)
@@ -542,6 +550,25 @@ def test_walk_to_depth_matches_reference_bisection(request, name):
         steps = out - pts
         assert np.allclose(np.abs(np.einsum("mi,mi->m", steps, np.conj(normals))), np.linalg.norm(steps, axis=1))
         assert np.all(np.linalg.norm(out - ref, axis=1) <= 1e-10 * np.linalg.norm(ref - pts, axis=1))
+
+
+def test_walk_to_depth_stops_at_the_resolution_of_its_base_point(monkeypatch):
+    # a step of s far below |z| no longer moves z + s*u; a tolerance relative
+    # to s alone ran this walk to the 100-iteration cap
+    calls = []
+    line_root = domain_mod._line_root
+
+    def counted_line_root(f_df, *args):
+        def f_df_counted(s, idx):
+            calls.append(len(idx))
+            return f_df(s, idx)
+        return line_root(f_df_counted, *args)
+
+    monkeypatch.setattr(domain_mod, "_line_root", counted_line_root)
+    disc = unit_ball(1)
+    out = walk_to_depth(disc, np.array([[0.5 + 0.5j]]), 0.6)
+    assert abs(-disc.r_val(out)[0] - 0.6) <= 2 * np.finfo(float).eps
+    assert len(calls) <= 10
 
 
 def test_walk_to_depth_names_a_vanishing_gradient(recwarn):
