@@ -9,8 +9,8 @@ the boundary covering (`covering`), and the batch driver (`cli`).
 """
 
 from .domain import DomainSpec, ellipsoid, unit_ball
-from .metric import DistanceBudget, DistanceEstimator, Polydisc, distance, metric_tensor, path_length
-from .gauge import GaugeValue, cap_measure, fr_integral, gauge_eval, shell_volume
+from .metric import DistanceBudget, DistanceEstimator, Polydisc, distance
+from .gauge import cap_measure, fr_integral, shell_volume
 from .lattice import Lattice, build_separated, count_neighbors, partition_separated
 from .kernel import EXACT_BALL, FEFFERMAN, KernelMode, kernel_eval, normalized_kernel, reproducing_residual
 from .operators import (
@@ -34,8 +34,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DomainSpec", "ellipsoid", "unit_ball",
-    "DistanceBudget", "DistanceEstimator", "Polydisc", "distance", "metric_tensor", "path_length",
-    "GaugeValue", "cap_measure", "fr_integral", "gauge_eval", "shell_volume",
+    "DistanceBudget", "DistanceEstimator", "Polydisc", "distance",
+    "cap_measure", "fr_integral", "shell_volume",
     "Lattice", "build_separated", "count_neighbors", "partition_separated",
     "EXACT_BALL", "FEFFERMAN", "KernelMode", "kernel_eval", "normalized_kernel", "reproducing_residual",
     "GalerkinSpace", "OperatorMatrix", "berezin", "build_galerkin", "compactness_report",

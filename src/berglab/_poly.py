@@ -116,9 +116,3 @@ def unit_vector(n: int, i: int) -> MultiIndex:
     e = [0] * n
     e[i] = 1
     return tuple(e)
-
-
-def norm_sq_poly(n: int) -> HermPoly:
-    """|z|^2 as a HermPoly on C^n."""
-    terms = [(unit_vector(n, i), unit_vector(n, i), 1.0) for i in range(n)]
-    return HermPoly.from_terms(n, terms)

@@ -38,6 +38,10 @@ class PlanError(ValueError):
     pass
 
 
+# every key a plan's "budgets" may set
+BUDGET_KEYS = ("fr_samples", "candidates", "cover_candidates", "galerkin_degree")
+
+
 def load_domain(spec: dict) -> dom_mod.DomainSpec:
     builtin = spec.get("builtin")
     if builtin == "disc":
@@ -46,10 +50,13 @@ def load_domain(spec: dict) -> dom_mod.DomainSpec:
         return dom_mod.unit_ball(2, theta=spec.get("theta", 0.25))
     if builtin == "ellipsoid":
         return dom_mod.ellipsoid(spec.get("weights", [1.0, 2.0]), theta=spec.get("theta", 0.125))
-    if "json" in spec:
-        return _certified(dom_mod.DomainSpec.from_json(json.dumps(spec["json"])))
-    if "path" in spec:
-        return _certified(dom_mod.DomainSpec.from_json(Path(spec["path"]).read_text()))
+    if "json" in spec or "path" in spec:
+        try:
+            text = json.dumps(spec["json"]) if "json" in spec else Path(spec["path"]).read_text()
+            dom = dom_mod.DomainSpec.from_json(text)
+        except (OSError, LookupError, TypeError, ValueError) as exc:  # DomainError is a ValueError
+            raise PlanError(f"malformed domain: {type(exc).__name__}: {exc}") from exc
+        return _certified(dom)
     raise PlanError(f"cannot resolve domain spec {spec!r}")
 
 
@@ -76,11 +83,7 @@ def suite_metric(dom, seed: int, budgets: dict) -> dict:
     checks = []
     if dom.tag == "ball":
         hyper = dom_mod.unit_ball(dom.n, theta=1.0)
-        budget = metric_mod.DistanceBudget(
-            nodes=budgets.get("nodes", 64),
-            max_iters=budgets.get("max_iters", 40),
-            restarts=budgets.get("restarts", 2),
-        )
+        budget = metric_mod.DistanceBudget()
         for x in (0.3, 0.5):
             z = np.zeros(hyper.n, complex)
             w = np.zeros(hyper.n, complex)
@@ -167,7 +170,7 @@ def _boundary_anchor(dom) -> np.ndarray:
 
 def suite_lattice(dom, seed: int, budgets: dict) -> dict:
     checks = []
-    a = budgets.get("separation", 0.5)
+    a = 0.5
     # one memo for the suite: partition and count re-ask the pairs the build refined
     est = metric_mod.DistanceEstimator(dom, metric_mod.SCAN_BUDGET)
     lat = build_separated(dom, ("shell", 0.02, 0.6), a, candidate_count=budgets.get("candidates", 120), seed=seed,
@@ -321,12 +324,17 @@ def run_plan(plan: dict, out_dir: str | Path) -> dict:
     names = plan.get("suites", [])
     if names == "all":
         names = list(SUITES)
+    if not isinstance(names, list):
+        raise PlanError(f'suites must be a list of suite names or "all", not {names!r}')
     for name in names:
         if name not in SUITES:
             raise PlanError(f"unknown suite {name!r}")
+    budgets = plan.get("budgets", {})
+    for key in budgets:
+        if key not in BUDGET_KEYS:
+            raise PlanError(f"unknown budget {key!r}; a plan may set {', '.join(BUDGET_KEYS)}")
     dom = load_domain(plan.get("domain", {"builtin": "disc"}))
     seed = int(plan.get("seed", 0))
-    budgets = plan.get("budgets", {})
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 

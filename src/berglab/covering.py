@@ -566,15 +566,14 @@ def class_indices(cover: Cover, nu: int, kappa: int) -> list[tuple[int, int]]:
     return out
 
 
-def family_cutoff(cover: Cover, members: list[tuple[int, int]], squared: bool = False):
-    """Callable f_I (or F_I when squared) summing the member cutoffs."""
+def family_cutoff(cover: Cover, members: list[tuple[int, int]]):
+    """Callable f_I summing the member cutoffs."""
 
     def f(pts):
         pts = np.asarray(pts, complex).reshape(-1, cover.dom.n)
         total = np.zeros(len(pts))
         for li, ui in members:
-            v = cutoff_value(cover, li, ui, pts)
-            total += v**2 if squared else v
+            total += cutoff_value(cover, li, ui, pts)
         return total
 
     return f

@@ -9,8 +9,8 @@ mixed Wirtinger derivative of r as a polynomial, and
 (gradient, complex Hessian, and the third-order tables the path-length
 gradient needs).  Every box rejection draw goes through ``_box_reject``.
 All geometric quantities used by the rest of the library (gradient, complex
-Hessian, normal direction, boundary projection, region samplers) come from
-here.
+Hessian, normal direction, the walk along the normal, region samplers) come
+from here.
 """
 
 from __future__ import annotations
@@ -165,9 +165,14 @@ class DomainSpec:
     @staticmethod
     def from_json(text: str) -> "DomainSpec":
         doc = json.loads(text)
+        n = int(doc["n"])
+        r = HermPoly.from_json_terms(n, doc["r"])
+        for a, b in r.terms:
+            if len(a) != n or len(b) != n:
+                raise DomainError(f"term {list(a)}, {list(b)} of r needs exponent tuples of length n = {n}")
         return DomainSpec(
-            n=int(doc["n"]),
-            r=HermPoly.from_json_terms(int(doc["n"]), doc["r"]),
+            n=n,
+            r=r,
             bounding_box=np.asarray(doc["bounding_box"], dtype=float),
             c=float(doc["c"]),
             theta=float(doc["theta"]),
@@ -248,10 +253,13 @@ def custom_domain(n: int, terms, bounding_box, c: float, theta: float) -> Domain
 # -- operations ---------------------------------------------------------------
 
 
-def eval_geometry(dom: DomainSpec, z: np.ndarray) -> dict:
-    """Exact r, anti-holomorphic gradient, and complex Hessian at z."""
-    z = np.asarray(z, dtype=complex)
-    return {"r": float(dom.r_val(z)), "dbar_r": dom.dbar_r(z), "hessian": dom.hessian(z)}
+def _domain_depth_max(dom: DomainSpec) -> float:
+    """Largest -r over 20000 box-uniform points from a fresh generator at seed 12345, once per domain."""
+    def build():
+        zz = box_uniform(dom, 20000, np.random.default_rng(12345))
+        return float(np.max(-dom.r_val(zz)))
+
+    return dom.memo("depthmax", build)
 
 
 def _collar_mesh(dom: DomainSpec, count: int, seed: int = 0) -> np.ndarray:
@@ -317,28 +325,13 @@ def normal_direction(dom: DomainSpec, z: np.ndarray) -> np.ndarray:
     return g / nrm
 
 
-def boundary_project(dom: DomainSpec, z: np.ndarray) -> np.ndarray:
-    """Root of t -> r(z + t*u_z) along the outward normal u_z, by :func:`walk_to_depth`.
-
-    Returns a boundary point p with |r(p)| <= boundary_tol.  The fitted
-    proportionality |z - p| <= C_p |r(z)| is audited by the caller; no
-    continuity in z is promised.
-    """
-    z = np.asarray(z, dtype=complex)
-    rz = dom.r_val(z)
-    if rz >= 0:
-        if abs(rz) <= dom.boundary_tol:
-            return z
-        raise DomainError("point lies outside the closed domain")
-    return walk_to_depth(dom, z, 0.0)[0]
-
-
 def walk_to_depth(dom: DomainSpec, zs: np.ndarray, depth: float | np.ndarray) -> np.ndarray:
     """Points at the requested boundary distance on each normal ray, batched.
 
     Walks inward or outward as needed; the defining function is monotone
     along the normal through the collar, so once the walk is bracketed
-    :func:`_line_root` settles it.
+    :func:`_line_root` settles it.  A point already at its depth (a
+    boundary point at depth 0, say) comes back unchanged.
     """
     zs = np.asarray(zs, complex).reshape(-1, dom.n)
     depth = np.broadcast_to(np.asarray(depth, float), (len(zs),))

@@ -11,24 +11,16 @@ sampled along rays from the star center with an exact importance density.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import pi
 
 import numpy as np
 
-from .domain import DomainSpec, RayField, _box_reject, _ray_field, box_uniform, surface_sample  # noqa: F401  (RayField: re-export)
+from .domain import DomainSpec, RayField, _box_reject, _domain_depth_max, _ray_field, surface_sample  # noqa: F401  (RayField: re-export)
 from .metric import straight_chord_upper
 
 
 class GaugeError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class GaugeValue:
-    X: complex
-    rho: float
-    F: float
 
 
 # -- pointwise gauges -----------------------------------------------------------
@@ -72,13 +64,6 @@ def gauge_of_offsets(diff: np.ndarray, g: np.ndarray) -> np.ndarray:
 def comparability_scale(dom: DomainSpec, z: np.ndarray, w: np.ndarray) -> np.ndarray:
     """F(z, w) = |r(z)| + |r(w)| + rho(z, w)."""
     return np.abs(dom.r_val(z)) + np.abs(dom.r_val(w)) + normal_gauge(dom, z, w)
-
-
-def gauge_eval(dom: DomainSpec, z: np.ndarray, w: np.ndarray) -> GaugeValue:
-    X = complex(taylor_remainder(dom, z, np.asarray(w, complex).reshape(-1)))
-    rho = float(normal_gauge(dom, z, np.asarray(w, complex).reshape(-1)))
-    F = float(abs(dom.r_val(np.asarray(z, complex))) + abs(dom.r_val(np.asarray(w, complex))) + rho)
-    return GaugeValue(X=X, rho=rho, F=F)
 
 
 # -- integral estimators ---------------------------------------------------------
@@ -341,14 +326,6 @@ def shell_volume(
     stderr = float(np.sqrt(np.var(w) * len(w)))
     denom = 2.0 ** (dom.n * j) * (2.0**k * t) ** (dom.n + 1)
     return {"volume": vol, "stderr": stderr, "bound_ratio": vol / denom}
-
-
-def _domain_depth_max(dom: DomainSpec) -> float:
-    def build():
-        zz = box_uniform(dom, 20000, np.random.default_rng(12345))
-        return float(np.max(-dom.r_val(zz)))
-
-    return dom.memo("depthmax", build)
 
 
 def shell_index_of(dom: DomainSpec, z: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

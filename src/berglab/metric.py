@@ -26,7 +26,7 @@ class MetricError(ValueError):
     pass
 
 
-# -- tensor -------------------------------------------------------------------
+# -- metric form ----------------------------------------------------------------
 
 
 def _smoothstep(x: np.ndarray) -> np.ndarray:
@@ -46,37 +46,12 @@ def psi_blend(dom: DomainSpec, r_val: np.ndarray) -> np.ndarray:
     return _smoothstep((r_val + 2.0 * dom.theta) / dom.theta)
 
 
-def metric_tensor(dom: DomainSpec, z: np.ndarray) -> np.ndarray:
-    """Hermitian positive matrix B(z); quadratic form via :func:`metric_form`.
-
-    For -r(z) <= theta this is exactly the complex Hessian of log(1/-r):
-    B = A/(-r) + (dbar r)(dbar r)^H / r^2.
-    """
-    z = np.asarray(z, dtype=complex)
-    rv = dom.r_val(z)
-    if np.any(rv >= 0):
-        raise MetricError("metric tensor requested outside the open domain")
-    psi = psi_blend(dom, rv)
-    H = dom.hessian(z)
-    g = dom.dbar_r(z)
-    # matrix for the form sum B[i,j] xi_i conj(xi_j)
-    rank1 = g[..., :, None] * np.conj(g[..., None, :])
-    eye = np.eye(dom.n)
-    B = (
-        psi[..., None, None] * (H / (-rv)[..., None, None] + rank1 / (rv**2)[..., None, None])
-        + (1.0 - psi)[..., None, None] * eye
-    )
-    lam = np.linalg.eigvalsh(np.swapaxes(np.conj(B), -1, -2))
-    if np.any(lam[..., 0] <= 0):
-        raise MetricError(f"metric tensor lost positive definiteness (min eig {lam[..., 0].min():.3e})")
-    return B
-
-
 def metric_form(dom: DomainSpec, z: np.ndarray, xi: np.ndarray, rv: np.ndarray | None = None) -> np.ndarray:
-    """Quadratic form sum B[i,j](z) xi_i conj(xi_j), vectorized, no matrices.
+    """Quadratic form sum B[i,j](z) xi_i conj(xi_j) of the metric, vectorized, no matrices.
 
-    Faster than building the tensor; used on every quadrature abscissa.
-    ``rv`` is r(z) when the caller already has it.
+    For -r(z) <= theta, B is exactly the complex Hessian of log(1/-r):
+    B = A/(-r) + (dbar r)(dbar r)^H / r^2.  Used on every quadrature
+    abscissa; ``rv`` is r(z) when the caller already has it.
     """
     z = np.asarray(z, dtype=complex)
     xi = np.asarray(xi, dtype=complex)
@@ -130,16 +105,6 @@ def _form_gradients(dom: DomainSpec, z: np.ndarray, xi: np.ndarray, rv: np.ndarr
 
 
 # -- paths --------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PathPolyline:
-    """Piecewise-linear path through interior nodes, parametrized on [0,1]."""
-
-    nodes: np.ndarray  # (K+1, n) complex
-
-    def __post_init__(self):
-        object.__setattr__(self, "nodes", np.asarray(self.nodes, dtype=complex))
 
 
 def _refinement_breaks(level: int) -> np.ndarray:
@@ -216,15 +181,8 @@ def _segment_lengths_fixed(dom: DomainSpec, p: np.ndarray, q: np.ndarray, level:
     return out
 
 
-def path_length(dom: DomainSpec, path: PathPolyline | np.ndarray) -> float:
-    nodes = path.nodes if isinstance(path, PathPolyline) else np.asarray(path, complex)
-    val = _polyline_length(dom, nodes)
-    if not np.isfinite(val):
-        raise MetricError("quadrature abscissa escaped the domain; refine the path")
-    return float(val)
-
-
 def _polyline_length(dom: DomainSpec, nodes: np.ndarray) -> float:
+    """Quadrature length of the polyline through ``nodes``; +inf once any abscissa escapes the domain."""
     if np.all(np.abs(nodes[1:] - nodes[:-1]) == 0):
         return 0.0
     return float(np.sum(_segment_lengths(dom, nodes[:-1], nodes[1:])))
@@ -387,7 +345,7 @@ def _optimize_nodes(dom: DomainSpec, nodes: np.ndarray, max_iters: int) -> tuple
 
 
 def distance(dom: DomainSpec, z: np.ndarray, w: np.ndarray, budget: DistanceBudget = SCAN_BUDGET) -> dict:
-    """Upper bound on the path-infimum distance, with the realizing path.
+    """Upper bound on the path-infimum distance.
 
     Multi-start local optimization: a straight seed plus an inward-retreat
     seed (both directions).  The pair is canonically ordered before
@@ -401,12 +359,11 @@ def distance(dom: DomainSpec, z: np.ndarray, w: np.ndarray, budget: DistanceBudg
     if dom.r_val(z) >= 0 or dom.r_val(w) >= 0:
         raise MetricError("distance endpoints must be interior")
     if np.array_equal(z, w):
-        return {"d_upper": 0.0, "path": PathPolyline(np.stack([z, w])), "converged": True, "iterations": 0}
+        return {"d_upper": 0.0, "converged": True, "iterations": 0}
 
     key = tuple(np.concatenate([z.view(float), w.view(float)]))
     key_rev = tuple(np.concatenate([w.view(float), z.view(float)]))
-    swapped = key_rev < key
-    a, b = (w, z) if swapped else (z, w)
+    a, b = (w, z) if key_rev < key else (z, w)
 
     k = budget.nodes
     seeds = [_straight_seed(a, b, k)]
@@ -416,7 +373,6 @@ def distance(dom: DomainSpec, z: np.ndarray, w: np.ndarray, budget: DistanceBudg
             seeds.append(arc)
 
     best_len = np.inf
-    best_nodes = None
     converged = False
     iterations = 0
     k_opt = min(k, 16)
@@ -436,11 +392,10 @@ def distance(dom: DomainSpec, z: np.ndarray, w: np.ndarray, budget: DistanceBudg
             iterations += its
         val = _polyline_length(dom, nodes)
         if val < best_len:
-            best_len, best_nodes, converged = val, nodes, done
-    if best_nodes is None:
+            best_len, converged = val, done
+    if not np.isfinite(best_len):
         raise MetricError("no feasible path seed; endpoints may hug a nonconvex boundary")
-    path = PathPolyline(best_nodes if not swapped else best_nodes[::-1].copy())
-    return {"d_upper": float(best_len), "path": path, "converged": converged, "iterations": iterations}
+    return {"d_upper": float(best_len), "converged": converged, "iterations": iterations}
 
 
 def straight_chord_upper(dom: DomainSpec, z: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -549,17 +504,6 @@ def _ball_uniform(count: int, dim: int, rng: np.random.Generator) -> np.ndarray:
     radius = rng.uniform(0, 1, count) ** (1.0 / (2 * dim))
     pts = g * radius[:, None]
     return pts[:, :dim] + 1j * pts[:, dim:]
-
-
-def region_contains(dom: DomainSpec, region, w: np.ndarray) -> bool:
-    """Membership for metric balls ("ball", z, a), decided at ``SCAN_BUDGET``, and Polydisc regions."""
-    if isinstance(region, Polydisc):
-        return bool(region.contains(w))
-    if isinstance(region, tuple) and region[0] == "ball":
-        _, z, a = region
-        est = DistanceEstimator(dom, SCAN_BUDGET)
-        return est(np.asarray(z, complex), np.asarray(w, complex)) < a
-    raise MetricError(f"unknown region {region!r}")
 
 
 def mu_volume(dom: DomainSpec, membership, superset_sampler, samples: int = 20000, seed: int = 0) -> dict:

@@ -20,7 +20,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from ._poly import HermPoly
-from .domain import DomainSpec, _ray_field, box_uniform, normal_direction, unit_ball, walk_to_depth
+from .domain import DomainSpec, _domain_depth_max, _ray_field, normal_direction, unit_ball, walk_to_depth
 from .kernel import EXACT_BALL, ball_quadrature, kernel_eval, monomial_norm_sq
 from .metric import CHEAP_BUDGET, DistanceEstimator, straight_chord_upper
 
@@ -319,10 +319,6 @@ def _nearby_candidates(dom: DomainSpec, z: np.ndarray, rng: np.random.Generator,
     return pd.sample(count, rng)
 
 
-def measured_diff(dom: DomainSpec, f, seed: int = 0, pair_samples: int = 30) -> float:
-    return oscillation_profile(dom, f, pair_samples=pair_samples, seed=seed).diff
-
-
 # -- cutoff families ----------------------------------------------------------------
 
 
@@ -347,12 +343,12 @@ def cutoff_family(dom: DomainSpec, kind: str, t: float, delta: float):
 
     kind "lambda": 1 on the deep region, sloping to 0 at estimator distance
     1/delta; kind "phi": 0 on the deep region, rising to 1 at distance
-    1/delta, hence supported where -r < t.
+    1/delta, hence supported where -r < t.  A t beyond the sampled depth
+    maximum :func:`_domain_depth_max` leaves the deep region empty and raises.
     """
     if t <= 0 or delta <= 0:
         raise OperatorError("cutoff parameters must be positive")
-    probe = _deepest_probe(dom)
-    if -dom.r_val(probe) < t:
+    if _domain_depth_max(dom) < t:
         raise OperatorError("deep region is empty at this threshold")
 
     if kind == "lambda":
@@ -373,36 +369,20 @@ def cutoff_family(dom: DomainSpec, kind: str, t: float, delta: float):
     return g
 
 
-def _deepest_probe(dom: DomainSpec) -> np.ndarray:
-    zz = box_uniform(dom, 4096, np.random.default_rng(99))
-    rv = dom.r_val(zz)
-    return zz[int(np.argmin(rv))]
-
-
 # -- discrete sums and localization ---------------------------------------------------
 
 
-def discrete_sum_matrix(
-    space: GalerkinSpace,
-    points: np.ndarray,
-    coeffs: np.ndarray,
-    phi_map=None,
-    psi_map=None,
-    label: str = "discrete-sum",
-) -> OperatorMatrix:
-    """Sum of c_z k_phi(z) (x) k_psi(z) over the point family, truncated."""
+def discrete_sum_matrix(space: GalerkinSpace, points: np.ndarray, coeffs: np.ndarray) -> OperatorMatrix:
+    """Sum of c_z k_z (x) k_z over the point family, truncated."""
     points = np.asarray(points, complex).reshape(-1, space.n)
     coeffs = np.asarray(coeffs, complex).reshape(-1)
     if len(points) != len(coeffs):
         raise OperatorError("coefficient count mismatch")
-    phi_pts = points if phi_map is None else np.asarray([phi_map(p) for p in points], complex)
-    psi_pts = points if psi_map is None else np.asarray([psi_map(p) for p in points], complex)
     mat = np.zeros((space.dim, space.dim), complex)
-    for c, zp, zq in zip(coeffs, phi_pts, psi_pts):
-        u = space.kernel_coeffs(zp)
-        v = space.kernel_coeffs(zq)
-        mat += c * np.outer(u, np.conj(v))
-    return OperatorMatrix(mat, label)
+    for c, z in zip(coeffs, points):
+        u = space.kernel_coeffs(z)
+        mat += c * np.outer(u, np.conj(u))
+    return OperatorMatrix(mat, "discrete-sum")
 
 
 def loc_assemble(space: GalerkinSpace, A: OperatorMatrix, cutoffs: list) -> OperatorMatrix:

@@ -80,7 +80,7 @@ def _depth_ratio_offset(dom, seed):
 
     rays = _ray_field(dom)
     radii = rays.boundary_radius(dirs)
-    from berglab.gauge import _domain_depth_max
+    from berglab.domain import _domain_depth_max
 
     dmax = _domain_depth_max(dom)
     depth_grid = [f * dmax for f in (0.75, 0.5, 0.25)] + [2.0**-k for k in range(3, 12)]

@@ -4,7 +4,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from berglab.cli import PlanError, _boundary_anchor, _radius_at_depth, emit_plot_data, load_domain, main, run_plan
+from berglab.cli import (
+    BUDGET_KEYS,
+    PlanError,
+    _boundary_anchor,
+    _radius_at_depth,
+    emit_plot_data,
+    load_domain,
+    main,
+    run_plan,
+)
 
 
 MINI_PLAN = {
@@ -24,6 +33,22 @@ def test_load_builtin_domains():
 def test_unknown_suite_rejected(tmp_path):
     with pytest.raises(PlanError):
         run_plan({"domain": {"builtin": "disc"}, "suites": ["nope"]}, tmp_path)
+
+
+def test_suites_must_be_a_list_or_all(tmp_path):
+    # a bare string would otherwise be read letter by letter
+    with pytest.raises(PlanError, match=r"suites must be a list of suite names or \"all\", not 'metric'"):
+        run_plan({"domain": {"builtin": "disc"}, "suites": "metric"}, tmp_path)
+
+
+def test_unknown_budget_rejected(tmp_path):
+    plan = {"domain": {"builtin": "disc"}, "suites": [], "budgets": {"fr_samples": 4000, "nodes": 16}}
+    with pytest.raises(PlanError, match="unknown budget 'nodes'"):
+        run_plan(plan, tmp_path)
+    plan["budgets"] = {"separation": 0.4}
+    assert main(["run", "--plan", str(_write_plan(tmp_path, plan)), "--out", str(tmp_path / "r")]) == 2
+    plan["budgets"] = {key: 1 for key in BUDGET_KEYS}
+    assert run_plan(plan, tmp_path)["passed"]
 
 
 def test_empty_suite_list(tmp_path):
@@ -167,3 +192,42 @@ def test_fr_exponent_row_reports_its_uncertainty(disc):
     margin = 0.15 - abs(row["value"] + 1)
     assert det["margin_in_stderrs"] == pytest.approx(margin / det["slope_stderr"])
     assert row["passed"] == (margin >= 0)
+
+
+# a certified disc, as DomainSpec.to_json writes it
+DISC_DOC = {
+    "n": 1,
+    "r": [[[0], [0], [-1.0, 0.0]], [[1], [1], [1.0, 0.0]]],
+    "bounding_box": [[-1.05, 1.05]] * 2,
+    "c": 2.0,
+    "theta": 0.25,
+    "tag": "custom",
+}
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"bounding_box": [[-1.05, 1.05]]}, r"bounding_box must have shape \(2n, 2\)"),
+    ({"r": [[[0], [0], [-1.0, 0.0]], [[1], [1], [1.0, 0.5]]]}, "not real valued"),
+    # |z1|^2 + |z2|^2 - 1 with the z2 term's exponents cut to one entry
+    ({"n": 2, "r": [[[0, 0], [0, 0], [-1.0, 0.0]], [[1, 0], [1, 0], [1.0, 0.0]], [[1], [1], [1.0, 0.0]]],
+      "bounding_box": [[-1.05, 1.05]] * 4}, r"term \[1\], \[1\] of r needs exponent tuples of length n = 2"),
+], ids=["box-shape", "not-real", "short-exponents"])
+def test_malformed_domain_is_a_plan_error(tmp_path, capsys, change, message):
+    doc = dict(DISC_DOC, **change)
+    with pytest.raises(PlanError, match=message):
+        load_domain({"json": doc})
+    path = tmp_path / "domain.json"
+    path.write_text(json.dumps(doc))
+    for spec in ({"json": doc}, {"path": str(path)}):
+        capsys.readouterr()
+        assert main(["run", "--plan", str(_write_plan(tmp_path, {"domain": spec, "suites": []})),
+                     "--out", str(tmp_path / "r")]) == 2
+        assert capsys.readouterr().err.startswith("plan error: malformed domain: DomainError: ")
+    assert load_domain({"json": DISC_DOC}).n == 1
+
+
+def test_unreadable_domain_is_a_plan_error(tmp_path):
+    with pytest.raises(PlanError, match="malformed domain: KeyError: 'theta'"):
+        load_domain({"json": {k: v for k, v in DISC_DOC.items() if k != "theta"}})
+    with pytest.raises(PlanError, match="malformed domain: FileNotFoundError: "):
+        load_domain({"path": str(tmp_path / "missing.json")})

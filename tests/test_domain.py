@@ -9,12 +9,10 @@ from berglab.domain import (
     DomainSpec,
     _collar_mesh,
     box_uniform,
-    boundary_project,
     certify_pseudoconvexity,
     complex_tangent_basis,
     custom_domain,
     ellipsoid,
-    eval_geometry,
     fit_projection_constant,
     normal_direction,
     sample_region,
@@ -27,22 +25,21 @@ from berglab.gauge import GaugeError, _bulk_sample, taylor_remainder
 
 
 def test_ball_geometry_at_center(ball2):
-    g = eval_geometry(ball2, np.zeros(2, complex))
-    assert g["r"] == -1.0
-    assert np.allclose(g["dbar_r"], 0)
-    assert np.allclose(g["hessian"], np.eye(2))
+    z = np.zeros(2, complex)
+    assert ball2.r_val(z) == -1.0
+    assert np.allclose(ball2.dbar_r(z), 0)
+    assert np.allclose(ball2.hessian(z), np.eye(2))
 
 
 def test_disc_geometry_hand_derivative(disc):
-    g = eval_geometry(disc, np.array([0.5 + 0j]))
-    assert g["r"] == pytest.approx(-0.75)
-    assert g["dbar_r"][0] == pytest.approx(0.5)
-    assert g["hessian"][0, 0] == pytest.approx(1.0)
+    z = np.array([0.5 + 0j])
+    assert disc.r_val(z) == pytest.approx(-0.75)
+    assert disc.dbar_r(z)[0] == pytest.approx(0.5)
+    assert disc.hessian(z)[0, 0] == pytest.approx(1.0)
 
 
 def test_ellipsoid_hessian(egg):
-    g = eval_geometry(egg, np.zeros(2, complex))
-    assert np.allclose(g["hessian"], np.diag([1.0, 2.0]))
+    assert np.allclose(egg.hessian(np.zeros(2, complex)), np.diag([1.0, 2.0]))
 
 
 def _finite_diff_dbar(dom, z, h=1e-6):
@@ -73,11 +70,10 @@ def test_geometry_matches_finite_differences(make_dom, mixed):
     for dom_i in (dom, mixed):
         for _ in range(30):
             z = (rng.uniform(-0.4, 0.4, 2) + 1j * rng.uniform(-0.4, 0.4, 2)).astype(complex)
-            g = eval_geometry(dom_i, z)
             fd = _finite_diff_dbar(dom_i, z)
-            assert np.allclose(g["dbar_r"], fd, atol=1e-8)
+            assert np.allclose(dom_i.dbar_r(z), fd, atol=1e-8)
             xi = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-            form = np.real(np.einsum("ij,i,j->", g["hessian"], xi, np.conj(xi)))
+            form = np.real(np.einsum("ij,i,j->", dom_i.hessian(z), xi, np.conj(xi)))
             assert form == pytest.approx(_finite_diff_levi(dom_i, z, xi), rel=1e-4, abs=1e-6)
 
 
@@ -186,21 +182,20 @@ def test_select_theta_ball():
     assert theta >= 2.0**-6
 
 
-def test_boundary_project_disc(disc):
-    p = boundary_project(disc, np.array([0.9 + 0j]))
+def test_walk_to_boundary_disc(disc):
+    p = walk_to_depth(disc, np.array([0.9 + 0j]), 0.0)[0]
     assert p[0] == pytest.approx(1.0, abs=1e-9)
     assert abs(disc.r_val(p)) <= disc.boundary_tol
 
 
-def test_boundary_project_ball(ball2):
-    p = boundary_project(ball2, np.array([0.9, 0], complex))
+def test_walk_to_boundary_ball(ball2):
+    p = walk_to_depth(ball2, np.array([0.9, 0], complex), 0.0)[0]
     assert np.allclose(p, [1.0, 0.0], atol=1e-9)
 
 
-def test_boundary_project_fixed_point(disc):
+def test_walk_to_boundary_fixed_point(disc):
     z = np.array([1.0 + 0j])
-    p = boundary_project(disc, z)
-    assert np.allclose(p, z, atol=1e-9)
+    assert np.array_equal(walk_to_depth(disc, z, 0.0)[0], z)
 
 
 def test_projection_constant_fit(disc):
@@ -208,7 +203,7 @@ def test_projection_constant_fit(disc):
     # oracle on the disc: |z - p| = 1 - |z| and |r| = 1 - |z|^2 >= 1 - |z|
     assert cp <= 1.05
     z = np.array([0.9 + 0j])
-    p = boundary_project(disc, z)
+    p = walk_to_depth(disc, z, 0.0)[0]
     assert np.linalg.norm(p - z) <= cp * abs(disc.r_val(z))
 
 

@@ -10,7 +10,6 @@ from berglab.gauge import (
     comparability_scale,
     exponent_regression,
     fr_integral,
-    gauge_eval,
     normal_gauge,
     shell_index_of,
     shell_volume,
@@ -21,20 +20,18 @@ from berglab.domain import normal_direction
 
 
 def test_gauge_coincident(disc):
-    gv = gauge_eval(disc, np.array([0.4 + 0j]), np.array([0.4 + 0j]))
-    assert gv.X == pytest.approx(-disc.r_val(np.array([0.4 + 0j])))
-    assert gv.rho == 0.0
-    assert gv.F == pytest.approx(2 * abs(disc.r_val(np.array([0.4 + 0j]))))
+    z = np.array([0.4 + 0j])
+    assert taylor_remainder(disc, z, z) == pytest.approx(-disc.r_val(z))
+    assert normal_gauge(disc, z, z) == 0.0
+    assert comparability_scale(disc, z, z) == pytest.approx(2 * abs(disc.r_val(z)))
 
 
 def test_gauge_disc_hand_arithmetic(disc):
-    gv = gauge_eval(disc, np.array([0.9 + 0j]), np.array([0.8 + 0j]))
-    assert gv.rho == pytest.approx(0.1)
+    assert normal_gauge(disc, np.array([0.9 + 0j]), np.array([0.8 + 0j])) == pytest.approx(0.1)
 
 
 def test_gauge_ball_tangential(ball2):
-    gv = gauge_eval(ball2, np.array([0.9, 0], complex), np.array([0.9, 0.1], complex))
-    assert gv.rho == pytest.approx(0.01)
+    assert normal_gauge(ball2, np.array([0.9, 0], complex), np.array([0.9, 0.1], complex)) == pytest.approx(0.01)
 
 
 @given(

@@ -12,22 +12,18 @@ from berglab.metric import (
     SCAN_BUDGET,
     DistanceBudget,
     DistanceEstimator,
-    MetricError,
-    PathPolyline,
     Polydisc,
     _inward_point,
     _length_gradient,
     _optimize_nodes,
+    _polyline_length,
     _refinement_breaks,
     _segment_lengths,
     _straight_seed,
     distance,
     metric_ball_volume,
     metric_form,
-    metric_tensor,
     mu_volume,
-    path_length,
-    region_contains,
     straight_chord_upper,
     uniform_box_sampler,
 )
@@ -42,17 +38,17 @@ def poincare_like(z, w):
     return float(np.arctanh(abs(z - w) / abs(1 - z * np.conj(w))))
 
 
-# -- tensor ------------------------------------------------------------------
+# -- metric form ---------------------------------------------------------------
+
+ONE = np.array([[1.0 + 0j]])
 
 
 def test_tensor_disc_center(disc_global):
-    B = metric_tensor(disc_global, np.array([[0j]]))
-    assert B[0, 0, 0] == pytest.approx(1.0)
+    assert metric_form(disc_global, np.array([[0j]]), ONE)[0] == pytest.approx(1.0)
 
 
 def test_tensor_disc_half(disc_global):
-    B = metric_tensor(disc_global, np.array([[0.5 + 0j]]))
-    assert B[0, 0, 0].real == pytest.approx(16 / 9)
+    assert metric_form(disc_global, np.array([[0.5 + 0j]]), ONE)[0] == pytest.approx(16 / 9)
 
 
 @given(st.floats(-0.6, 0.6), st.floats(-0.6, 0.6), st.floats(-1, 1), st.floats(-1, 1))
@@ -63,9 +59,7 @@ def test_tensor_positive(x, y, a, b):
     xi = np.array([a + 1j * b])
     if np.linalg.norm(xi) < 1e-6:
         return
-    B = metric_tensor(dom, z)[0]
-    val = np.real(np.vdot(xi, B @ xi))
-    assert val > 0
+    assert metric_form(dom, z, xi[None, :])[0] > 0
 
 
 def test_blend_identity_near_boundary(disc):
@@ -73,9 +67,8 @@ def test_blend_identity_near_boundary(disc):
     # A/(-r) + |dbar r|^2 / r^2 holds exactly
     t = 0.2
     z = np.array([[np.sqrt(1 - t) + 0j]])
-    B = metric_tensor(disc, z)[0, 0, 0].real
     expected = 1.0 / t + (1 - t) / t**2
-    assert B == pytest.approx(expected, rel=1e-12)
+    assert metric_form(disc, z, ONE)[0] == pytest.approx(expected, rel=1e-12)
 
 
 # -- path length ---------------------------------------------------------------
@@ -83,19 +76,19 @@ def test_blend_identity_near_boundary(disc):
 
 def test_constant_path_zero(disc):
     nodes = np.zeros((5, 1), complex)
-    assert path_length(disc, PathPolyline(nodes)) == 0.0
+    assert _polyline_length(disc, nodes) == 0.0
 
 
 def test_radial_segment_oracle(disc_global):
     nodes = np.linspace(0, 0.5, 65)[:, None].astype(complex)
-    val = path_length(disc_global, PathPolyline(nodes))
+    val = _polyline_length(disc_global, nodes)
     assert val == pytest.approx(arctanh(0.5), abs=1e-4)
 
 
 def test_refinement_converges(disc_global):
     t = np.linspace(0, 1, 257)
     arc = (0.5 + 0.45 * np.exp(1j * np.pi * t))[:, None]
-    lengths = [path_length(disc_global, PathPolyline(arc[:: 256 // k])) for k in (16, 32, 64, 128, 256)]
+    lengths = [_polyline_length(disc_global, arc[:: 256 // k]) for k in (16, 32, 64, 128, 256)]
     errors = np.abs(np.asarray(lengths) - lengths[-1])
     assert np.all(np.diff(errors[:-1]) <= 1e-12)
     # inscribed polylines approach the limit from below
@@ -103,9 +96,9 @@ def test_refinement_converges(disc_global):
 
 
 def test_path_escape_raises(disc):
+    # an escaping path has no finite length
     nodes = np.array([[0.0], [1.5], [0.2]], complex)
-    with pytest.raises(MetricError):
-        path_length(disc, PathPolyline(nodes))
+    assert _polyline_length(disc, nodes) == np.inf
 
 
 # Reference quadrature: three separate r evaluations for the bucketing, and
@@ -309,13 +302,13 @@ def test_chord_upper_bounds_distance(disc_global):
 
 def test_polydisc_membership_examples(disc):
     pd = Polydisc(np.array([0.9 + 0j]), np.array([1.0 + 0j]), a=0.1, b=0.05)
-    assert region_contains(disc, pd, np.array([0.9 + 0.04j]))
-    assert not region_contains(disc, pd, np.array([0.96 + 0j]))
+    assert pd.contains(np.array([0.9 + 0.04j]))
+    assert not pd.contains(np.array([0.96 + 0j]))
 
 
-def test_ball_region_contains_center(disc):
+def test_ball_estimator_contains_center(disc):
     z = np.array([0.2 + 0j])
-    assert region_contains(disc, ("ball", z, 0.5), z)
+    assert DistanceEstimator(disc, SCAN_BUDGET)(z, z) < 0.5
 
 
 @given(

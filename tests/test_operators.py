@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from berglab.domain import unit_ball
+from berglab.domain import _domain_depth_max, unit_ball
 from berglab.lattice import build_separated
 from berglab.metric import CHEAP_BUDGET, DistanceEstimator
 from berglab.operators import (
@@ -18,7 +18,6 @@ from berglab.operators import (
     hankel_and_commutator,
     identity_operator,
     loc_assemble,
-    measured_diff,
     offdiag_split_search,
     oscillation_profile,
     partition_toeplitz_h,
@@ -202,9 +201,18 @@ def test_phi_cutoff_zero_on_deep(disc1):
     assert g(shallow)[0] == pytest.approx(1.0)
 
 
+def test_cutoff_rejects_a_threshold_deeper_than_the_domain(disc1):
+    # the deep region {-r >= t} is empty once t passes the sampled depth maximum
+    dmax = _domain_depth_max(disc1)
+    assert 0.99 < dmax <= 1.0
+    cutoff_family(disc1, "phi", t=dmax, delta=1.0)
+    with pytest.raises(OperatorError, match="deep region is empty"):
+        cutoff_family(disc1, "phi", t=np.nextafter(dmax, 2.0), delta=1.0)
+
+
 def test_cutoff_measured_oscillation(disc1):
     g = cutoff_family(disc1, "phi", t=0.25, delta=0.5)
-    diff = measured_diff(disc1, g, seed=3, pair_samples=12)
+    diff = oscillation_profile(disc1, g, pair_samples=12, seed=3).diff
     assert diff <= 0.5 * 1.25  # delta times the recorded slack
 
 
@@ -412,7 +420,7 @@ def test_two_vector_commutator_inequality(dim, seed):
 def test_telescoping_bound(disc1):
     f = cutoff_family(disc1, "phi", t=0.3, delta=0.4)
     est = DistanceEstimator(disc1, CHEAP_BUDGET)
-    diff = measured_diff(disc1, f, seed=6, pair_samples=10)
+    diff = oscillation_profile(disc1, f, pair_samples=10, seed=6).diff
     rng = np.random.default_rng(7)
     for _ in range(10):
         t1, t2 = 10 ** rng.uniform(-3, -0.5, 2)
@@ -430,7 +438,7 @@ def test_commutator_proxy_scales_with_diff(sp8, disc1):
     ratios = []
     for delta in (0.8, 0.4, 0.2):
         f = cutoff_family(disc1, "phi", t=0.3, delta=delta)
-        diff = measured_diff(disc1, f, seed=8, pair_samples=10)
+        diff = oscillation_profile(disc1, f, pair_samples=10, seed=8).diff
         res = hankel_and_commutator(sp8, f)
         if diff > 0:
             ratios.append(res["commutator_norm"] / diff)

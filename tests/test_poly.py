@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from berglab._poly import HermPoly, norm_sq_poly
+from berglab._poly import HermPoly
+from berglab.domain import unit_ball
 
 
 def _random_real_poly(rng, n=1, terms=4, max_deg=3):
@@ -45,10 +46,10 @@ def test_derivatives_match_finite_differences(seed):
         assert p.dbar(i)(z) == pytest.approx(dbar_num, abs=1e-6)
 
 
-def test_norm_sq_poly_values():
-    p = norm_sq_poly(2)
+def test_unit_ball_poly_values():
+    p = unit_ball(2).r
     z = np.array([0.3 + 0.4j, -0.1 + 0.2j])
-    assert p(z) == pytest.approx(np.sum(np.abs(z) ** 2))
+    assert p(z) == pytest.approx(np.sum(np.abs(z) ** 2) - 1.0)
 
 
 def test_json_round_trip():
