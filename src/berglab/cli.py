@@ -43,13 +43,18 @@ BUDGET_KEYS = ("fr_samples", "candidates", "cover_candidates", "galerkin_degree"
 
 
 def load_domain(spec: dict) -> dom_mod.DomainSpec:
+    if not isinstance(spec, dict):
+        raise PlanError(f"domain must be an object, not {spec!r}")
     builtin = spec.get("builtin")
-    if builtin == "disc":
-        return dom_mod.unit_ball(1, theta=spec.get("theta", 0.25))
-    if builtin == "ball2":
-        return dom_mod.unit_ball(2, theta=spec.get("theta", 0.25))
-    if builtin == "ellipsoid":
-        return dom_mod.ellipsoid(spec.get("weights", [1.0, 2.0]), theta=spec.get("theta", 0.125))
+    try:
+        if builtin == "disc":
+            return dom_mod.unit_ball(1, theta=spec.get("theta", 0.25))
+        if builtin == "ball2":
+            return dom_mod.unit_ball(2, theta=spec.get("theta", 0.25))
+        if builtin == "ellipsoid":
+            return dom_mod.ellipsoid(spec.get("weights", [1.0, 2.0]), theta=spec.get("theta", 0.125))
+    except (TypeError, ValueError) as exc:  # DomainError is a ValueError
+        raise PlanError(f"malformed domain: {type(exc).__name__}: {exc}") from exc
     if "json" in spec or "path" in spec:
         try:
             text = json.dumps(spec["json"]) if "json" in spec else Path(spec["path"]).read_text()
@@ -330,11 +335,15 @@ def run_plan(plan: dict, out_dir: str | Path) -> dict:
         if name not in SUITES:
             raise PlanError(f"unknown suite {name!r}")
     budgets = plan.get("budgets", {})
+    if not isinstance(budgets, dict):
+        raise PlanError(f"budgets must be an object, not {budgets!r}")
     for key in budgets:
         if key not in BUDGET_KEYS:
             raise PlanError(f"unknown budget {key!r}; a plan may set {', '.join(BUDGET_KEYS)}")
+    seed = plan.get("seed", 0)
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise PlanError(f"seed must be an integer, not {seed!r}")
     dom = load_domain(plan.get("domain", {"builtin": "disc"}))
-    seed = int(plan.get("seed", 0))
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 

@@ -2,8 +2,8 @@
 
 The metric tensor blends d dbar log(1/-r) near the boundary into the
 Euclidean metric deep inside, through a quintic smoothstep in r.  Distances
-are estimated from above by optimizing piecewise-linear paths, descending on
-the exact gradient of their Gauss-Legendre length; every consumer in this
+are estimated from above by optimizing piecewise-linear paths with L-BFGS
+on the exact gradient of their Gauss-Legendre length; every consumer in this
 library treats the optimizer output as the working metric, so inequalities
 checked downstream are stated in the direction that stays valid under
 over-estimation.
@@ -197,12 +197,12 @@ class DistanceBudget:
 
     nodes: int = 64
     max_iters: int = 40
-    restarts: int = 2
+    arc_seed: bool = True  # also descend from the inward-retreat seed
 
 
-ORACLE_BUDGET = DistanceBudget(nodes=64, max_iters=60, restarts=2)
-SCAN_BUDGET = DistanceBudget(nodes=12, max_iters=12, restarts=2)
-CHEAP_BUDGET = DistanceBudget(nodes=8, max_iters=0, restarts=1)
+ORACLE_BUDGET = DistanceBudget(nodes=64, max_iters=60, arc_seed=True)
+SCAN_BUDGET = DistanceBudget(nodes=12, max_iters=12, arc_seed=True)
+CHEAP_BUDGET = DistanceBudget(nodes=8, max_iters=0, arc_seed=False)
 
 
 def _resample_polyline(nodes: np.ndarray, k_out: int) -> np.ndarray:
@@ -301,47 +301,86 @@ def _length_gradient(dom: DomainSpec, nodes: np.ndarray) -> np.ndarray:
     return grad_q[:-1] + grad_p[1:]
 
 
-def _optimize_nodes(dom: DomainSpec, nodes: np.ndarray, max_iters: int) -> tuple[np.ndarray, int, bool]:
-    """Projected gradient descent on interior node positions.
+_MEMORY = 6  # L-BFGS curvature pairs kept
+_TRIALS = 12  # line-search trials per step: length 1, then halvings
+_ARMIJO = 1e-4  # sufficient-decrease constant
 
-    The objective is the quadrature length, and each step follows its exact
-    gradient (:func:`_length_gradient`); steps that push any abscissa out of
-    the domain are rejected by halving, which plays the role of the interior
-    barrier.  Returns the nodes, the number of gradient evaluations, and
-    whether the descent converged: the gradient fell below tolerance or no
-    step along it shortened the path any more.  Running out of ``max_iters``
-    is not convergence.
+
+def _lbfgs_direction(g: np.ndarray, memory: list) -> np.ndarray:
+    """-H g by the two-loop recursion over the (s, y, 1/(s.y)) pairs, oldest first."""
+    q = g.copy()
+    alphas = []
+    for s, y, rho in reversed(memory):
+        a = rho * np.sum(s * q)
+        q -= a * y
+        alphas.append(a)
+    s, y, _ = memory[-1]
+    q *= np.sum(s * y) / np.sum(y * y)
+    for (s, y, rho), a in zip(memory, reversed(alphas)):
+        q += (a - rho * np.sum(y * q)) * s
+    return -q
+
+
+def _optimize_nodes(dom: DomainSpec, nodes: np.ndarray, max_iters: int) -> tuple[np.ndarray, float, int, bool, int]:
+    """L-BFGS on the real coordinates of the interior nodes.
+
+    The objective is the quadrature length and its gradient is exact
+    (:func:`_length_gradient`).  Directions come from the two-loop recursion
+    over the last ``_MEMORY`` curvature pairs; with no pairs held, the step is
+    steepest descent of length 0.1 max|node| / |g|.  Each line search tries
+    step 1, then halves, until the Armijo test passes, at most ``_TRIALS``
+    times; a trial whose path leaves the domain has infinite length and fails,
+    which plays the role of the interior barrier.  A failed search with memory
+    drops the memory and retries along steepest descent.
+
+    Returns the nodes, their length, the number of gradient evaluations (at
+    most ``max_iters``), whether the descent converged and the number of
+    trial lengths the line searches computed.  It converged when the gradient
+    fell below 1e-12 or a steepest-descent search failed; running out of
+    ``max_iters`` is not convergence.
     """
+    length = _polyline_length(dom, nodes)
     if len(nodes) < 3:
-        return nodes, 0, True
+        return nodes, length, 0, True, 0
     if max_iters <= 0:
-        return nodes, 0, False
-    k1, _ = nodes.shape
-    lr = 0.1
-    best = _polyline_length(dom, nodes)
-    for it in range(max_iters):
-        grad = _length_gradient(dom, nodes)
-        gn = float(np.sqrt(np.sum(np.abs(grad) ** 2)))
+        return nodes, length, 0, False, 0
+    x = nodes[1:-1].view(float)
+    g = _length_gradient(dom, nodes).view(float)
+    iterations, trials = 1, 0
+    memory: list = []
+    while True:
+        gn = float(np.sqrt(np.sum(g * g)))
         if gn < 1e-12:
-            return nodes, it + 1, True
-        scale = lr * max(np.max(np.abs(nodes[1:-1])), 1e-3) / gn
-        improved = False
-        for _ in range(12):
+            return nodes, length, iterations, True, trials
+        if memory:
+            d = _lbfgs_direction(g, memory)
+        else:
+            d = -(0.1 * max(np.max(np.abs(nodes[1:-1])), 1e-3) / gn) * g
+        slope = float(np.sum(g * d))
+        step = 1.0
+        for _ in range(_TRIALS):
+            x_new = x + step * d
             trial = nodes.copy()
-            trial[1:-1] = nodes[1:-1] - scale * grad
+            trial[1:-1] = x_new.view(complex)
             val = _polyline_length(dom, trial)
-            if np.isfinite(val) and val < best - 1e-14:
-                nodes, best, improved = trial, val, True
+            trials += 1
+            if val < length + _ARMIJO * step * slope:
                 break
-            scale *= 0.5
-        if not improved:
-            lr *= 0.5
-            if lr < 1e-6:
-                return nodes, it + 1, True
-        if it == max_iters // 2:
-            nodes = _resample_polyline(nodes, k1 - 1)
-            best = _polyline_length(dom, nodes)
-    return nodes, max_iters, False
+            step *= 0.5
+        else:
+            if memory:
+                memory.clear()
+                continue
+            return nodes, length, iterations, True, trials
+        if iterations == max_iters:
+            return trial, val, iterations, False, trials
+        g_new = _length_gradient(dom, trial).view(float)
+        iterations += 1
+        s, y = x_new - x, g_new - g
+        sy = float(np.sum(s * y))
+        if sy > 0:  # keep H positive definite, so every direction descends
+            memory = (memory + [(s, y, 1.0 / sy)])[-_MEMORY:]
+        nodes, x, g, length = trial, x_new, g_new, val
 
 
 def distance(dom: DomainSpec, z: np.ndarray, w: np.ndarray, budget: DistanceBudget = SCAN_BUDGET) -> dict:
@@ -352,14 +391,15 @@ def distance(dom: DomainSpec, z: np.ndarray, w: np.ndarray, budget: DistanceBudg
     optimizing, so the estimate is exactly symmetric in (z, w).
     ``converged`` reports whether the last descent on the winning seed
     converged (see :func:`_optimize_nodes`); ``iterations`` counts the
-    gradient evaluations over all seeds.
+    gradient evaluations and ``trials`` the line-search trial lengths over
+    all seeds.
     """
     z = np.asarray(z, dtype=complex).reshape(-1)
     w = np.asarray(w, dtype=complex).reshape(-1)
     if dom.r_val(z) >= 0 or dom.r_val(w) >= 0:
         raise MetricError("distance endpoints must be interior")
     if np.array_equal(z, w):
-        return {"d_upper": 0.0, "converged": True, "iterations": 0}
+        return {"d_upper": 0.0, "converged": True, "iterations": 0, "trials": 0}
 
     key = tuple(np.concatenate([z.view(float), w.view(float)]))
     key_rev = tuple(np.concatenate([w.view(float), z.view(float)]))
@@ -367,14 +407,14 @@ def distance(dom: DomainSpec, z: np.ndarray, w: np.ndarray, budget: DistanceBudg
 
     k = budget.nodes
     seeds = [_straight_seed(a, b, k)]
-    if budget.restarts >= 2:
+    if budget.arc_seed:
         arc = _arc_seed(dom, a, b, k)
         if arc is not None:
             seeds.append(arc)
 
     best_len = np.inf
     converged = False
-    iterations = 0
+    iterations = trials = 0
     k_opt = min(k, 16)
     for seed_nodes in seeds:
         if not _feasible(dom, seed_nodes):
@@ -384,18 +424,19 @@ def distance(dom: DomainSpec, z: np.ndarray, w: np.ndarray, budget: DistanceBudg
         # optimize the shape on a coarse polyline, then refine the node count
         # for quadrature accuracy and polish
         coarse = _resample_polyline(seed_nodes, k_opt) if k_opt < k else seed_nodes
-        coarse, its, done = _optimize_nodes(dom, coarse, budget.max_iters)
+        nodes, val, its, done, tries = _optimize_nodes(dom, coarse, budget.max_iters)
         iterations += its
-        nodes = _resample_polyline(coarse, k) if k_opt < k else coarse
-        if k_opt < k and budget.max_iters > 0:
-            nodes, its, done = _optimize_nodes(dom, nodes, max(budget.max_iters // 4, 2))
+        trials += tries
+        if k_opt < k:
+            polish = max(budget.max_iters // 4, 2) if budget.max_iters > 0 else 0
+            nodes, val, its, done, tries = _optimize_nodes(dom, _resample_polyline(nodes, k), polish)
             iterations += its
-        val = _polyline_length(dom, nodes)
+            trials += tries
         if val < best_len:
             best_len, converged = val, done
     if not np.isfinite(best_len):
         raise MetricError("no feasible path seed; endpoints may hug a nonconvex boundary")
-    return {"d_upper": float(best_len), "converged": converged, "iterations": iterations}
+    return {"d_upper": float(best_len), "converged": converged, "iterations": iterations, "trials": trials}
 
 
 def straight_chord_upper(dom: DomainSpec, z: np.ndarray, w: np.ndarray) -> np.ndarray:

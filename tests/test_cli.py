@@ -231,3 +231,20 @@ def test_unreadable_domain_is_a_plan_error(tmp_path):
         load_domain({"json": {k: v for k, v in DISC_DOC.items() if k != "theta"}})
     with pytest.raises(PlanError, match="malformed domain: FileNotFoundError: "):
         load_domain({"path": str(tmp_path / "missing.json")})
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"domain": {"builtin": "ellipsoid", "weights": [1.0, -2.0]}},
+     "malformed domain: DomainError: ellipsoid weights must be positive"),
+    ({"domain": "disc"}, "domain must be an object, not 'disc'"),
+    # the operators suite reads its budget with budgets.get
+    ({"budgets": ["galerkin_degree"]}, r"budgets must be an object, not \['galerkin_degree'\]"),
+    ({"seed": "x"}, "seed must be an integer, not 'x'"),
+], ids=["ellipsoid-weight", "domain-string", "budgets-list", "seed-string"])
+def test_bad_plan_input_is_a_plan_error(tmp_path, capsys, change, message):
+    plan = dict({"domain": {"builtin": "disc"}, "suites": ["operators"]}, **change)
+    with pytest.raises(PlanError, match=message):
+        run_plan(plan, tmp_path)
+    capsys.readouterr()
+    assert main(["run", "--plan", str(_write_plan(tmp_path, plan)), "--out", str(tmp_path / "r")]) == 2
+    assert capsys.readouterr().err.startswith("plan error: ")

@@ -231,8 +231,9 @@ def test_straight_radial_seed_is_stationary(ball2_global):
     # the descent stops on its first gradient
     nodes = _straight_seed(np.zeros(2, complex), np.array([0.5, 0], complex), 16)
     assert np.linalg.norm(_length_gradient(ball2_global, nodes)) < 1e-12
-    out, iterations, converged = _optimize_nodes(ball2_global, nodes, 40)
+    out, length, iterations, converged, trials = _optimize_nodes(ball2_global, nodes, 40)
     assert out is nodes and iterations == 1 and converged
+    assert length == _polyline_length(ball2_global, nodes) and trials == 0
 
 
 def test_distance_reports_convergence(disc_global, ball2_global):
@@ -243,6 +244,33 @@ def test_distance_reports_convergence(disc_global, ball2_global):
     # one iteration cannot straighten the curved path: the budget runs out
     res = distance(disc_global, z, w, DistanceBudget(nodes=16, max_iters=1))
     assert not res["converged"] and res["iterations"] == 2  # one per seed
+
+
+def test_distance_reports_line_search_trials(disc_global):
+    z, w = np.array([0.5 + 0j]), np.array([0.5j])
+    assert distance(disc_global, z, w, CHEAP_BUDGET)["trials"] == 0
+    for budget in (SCAN_BUDGET, ORACLE_BUDGET):
+        res = distance(disc_global, z, w, budget)
+        assert 0 < res["trials"] <= 12 * res["iterations"]
+
+
+def _ball_distance(z, w):
+    """Closed-form distance of the Kaehler metric of -log(1 - |z|^2) on the unit ball."""
+    phi2 = 1 - (1 - np.vdot(z, z).real) * (1 - np.vdot(w, w).real) / abs(1 - np.vdot(w, z)) ** 2
+    return float(np.arctanh(np.sqrt(phi2)))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_general_pair_slack_against_closed_form(n):
+    # theta = 1 makes the blend weight 1 everywhere, so the metric is exactly
+    # the Kaehler metric of -log(1 - |z|^2); pairs are off the radial lines
+    hyp = unit_ball(n, theta=1.0)
+    pts = sample_region(hyp, ("shell", 0.02, 0.6), 40, 5)
+    slack = np.array([distance(hyp, pts[i], pts[i + 1], SCAN_BUDGET)["d_upper"] / _ball_distance(pts[i], pts[i + 1]) - 1
+                      for i in range(20)])
+    assert np.median(slack) <= 1e-3
+    assert np.max(slack) <= 5e-3
+    assert np.min(slack) >= -1e-6
 
 
 # -- distance -------------------------------------------------------------------
