@@ -18,10 +18,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement, permutations
-from math import gamma, pi
+from math import exp, gamma, lgamma, pi
 
 import numpy as np
-from scipy.special import betainc
+# numpy 2 imports numpy.random on first use; every sampler here needs it, so
+# it loads with the package instead of inside the first suite that runs
+import numpy.random  # noqa: F401
 
 from ._poly import HermPoly, unit_vector
 
@@ -462,6 +464,38 @@ def _sphere_area(real_dim: int) -> float:
     return 2.0 * pi ** (real_dim / 2.0) / gamma(real_dim / 2.0)
 
 
+def _betainc(a: float, b: float, x: float) -> float:
+    """Regularized incomplete beta function I_x(a, b) for a, b > 0 and 0 <= x <= 1.
+
+    The prefactor x^a (1-x)^b / (a B(a, b)) times the continued fraction of
+    I_x(a, b), evaluated by the modified Lentz method, where that fraction
+    converges fast (x < (a+1)/(a+b+2)); beyond, I_x(a, b) = 1 - I_{1-x}(b, a).
+    The prefactor carries the power law, so a tiny x keeps its relative
+    accuracy.
+    """
+    if x <= 0.0:
+        return 0.0
+    if x >= 1.0:
+        return 1.0
+    if x > (a + 1.0) / (a + b + 2.0):
+        return 1.0 - _betainc(b, a, 1.0 - x)
+    tiny = 1e-300
+    c, d = 1.0, 1.0 / (1.0 - (a + b) * x / (a + 1.0))
+    frac = d
+    for m in range(1, 200):
+        # even then odd partial numerator of the fraction
+        for num in (m * (b - m) * x / ((a + 2 * m - 1) * (a + 2 * m)),
+                    -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1))):
+            d = 1.0 + num * d
+            d = 1.0 / (d if abs(d) > tiny else tiny)
+            c = 1.0 + num / c
+            c = c if abs(c) > tiny else tiny
+            frac *= c * d
+        if abs(c * d - 1.0) < 1e-16:
+            break
+    return x**a * (1.0 - x) ** b * exp(lgamma(a + b) - lgamma(a) - lgamma(b)) / a * frac
+
+
 class RayField:
     """Radial structure of a domain star-shaped about the origin.
 
@@ -514,11 +548,17 @@ class RayField:
         I_{1-c^2}((d-1)/2, 1/2) for c >= 0, and its complement below.
         """
         d = 2 * self.dom.n
-        half = 0.5 * float(betainc((d - 1) / 2.0, 0.5, 1.0 - cos_cap**2))
+        half = 0.5 * _betainc((d - 1) / 2.0, 0.5, 1.0 - cos_cap**2)
         return half if cos_cap >= 0 else 1.0 - half
 
     def cap_directions(self, axis: np.ndarray, cos_cap: float, count: int, rng: np.random.Generator) -> np.ndarray:
-        """Uniform directions in the spherical cap around ``axis`` (complex n-vector)."""
+        """Uniform directions in the spherical cap around ``axis`` (complex n-vector).
+
+        The cap must have interior: a cosine of 1 or more raises, since the
+        cap is then the axis alone and has measure zero.
+        """
+        if not cos_cap < 1.0:
+            raise DomainError(f"spherical cap around {axis.tolist()} with cosine {cos_cap!r} is empty")
         d = 2 * self.dom.n
         ax = self._to_real(axis.reshape(1, -1))[0]
         ax = ax / np.linalg.norm(ax)
@@ -609,10 +649,12 @@ class RayField:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Points with -r in [depth_lo, depth_hi], log-uniform in depth.
 
-        ``focus = (axis, cos_caps)`` draws half of the directions uniformly
-        and splits the other half evenly over the spherical caps around
-        ``axis``, one per cosine in ``cos_caps``, which is what keeps the
-        variance of gauge-localized integrands finite.  Returns (points, density) where
+        ``focus = (axis, cos_caps, fractions)`` draws half of the directions
+        uniformly and splits the other half evenly over the spherical caps
+        around ``axis``, one per cosine in ``cos_caps``, which is what keeps
+        the variance of gauge-localized integrands finite; ``fractions``
+        holds :meth:`cap_fraction` of each cosine, so a caller that draws
+        from one ladder several times computes them once.  Returns (points, density) where
         density is the exact Lebesgue pdf of each drawn point, so 1/density
         importance weights are unbiased.
         """
@@ -622,9 +664,7 @@ class RayField:
             omega = self.directions(count, rng)
             dir_density = np.full(count, 1.0 / self.sphere_area)
         else:
-            axis, cos_caps = focus
-            cos_caps = np.atleast_1d(np.asarray(cos_caps, float))
-            fracs = np.array([self.cap_fraction(c) for c in cos_caps])
+            axis, cos_caps, fracs = focus
             n_cap_total = int(round(0.5 * count))
             per_cap = np.full(len(cos_caps), n_cap_total // len(cos_caps))
             per_cap[: n_cap_total - int(np.sum(per_cap))] += 1

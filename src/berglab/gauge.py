@@ -19,6 +19,11 @@ from .domain import DomainSpec, RayField, _box_reject, _domain_depth_max, _ray_f
 from .metric import straight_chord_upper
 
 
+# smallest cap angle of a focus ladder; its cosine must stay below 1.0, which
+# float64 rounds cos(theta) to for theta below about 1.05e-8
+_CAP_ANGLE_MIN = 2e-8
+
+
 class GaugeError(ValueError):
     pass
 
@@ -192,15 +197,16 @@ def layered_mc_integral(
         # dyadic ladder of caps from the core scale sqrt(depth) out to the
         # widest gauge shell that still matters
         theta_hi = min(0.5 * pi, 12.0 * np.sqrt(max(rz, hi_band)) / z_norm)
-        theta_lo = max(0.25 * np.sqrt(min(rz, hi_band)) / z_norm, 1e-8)
+        theta_lo = max(0.25 * np.sqrt(min(rz, hi_band)) / z_norm, _CAP_ANGLE_MIN)
         caps = []
         th = theta_hi
         while th > theta_lo and len(caps) < 24:
             caps.append(float(np.cos(th)))
             th /= 2.0
-        caps.append(float(np.cos(max(theta_lo, 1e-8))))
-        return (z / z_norm, caps)
+        caps.append(float(np.cos(theta_lo)))
+        return (z / z_norm, caps, [rays.cap_fraction(c) for c in caps])
 
+    focus = [band_focus(hi_band) for _, hi_band in bands]
     n_bulk = max(samples // 4, 2048)
     n_layer = samples - n_bulk
     pilot_per_band = max(min(1500, n_layer // max(4 * len(bands), 1)), 200)
@@ -208,8 +214,8 @@ def layered_mc_integral(
     # pilot pass fixes a Neyman-style allocation; the estimate uses the main
     # pass only, so it stays unbiased
     stds = []
-    for lo, hi_band in bands:
-        pts_l, dens_l = rays.layer_sample(lo, hi_band, pilot_per_band, rng, focus=band_focus(hi_band))
+    for (lo, hi_band), f in zip(bands, focus):
+        pts_l, dens_l = rays.layer_sample(lo, hi_band, pilot_per_band, rng, focus=f)
         w_l = integrand(pts_l) / dens_l
         stds.append(max(float(np.std(w_l)), 1e-12 * max(float(np.mean(np.abs(w_l))), 1e-300)))
     weights = np.sqrt(np.asarray(stds))
@@ -220,8 +226,8 @@ def layered_mc_integral(
     w_b = integrand(pts_b) / dens_b / len(pts_b)
     total = float(np.sum(w_b))
     var = float(np.var(w_b)) * len(w_b)
-    for (lo, hi_band), n_b in zip(bands, alloc):
-        pts_l, dens_l = rays.layer_sample(lo, hi_band, int(n_b), rng, focus=band_focus(hi_band))
+    for (lo, hi_band), f, n_b in zip(bands, focus, alloc):
+        pts_l, dens_l = rays.layer_sample(lo, hi_band, int(n_b), rng, focus=f)
         w_l = integrand(pts_l) / dens_l / len(pts_l)
         total += float(np.sum(w_l))
         var += float(np.var(w_l)) * len(w_l)

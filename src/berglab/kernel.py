@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from math import factorial, pi
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 from ._poly import HermPoly
 from .domain import DomainSpec, complex_tangent_basis, unit_ball
@@ -117,6 +116,41 @@ def leading_constant(n: int) -> float:
 # -- quadrature on the ball ------------------------------------------------------
 
 
+def gauss_jacobi(q: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """q-point Gauss rule on [-1, 1] for the weight (1 - x)^alpha, alpha > -1.
+
+    Golub-Welsch: the nodes are the eigenvalues of the Jacobi matrix of the
+    orthonormal Jacobi recurrence, polished by one Newton step on p_q.  The
+    weights are the Christoffel numbers 1 / sum_{k<q} p_k(x)^2 at the
+    polished nodes.
+    """
+    k = np.arange(1, q + 1, dtype=float)
+    s = 2.0 * k + alpha
+    # recurrence x p_k = off[k] p_{k+1} + diag[k] p_k + off[k-1] p_{k-1}
+    diag = np.full(q, -alpha / (alpha + 2.0))
+    diag[1:] = -(alpha**2) / ((s[1:] - 2.0) * s[1:])
+    off = 2.0 * k * (k + alpha) / (s * np.sqrt(s * s - 1.0))
+    x = np.linalg.eigvalsh(np.diag(diag) + np.diag(off[:-1], 1) + np.diag(off[:-1], -1))
+    mu0 = 2.0 ** (alpha + 1.0) / (alpha + 1.0)
+
+    def orthonormal(x):
+        """p_0..p_q at x, and p_q'."""
+        p = [np.full_like(x, 1.0 / np.sqrt(mu0))]
+        prev, dprev, dp = np.zeros_like(x), np.zeros_like(x), np.zeros_like(x)
+        for j in range(q):
+            back = off[j - 1] if j else 0.0
+            nxt = ((x - diag[j]) * p[j] - back * prev) / off[j]
+            dnxt = (p[j] + (x - diag[j]) * dp - back * dprev) / off[j]
+            prev, dprev, dp = p[j], dp, dnxt
+            p.append(nxt)
+        return p, dp
+
+    p, dp = orthonormal(x)
+    x = x - p[q] / dp
+    p, _ = orthonormal(x)
+    return x, 1.0 / np.sum(np.square(p[:q]), axis=0)
+
+
 @dataclass(frozen=True)
 class BallQuadrature:
     """Product rule on the unit ball exact for monomials z^a conj(z)^b.
@@ -139,7 +173,7 @@ class BallQuadrature:
         xs, ws = [], []
         for i in range(n):
             alpha = n - 1 - i  # remaining (1-x)^alpha factor from the map
-            xj, wj = roots_jacobi(q, alpha, 0.0)
+            xj, wj = gauss_jacobi(q, alpha)
             xs.append(0.5 * (xj + 1.0))
             ws.append(wj * 0.5 ** (alpha + 1))
         grids = np.meshgrid(*xs, indexing="ij")

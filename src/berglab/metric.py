@@ -147,9 +147,9 @@ def _segment_lengths(dom: DomainSpec, p: np.ndarray, q: np.ndarray) -> np.ndarra
     q = np.broadcast_to(q, shape).reshape(-1, shape[-1])
     bucket = _segment_buckets(dom, p, q)
     out = np.full(len(p), np.inf)
-    for b in np.unique(bucket[bucket > 0]):
+    for b in sorted(set(bucket[bucket > 0].tolist())):
         sel = bucket == b
-        out[sel] = _segment_lengths_fixed(dom, p[sel], q[sel], int(b))
+        out[sel] = _segment_lengths_fixed(dom, p[sel], q[sel], b)
     return out.reshape(shape[:-1])
 
 
@@ -284,9 +284,9 @@ def _length_gradient(dom: DomainSpec, nodes: np.ndarray) -> np.ndarray:
     grad_p = np.zeros_like(p)
     grad_q = np.zeros_like(q)
     bucket = _segment_buckets(dom, p, q)
-    for b in np.unique(bucket[bucket > 0]):
+    for b in sorted(set(bucket[bucket > 0].tolist())):
         sel = np.flatnonzero(bucket == b)
-        t, w, pts, rv, inside = _abscissae(dom, p[sel], q[sel], int(b))
+        t, w, pts, rv, inside = _abscissae(dom, p[sel], q[sel], b)
         sel = sel[inside]
         if len(sel) == 0:
             continue

@@ -17,7 +17,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from ._poly import HermPoly
 from .domain import DomainSpec, _domain_depth_max, _ray_field, normal_direction, unit_ball, walk_to_depth
@@ -176,6 +175,15 @@ def _mixed_gram_entry(n: int, a, b, c, d) -> float:
     return monomial_norm_sq(n, left)
 
 
+def forward_substitution(L: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """X with L X = B, for lower-triangular L: column-oriented forward substitution."""
+    X = np.array(B, np.result_type(L, B))
+    for i in range(len(L)):
+        X[i] /= L[i, i]
+        X[i + 1 :] -= L[i + 1 :, i, None] * X[i]
+    return X
+
+
 @functools.cache
 def enlarged_space(n: int, N: int, conj_degree: int) -> EnlargedSpace:
     """The enlarged truncation over the degree-N Galerkin space, built once per key."""
@@ -202,7 +210,7 @@ def enlarged_space(n: int, N: int, conj_degree: int) -> EnlargedSpace:
     quad = ball_quadrature(n, qdeg) if n == 1 else ball_quadrature(n, qdeg, qdeg + 1)
     pts = quad.nodes
     V = np.stack([HermPoly(n, {ab: 1.0})(pts) for ab in pairs], 1) / pre
-    U = solve_triangular(L, V.conj().T, lower=True).conj().T
+    U = forward_substitution(L, V.conj().T).conj().T
     Uw = U * np.sqrt(quad.weights)[:, None]
     gal_cols = np.array([holo.index((a, (0,) * n)) for a in _multi_indices(n, N)])
     return EnlargedSpace(n, N, conj_degree, pairs, len(holo), L, quad, Uw, gal_cols)

@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -248,3 +250,16 @@ def test_bad_plan_input_is_a_plan_error(tmp_path, capsys, change, message):
     capsys.readouterr()
     assert main(["run", "--plan", str(_write_plan(tmp_path, plan)), "--out", str(tmp_path / "r")]) == 2
     assert capsys.readouterr().err.startswith("plan error: ")
+
+
+def test_library_loads_without_scipy():
+    import berglab
+
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import berglab; from berglab import cli; "
+        "cli.load_domain({'builtin': 'ball2'}); "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    src = str(Path(berglab.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True, timeout=120, check=True)
+    assert out.stdout.strip() == "[]"

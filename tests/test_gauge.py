@@ -356,3 +356,44 @@ def test_cap_fraction_normaliser(ball2):
         exact = 0.5 - (c * np.sqrt(1 - c * c) + np.arcsin(c)) / np.pi
         assert rays.cap_fraction(c) == pytest.approx(exact, rel=1e-12)
     assert rays.cap_fraction(-1.0) == 1.0
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_cap_fraction_against_scipy(n):
+    from scipy.special import betainc
+
+    from berglab.gauge import RayField
+
+    rays = RayField(unit_ball(n))
+    for theta in np.geomspace(1e-7, np.pi, 300):
+        c = float(np.cos(theta))
+        half = 0.5 * float(betainc(n - 0.5, 0.5, 1.0 - c * c))
+        ref = half if c >= 0 else 1.0 - half
+        assert rays.cap_fraction(c) == pytest.approx(ref, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_empty_cap_is_refused(n):
+    from berglab.domain import DomainError
+    from berglab.gauge import RayField
+
+    rays = RayField(unit_ball(n))
+    axis = np.eye(n, dtype=complex)[0]
+    with pytest.raises(DomainError, match="with cosine 1.0 is empty"):
+        rays.cap_directions(axis, 1.0, 10, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_focus_ladder_below_the_cap_angle_floor(n):
+    # at |r(z)| ~ 1e-15 the ladder's smallest angle 0.25 sqrt(|r(z)|)/|z| falls
+    # below the floor, so the last cap sits at the floor, whose cosine must
+    # stay below 1.0 for the cap to be non-empty
+    from berglab.gauge import layered_mc_integral
+
+    dom = unit_ball(n)
+    z = np.zeros(n, complex)
+    z[0] = np.sqrt(1.0 - 1e-15)
+    res = layered_mc_integral(dom, z, lambda p: np.ones(len(p)), samples=20000, seed=1)
+    # the bulk's volume estimate adds ~1% spread that the stderr leaves out
+    volume = {1: np.pi, 2: np.pi**2 / 2}[n]
+    assert res["estimate"] == pytest.approx(volume, rel=0.03)

@@ -15,6 +15,7 @@ from berglab.operators import (
     compactness_report,
     cutoff_family,
     discrete_sum_matrix,
+    forward_substitution,
     hankel_and_commutator,
     identity_operator,
     loc_assemble,
@@ -496,3 +497,17 @@ def test_operator_file_bytes(tmp_path):
     back, meta = load_operator(path)
     assert meta == {"n": 1, "N": 3, "label": "probe", "dim": 4}
     assert back.matrix.astype("<c16").tobytes() == ref
+
+
+def test_forward_substitution_against_scipy():
+    from scipy.linalg import solve_triangular
+
+    rng = np.random.default_rng(0)
+    for dim in (1, 5, 33):
+        A = rng.standard_normal((dim, dim))
+        L = np.linalg.cholesky(A @ A.T + dim * np.eye(dim))
+        for B in (rng.standard_normal((dim, 7)), rng.standard_normal((dim, 7)) + 1j * rng.standard_normal((dim, 7))):
+            ref = solve_triangular(L, B, lower=True)
+            kept = B.copy()
+            assert np.max(np.abs(forward_substitution(L, B) - ref)) <= 1e-14 * np.max(np.abs(ref))
+            assert np.array_equal(B, kept)
