@@ -645,18 +645,37 @@ class RayField:
         depth_hi: float,
         count: int,
         rng: np.random.Generator,
-        focus: tuple[np.ndarray, float] | None = None,
+        focus: tuple[np.ndarray, list[float], list[float]] | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Points with -r in [depth_lo, depth_hi], log-uniform in depth.
 
         ``focus = (axis, cos_caps, fractions)`` draws half of the directions
         uniformly and splits the other half evenly over the spherical caps
-        around ``axis``, one per cosine in ``cos_caps``, which is what keeps
-        the variance of gauge-localized integrands finite; ``fractions``
-        holds :meth:`cap_fraction` of each cosine, so a caller that draws
-        from one ladder several times computes them once.  Returns (points, density) where
-        density is the exact Lebesgue pdf of each drawn point, so 1/density
-        importance weights are unbiased.
+        around ``axis``, one per cosine in ``cos_caps`` (non-decreasing),
+        which is what keeps the variance of gauge-localized integrands
+        finite; ``fractions`` holds :meth:`cap_fraction` of each cosine, so a
+        caller that draws from one ladder several times computes them once.
+        Returns (points, density) where density is the exact Lebesgue pdf of
+        each drawn point, so 1/density importance weights are unbiased.
+
+        This is :meth:`layer_draw` then :meth:`layer_place`; a caller that
+        draws many layers can place all their lines together.
+        """
+        return self.layer_place(*self.layer_draw(depth_lo, depth_hi, count, rng, focus))
+
+    def layer_draw(
+        self,
+        depth_lo: float,
+        depth_hi: float,
+        count: int,
+        rng: np.random.Generator,
+        focus: tuple[np.ndarray, list[float], list[float]] | None = None,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The random half of :meth:`layer_sample`, the only one that uses ``rng``.
+
+        Returns (omega, u, p_u, dir_density): the directions, the
+        log-uniform depth targets, and the two density factors, p_u of the
+        depth and dir_density of the direction.
         """
         if not (0 < depth_lo < depth_hi):
             raise DomainError("need 0 < depth_lo < depth_hi")
@@ -665,6 +684,8 @@ class RayField:
             dir_density = np.full(count, 1.0 / self.sphere_area)
         else:
             axis, cos_caps, fracs = focus
+            if np.any(np.diff(cos_caps) < 0):
+                raise DomainError(f"focus cap cosines must not decrease: {list(cos_caps)}")
             n_cap_total = int(round(0.5 * count))
             per_cap = np.full(len(cos_caps), n_cap_total // len(cos_caps))
             per_cap[: n_cap_total - int(np.sum(per_cap))] += 1
@@ -676,19 +697,28 @@ class RayField:
             ax = self._to_real(np.asarray(axis, complex).reshape(1, -1))[0]
             ax /= np.linalg.norm(ax)
             height = self._to_real(omega) @ ax
-            dir_density = np.full(len(omega), 0.5 / self.sphere_area)
-            for c, frac in zip(cos_caps, fracs):
-                in_cap = height >= c
-                dir_density = dir_density + np.where(
-                    in_cap, 0.5 / (len(cos_caps) * self.sphere_area * frac), 0.0
-                )
-        radius = self.boundary_radius(omega)
+            # the cosines do not decrease, so the caps holding a direction are a
+            # prefix of the ladder; cumsum adds the caps' terms in ladder order
+            terms = [0.5 / self.sphere_area] + [0.5 / (len(cos_caps) * self.sphere_area * f) for f in fracs]
+            dir_density = np.cumsum(terms)[np.searchsorted(cos_caps, height, side="right")]
         u = np.exp(rng.uniform(np.log(depth_lo), np.log(depth_hi), count))
+        p_u = 1.0 / (u * np.log(depth_hi / depth_lo))
+        return omega, u, p_u, dir_density
+
+    def layer_place(
+        self, omega: np.ndarray, u: np.ndarray, p_u: np.ndarray, dir_density: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The deterministic half of :meth:`layer_sample`: each line's point at depth u, and its density.
+
+        Every line is solved on its own, so placing any split of a draw's
+        lines gives the same bits as placing them together.
+        """
+        radius = self.boundary_radius(omega)
         s = self.solve_depth(omega, radius, u)
         pts = s[:, None] * omega
         slope = np.abs(self._radial_slope(omega, self.dom.dbar_r(pts)))
         slope = np.maximum(slope, 1e-14)
-        p_u = 1.0 / (u * np.log(depth_hi / depth_lo))
+        # keep this product order: (p_u * dir_density) * slope rounds differently
         density = p_u * slope * dir_density / (s ** (2 * self.dom.n - 1))
         return pts, density
 

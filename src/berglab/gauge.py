@@ -75,7 +75,12 @@ def comparability_scale(dom: DomainSpec, z: np.ndarray, w: np.ndarray) -> np.nda
 
 
 def _bulk_sample(dom: DomainSpec, t_split: float, count: int, rng: np.random.Generator):
-    """Uniform samples of {-r >= t_split} with their exact density."""
+    """Uniform samples of {-r >= t_split}, their density, and the variance of the volume behind it.
+
+    The density is 1 / V with V = vol_box * hits / drawn, the box-hit
+    estimate of the volume; its variance is vol_box^2 p (1 - p) / drawn
+    for the hit fraction p.
+    """
     box = dom.bounding_box
     vol_box = float(np.prod(box[:, 1] - box[:, 0]))
     block = max(2 * count, 8192)
@@ -85,7 +90,8 @@ def _bulk_sample(dom: DomainSpec, t_split: float, count: int, rng: np.random.Gen
         raise GaugeError("bulk sampler found no interior points")
     vol_est = vol_box * hits / drawn
     density = np.full(len(pts), 1.0 / max(vol_est, 1e-300))
-    return pts, density
+    frac = hits / drawn
+    return pts, density, vol_box**2 * frac * (1.0 - frac) / drawn
 
 
 def _chord_with_center_detour(dom: DomainSpec, z: np.ndarray, pts: np.ndarray) -> np.ndarray:
@@ -174,15 +180,53 @@ def layered_mc_integral(
     given, is sampled along rays in dyadic depth bands with a Neyman-style
     allocation from a pilot pass and a multi-scale directional focus
     toward z.
+
+    ``integrand`` maps an (m, n) array of points to m real values, row by
+    row: a value may depend only on its own point, because the layer's
+    points reach it in chunks of ``_PASS_CHUNK`` that cut across bands.
+    The stderr includes the spread of the bulk's estimated volume.
     """
     z = np.asarray(z, complex).reshape(-1)
     rz = abs(float(dom.r_val(z)))
     rng = np.random.default_rng(seed)
     rays = _ray_field(dom)
     t_split = min(dom.theta, 2.0 ** (-3))
+    bands, focus = _layer_bands(rays, z, rz, t_split, depth_floor)
+    n_bulk = max(samples // 4, 2048)
+    n_layer = samples - n_bulk
+    pilot_per_band = max(min(1500, n_layer // max(4 * len(bands), 1)), 200)
+
+    # pilot pass fixes a Neyman-style allocation; the estimate uses the main
+    # pass only, so it stays unbiased
+    pilot = [pilot_per_band] * len(bands)
+    stds = []
+    for w_l in _layer_pass(rays, bands, focus, pilot, integrand, rng):
+        stds.append(max(float(np.std(w_l)), 1e-12 * max(float(np.mean(np.abs(w_l))), 1e-300)))
+    weights = np.sqrt(np.asarray(stds))
+    weights = weights / np.sum(weights)
+    alloc = np.maximum((n_layer * weights).astype(int), 256)
+
+    pts_b, dens_b, vol_var = _bulk_sample(dom, t_split, n_bulk, rng)
+    f_b = integrand(pts_b)
+    w_b = f_b / dens_b / len(pts_b)
+    total = float(np.sum(w_b))
+    # the bulk's volume is itself estimated: its variance enters by the delta method
+    var = float(np.var(w_b)) * len(w_b) + float(np.mean(f_b)) ** 2 * vol_var
+    for w_l in _layer_pass(rays, bands, focus, alloc, integrand, rng):
+        w_l = w_l / len(w_l)
+        total += float(np.sum(w_l))
+        var += float(np.var(w_l)) * len(w_l)
+    return {"estimate": total, "stderr": float(np.sqrt(max(var, 0.0)))}
+
+
+def _layer_bands(rays: RayField, z: np.ndarray, rz: float, t_split: float, depth_floor: float | None):
+    """The dyadic depth bands of :func:`layered_mc_integral`, deepest last, and each band's focus.
+
+    A band's focus is None for z near the center, and otherwise the
+    :meth:`RayField.layer_sample` ladder of caps around z.
+    """
     floor = min(rz * 2.0 ** (-12), 2.0 ** (-24))
     depth_floor = floor if depth_floor is None else min(floor, depth_floor)
-
     z_norm = float(np.linalg.norm(z))
     bands = []
     hi = t_split
@@ -206,32 +250,37 @@ def layered_mc_integral(
         caps.append(float(np.cos(theta_lo)))
         return (z / z_norm, caps, [rays.cap_fraction(c) for c in caps])
 
-    focus = [band_focus(hi_band) for _, hi_band in bands]
-    n_bulk = max(samples // 4, 2048)
-    n_layer = samples - n_bulk
-    pilot_per_band = max(min(1500, n_layer // max(4 * len(bands), 1)), 200)
+    return bands, [band_focus(hi_band) for _, hi_band in bands]
 
-    # pilot pass fixes a Neyman-style allocation; the estimate uses the main
-    # pass only, so it stays unbiased
-    stds = []
-    for (lo, hi_band), f in zip(bands, focus):
-        pts_l, dens_l = rays.layer_sample(lo, hi_band, pilot_per_band, rng, focus=f)
-        w_l = integrand(pts_l) / dens_l
-        stds.append(max(float(np.std(w_l)), 1e-12 * max(float(np.mean(np.abs(w_l))), 1e-300)))
-    weights = np.sqrt(np.asarray(stds))
-    weights = weights / np.sum(weights)
-    alloc = np.maximum((n_layer * weights).astype(int), 256)
 
-    pts_b, dens_b = _bulk_sample(dom, t_split, n_bulk, rng)
-    w_b = integrand(pts_b) / dens_b / len(pts_b)
-    total = float(np.sum(w_b))
-    var = float(np.var(w_b)) * len(w_b)
-    for (lo, hi_band), f, n_b in zip(bands, focus, alloc):
-        pts_l, dens_l = rays.layer_sample(lo, hi_band, int(n_b), rng, focus=f)
-        w_l = integrand(pts_l) / dens_l / len(pts_l)
-        total += float(np.sum(w_l))
-        var += float(np.var(w_l)) * len(w_l)
-    return {"estimate": total, "stderr": float(np.sqrt(max(var, 0.0)))}
+# lines placed and integrated at once by a layer pass: few enough that the
+# root solves' work arrays stay small, many enough to amortise numpy's
+# per-call cost
+_PASS_CHUNK = 4096
+
+
+def _layer_pass(rays: RayField, bands, focus, counts, integrand, rng: np.random.Generator) -> list[np.ndarray]:
+    """integrand / density on ``counts[i]`` :meth:`RayField.layer_sample` lines of each band.
+
+    Every band is drawn first, in band order, into arrays that hold the
+    whole pass; the lines are then placed and integrated ``_PASS_CHUNK``
+    at a time.  Returns one array per band, bit for bit what the band's
+    own ``layer_sample`` and integrand call give.
+    """
+    total = int(np.sum(counts))
+    omega = np.empty((total, rays.dom.n), complex)
+    factors = np.empty((3, total))  # u, p_u, dir_density
+    start = 0
+    for (lo, hi), f, m in zip(bands, focus, counts):
+        omega_l, *factors_l = rays.layer_draw(lo, hi, int(m), rng, focus=f)
+        omega[start:start + m] = omega_l
+        factors[:, start:start + m] = factors_l
+        start += m
+    vals = np.empty(total)
+    for i in range(0, total, _PASS_CHUNK):
+        pts, dens = rays.layer_place(omega[i:i + _PASS_CHUNK], *factors[:, i:i + _PASS_CHUNK])
+        vals[i:i + _PASS_CHUNK] = integrand(pts) / dens
+    return np.split(vals, np.cumsum(counts)[:-1])
 
 
 def exponent_regression(depths: np.ndarray, estimates: np.ndarray, rel_stderr=None) -> dict:

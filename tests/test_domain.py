@@ -302,7 +302,8 @@ def _reference_bulk_sample(dom, t_split, count, rng):
     pts = np.concatenate(kept, axis=0)[:count]
     vol_est = vol_box * hits / drawn
     density = np.full(len(pts), 1.0 / max(vol_est, 1e-300))
-    return pts, density
+    frac = hits / drawn
+    return pts, density, vol_box**2 * frac * (1.0 - frac) / drawn
 
 
 @pytest.mark.parametrize("name", ["disc", "ball2", "egg"])
@@ -320,9 +321,10 @@ def test_box_rejection_matches_reference_loops(request, name):
     exact = int(np.sum(-dom.r_val(zz) >= 0.5))
     for t_split, count, seed in ((0.5, 3000, 1), (0.1, 9000, 2), (0.9, 40, 5), (0.5, exact, 6)):
         rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        pts, dens = _bulk_sample(dom, t_split, count, rng)
-        pts_ref, dens_ref = _reference_bulk_sample(dom, t_split, count, rng_ref)
+        pts, dens, vol_var = _bulk_sample(dom, t_split, count, rng)
+        pts_ref, dens_ref, vol_var_ref = _reference_bulk_sample(dom, t_split, count, rng_ref)
         assert pts.tobytes() == pts_ref.tobytes() and dens.tobytes() == dens_ref.tobytes()
+        assert vol_var == vol_var_ref
         # the generator is left where the reference leaves it
         assert rng.random() == rng_ref.random()
 

@@ -394,6 +394,146 @@ def test_focus_ladder_below_the_cap_angle_floor(n):
     z = np.zeros(n, complex)
     z[0] = np.sqrt(1.0 - 1e-15)
     res = layered_mc_integral(dom, z, lambda p: np.ones(len(p)), samples=20000, seed=1)
-    # the bulk's volume estimate adds ~1% spread that the stderr leaves out
+    # ~1% of spread comes from the bulk's volume estimate (the stderr counts it,
+    # see test_layered_stderr_counts_the_bulk_volume)
     volume = {1: np.pi, 2: np.pi**2 / 2}[n]
     assert res["estimate"] == pytest.approx(volume, rel=0.03)
+
+
+def test_layered_stderr_counts_the_bulk_volume():
+    # a constant integrand has no spread within the bulk, only the spread of the
+    # bulk's estimated volume; a stderr without it reads 0.0104 here, 6.2 stderrs
+    # from the exact volume
+    from berglab.gauge import layered_mc_integral
+
+    dom = unit_ball(2)
+    z = np.array([np.sqrt(1.0 - 1e-15), 0.0], complex)
+    res = layered_mc_integral(dom, z, lambda p: np.ones(len(p)), samples=20000, seed=1)
+    assert abs(res["estimate"] - np.pi**2 / 2) <= 4 * res["stderr"]
+
+
+def _reference_layer_sample(rays, depth_lo, depth_hi, count, rng, focus=None):
+    """RayField.layer_sample as one function, with one pass over the caps per cap."""
+    if focus is None:
+        omega = rays.directions(count, rng)
+        dir_density = np.full(count, 1.0 / rays.sphere_area)
+    else:
+        axis, cos_caps, fracs = focus
+        n_cap_total = int(round(0.5 * count))
+        per_cap = np.full(len(cos_caps), n_cap_total // len(cos_caps))
+        per_cap[: n_cap_total - int(np.sum(per_cap))] += 1
+        parts = [rays.directions(count - n_cap_total, rng)]
+        for c, m in zip(cos_caps, per_cap):
+            if m > 0:
+                parts.append(rays.cap_directions(np.asarray(axis, complex), float(c), int(m), rng))
+        omega = np.concatenate(parts, axis=0)
+        ax = rays._to_real(np.asarray(axis, complex).reshape(1, -1))[0]
+        ax /= np.linalg.norm(ax)
+        height = rays._to_real(omega) @ ax
+        dir_density = np.full(len(omega), 0.5 / rays.sphere_area)
+        for c, frac in zip(cos_caps, fracs):
+            dir_density = dir_density + np.where(height >= c, 0.5 / (len(cos_caps) * rays.sphere_area * frac), 0.0)
+    radius = rays.boundary_radius(omega)
+    u = np.exp(rng.uniform(np.log(depth_lo), np.log(depth_hi), count))
+    s = rays.solve_depth(omega, radius, u)
+    pts = s[:, None] * omega
+    slope = np.maximum(np.abs(rays._radial_slope(omega, rays.dom.dbar_r(pts))), 1e-14)
+    p_u = 1.0 / (u * np.log(depth_hi / depth_lo))
+    return pts, p_u * slope * dir_density / (s ** (2 * rays.dom.n - 1))
+
+
+def _reference_layered_mc_integral(dom, z, integrand, samples, seed, depth_floor=None):
+    """layered_mc_integral as one layer sample and one integrand call per band and pass."""
+    from berglab.domain import _ray_field
+    from berglab.gauge import _bulk_sample, _layer_bands
+
+    z = np.asarray(z, complex).reshape(-1)
+    rz = abs(float(dom.r_val(z)))
+    rng = np.random.default_rng(seed)
+    rays = _ray_field(dom)
+    t_split = min(dom.theta, 2.0 ** (-3))
+    bands, focus = _layer_bands(rays, z, rz, t_split, depth_floor)
+    n_bulk = max(samples // 4, 2048)
+    n_layer = samples - n_bulk
+    pilot_per_band = max(min(1500, n_layer // max(4 * len(bands), 1)), 200)
+    stds = []
+    for (lo, hi), f in zip(bands, focus):
+        pts, dens = _reference_layer_sample(rays, lo, hi, pilot_per_band, rng, focus=f)
+        w = integrand(pts) / dens
+        stds.append(max(float(np.std(w)), 1e-12 * max(float(np.mean(np.abs(w))), 1e-300)))
+    weights = np.sqrt(np.asarray(stds))
+    weights = weights / np.sum(weights)
+    alloc = np.maximum((n_layer * weights).astype(int), 256)
+    pts_b, dens_b, vol_var = _bulk_sample(dom, t_split, n_bulk, rng)
+    f_b = integrand(pts_b)
+    w_b = f_b / dens_b / len(pts_b)
+    total = float(np.sum(w_b))
+    var = float(np.var(w_b)) * len(w_b) + float(np.mean(f_b)) ** 2 * vol_var
+    for (lo, hi), f, m in zip(bands, focus, alloc):
+        pts, dens = _reference_layer_sample(rays, lo, hi, int(m), rng, focus=f)
+        w = integrand(pts) / dens / len(pts)
+        total += float(np.sum(w))
+        var += float(np.var(w)) * len(w)
+    return {"estimate": total, "stderr": float(np.sqrt(max(var, 0.0)))}
+
+
+# (domain, |z| as a share of the boundary radius on the first axis, mode):
+# |z| < 0.2 draws no focus caps
+_PASS_CASES = [("disc", 0.97, "plain"), ("disc", 0.1, "plain"), ("disc", 0.97, "tail"),
+               ("ball2", 0.97, "plain"), ("ball2", 0.1, "plain"), ("ball2", 0.9, "tail"),
+               ("egg", 0.97, "plain")]
+
+
+@pytest.mark.parametrize("chunk", [None, 97, 10**9])
+@pytest.mark.parametrize("name, share, mode", _PASS_CASES)
+def test_layer_pass_matches_reference_band_loop(request, monkeypatch, name, share, mode, chunk):
+    # a chunk below one band's size (pilot bands hold at least 200 lines), the
+    # shipped one, and one above a whole pass give the same bits as a band loop
+    from berglab import gauge
+
+    dom = request.getfixturevalue(name)
+    if chunk is not None:
+        monkeypatch.setattr(gauge, "_PASS_CHUNK", chunk)
+    calls = []
+
+    def spy(dom_, z_, integrand, **kw):
+        out = layered(dom_, z_, integrand, **kw)
+        calls.append((z_, integrand, kw, out))
+        return out
+
+    layered = gauge.layered_mc_integral
+    monkeypatch.setattr(gauge, "layered_mc_integral", spy)
+    z = np.zeros(dom.n, complex)
+    z[0] = share * gauge._ray_field(dom).boundary_radius(np.eye(1, dom.n, dtype=complex))[0]
+    samples = 6000 if mode == "plain" else 2500
+    gauge.fr_integral(dom, z, kappa=0.0, a=1.0, mode=mode, tail_radius=1.0, samples=samples, seed=5)
+    (z_, integrand, kw, out), = calls
+    assert out == _reference_layered_mc_integral(dom, z_, integrand, **kw)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_layer_sample_matches_reference(n):
+    from berglab.domain import DomainError, RayField
+
+    rays = RayField(unit_ball(n))
+    axis = np.exp(0.3j) * np.eye(n, dtype=complex)[0]
+    ax = rays._to_real(axis.reshape(1, -1))[0]
+    count = 4001
+    # the uniform half of the directions is drawn first, so the same seed gives
+    # the same uniform directions under any ladder: put one cosine exactly at
+    # a drawn height, and make the ladder's last two cosines equal, as when
+    # theta_lo rounds to the last halved angle
+    uniform = rays.directions(count - int(round(0.5 * count)), np.random.default_rng(3))
+    heights = rays._to_real(uniform) @ (ax / np.linalg.norm(ax))
+    h0 = float(heights[np.argmin(np.abs(heights - 0.7))])
+    caps = [-0.2, 0.5, h0, 0.99, 0.99]
+    focus = (axis, caps, [rays.cap_fraction(c) for c in caps])
+    for f in (focus, None):
+        pts, dens = rays.layer_sample(1e-3, 2e-3, count, np.random.default_rng(3), f)
+        pts_ref, dens_ref = _reference_layer_sample(rays, 1e-3, 2e-3, count, np.random.default_rng(3), f)
+        assert pts.tobytes() == pts_ref.tobytes() and dens.tobytes() == dens_ref.tobytes()
+    omega = rays.layer_draw(1e-3, 2e-3, count, np.random.default_rng(3), focus)[0]
+    height = rays._to_real(omega) @ (ax / np.linalg.norm(ax))
+    assert np.any(height == h0) and np.any(height >= 0.99)
+    with pytest.raises(DomainError, match="must not decrease"):
+        rays.layer_draw(1e-3, 2e-3, 10, np.random.default_rng(3), (axis, caps[::-1], focus[2][::-1]))
