@@ -22,6 +22,8 @@ import numpy as np
 from . import domain as dom_mod
 from . import gauge as gauge_mod
 from . import metric as metric_mod
+from .covering import _cap_sample, build_cover, coverage_audit
+from .kernel import EXACT_BALL, FEFFERMAN, kernel_eval, reproducing_residual
 from .lattice import build_separated, count_neighbors, pairwise_dupper, partition_separated
 from .operators import (
     berezin,
@@ -200,9 +202,6 @@ def suite_lattice(dom, seed: int, budgets: dict) -> dict:
 
 
 def suite_kernel(dom, seed: int, budgets: dict) -> dict:
-    from .kernel import EXACT_BALL, FEFFERMAN, kernel_eval, reproducing_residual
-    from .gauge import comparability_scale
-
     checks = []
     if dom.tag != "ball":
         return {"checks": [_check("kernel-skipped-non-ball", True, None)], "tables": {}}
@@ -223,7 +222,7 @@ def suite_kernel(dom, seed: int, budgets: dict) -> dict:
     w[0] -= 0.006
     ke = kernel_eval(dom, EXACT_BALL, z, w.reshape(1, -1))[0]
     kf = kernel_eval(dom, FEFFERMAN, z, w.reshape(1, -1))[0]
-    F = float(comparability_scale(dom, z, w.reshape(1, -1))[0])
+    F = float(gauge_mod.comparability_scale(dom, z, w.reshape(1, -1))[0])
     rel = abs(kf - ke) / abs(ke)
     checks.append(_check("leading-term", rel <= 2.0 * np.sqrt(F), rel, scale=float(np.sqrt(F))))
     return {"checks": checks, "tables": {}}
@@ -275,8 +274,6 @@ def _bump(lo: float, hi: float):
 
 
 def suite_covering(dom, seed: int, budgets: dict) -> dict:
-    from .covering import build_cover, cap_contains, coverage_audit, _cap_sample
-
     checks = []
     if dom.n > 2:
         return {"checks": [_check("covering-skipped", True, None)], "tables": {}}
@@ -303,7 +300,7 @@ def suite_covering(dom, seed: int, budgets: dict) -> dict:
         if i == j:
             continue
         xs = _cap_sample(dom, lv.centers[i], lv.d, 400, rng)
-        pairs_ok &= not np.any(cap_contains(dom, lv.centers[j], lv.d, xs))
+        pairs_ok &= not np.any(gauge_mod.cap_contains(dom, lv.centers[j], lv.d, xs))
     checks.append(_check("cap-disjointness", pairs_ok, lv.d))
     pool = dom_mod.surface_pool(dom, 0.0, 2000, seed + 5)
     witness = coverage_audit(dom, lv.centers, lv.a, pool)

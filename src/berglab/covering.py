@@ -9,10 +9,11 @@ the dyadic windows [t*sigma^2, t*sigma) (inner cells) and (t*sigma^3, t)
 The textbook instance ties the ladder to the profile parameter:
 t_j = 2^(-j m) and sigma = 2^-m.  The profile needs m/13 > 4, so its first
 level already lies at depth 2^-m < 2^-52, below what double-precision
-coordinates resolve near a boundary of unit scale.  The ladder is
-therefore configurable.  The default desk ladder keeps every within-level
-relation above and moves only the depths, to representable scales:
-t = 2^-11 and 2^-16 in C^1, t = 2^-9 in C^2, with sigma = 2^-5.
+coordinates resolve near a boundary of unit scale; that ladder is not
+representable.  The desk ladder, fixed per dimension, keeps every
+within-level relation above and moves only the depths, to representable
+scales: t = 2^-11 and 2^-16 in C^1, t = 2^-9 in C^2, with sigma = 2^-5, so
+the deepest band ends at 2^-31 (C^1) and 2^-24 (C^2).
 """
 
 from __future__ import annotations
@@ -478,12 +479,11 @@ def index_partition(dom: DomainSpec, centers: np.ndarray, b: float) -> tuple[np.
 # -- orchestration ----------------------------------------------------------------------
 
 
-def default_ladder(dom: DomainSpec, m: float) -> tuple[list[float], float]:
-    """Desk-scale level depths and shrink factor for the given profile m.
+def default_ladder(dom: DomainSpec) -> tuple[list[float], float]:
+    """Desk-scale level depths and shrink factor.
 
     Chosen so cap counts stay in the thousands and every depth band clears
-    the coordinate resolution floor; the textbook ladder t_j = 2^(-j m),
-    sigma = 2^-m is available through explicit arguments instead.
+    the coordinate resolution floor.
     """
     if dom.n == 1:
         return [2.0**-11, 2.0**-16], 2.0**-5
@@ -506,38 +506,26 @@ def _stream_size_for(dom: DomainSpec, d: float, base: int, seed: int) -> int:
     return int(np.clip(8.0 / frac, base, 200000))
 
 
-def build_cover(
-    dom: DomainSpec,
-    m: float = 65.0,
-    ladder: list[float] | None = None,
-    sigma: float | None = None,
-    c1: float | None = None,
-    candidate_count: int = 20000,
-    seed: int = 0,
-    cap_prefactor: float | None = None,
-) -> Cover:
-    """Assemble packings, cells, representatives and the index partition."""
+def build_cover(dom: DomainSpec, m: float = 65.0, candidate_count: int = 20000, seed: int = 0) -> Cover:
+    """Assemble packings, cells, representatives and the index partition.
+
+    The levels follow :func:`default_ladder`; the cap radius of a level with
+    base depth t is m*t, and C1 is fitted by :func:`fit_engulfing_constant`.
+    """
     if m / 13.0 <= 4.0:
         raise CoverError("profile parameter must satisfy m/13 > 4")
-    if ladder is None or sigma is None:
-        lad, sig = default_ladder(dom, m)
-        ladder = ladder if ladder is not None else lad
-        sigma = sigma if sigma is not None else sig
-    if c1 is None:
-        c1 = fit_engulfing_constant(dom, seed=seed)
-    pref = m if cap_prefactor is None else cap_prefactor
+    ladder, sigma = default_ladder(dom)
+    c1 = fit_engulfing_constant(dom, seed=seed)
     ramp_radius = m / 13.0 - 4.0
 
     levels = []
     n0_obs = 1
     for j, t in enumerate(ladder, start=1):
-        d = pref * t
+        d = m * t
         a = COVERAGE_SLACK * c1 * d
         b = c1 * a
         depth_a = (t * sigma**2, t * sigma)
         depth_b = (t * sigma**3, t)
-        if depth_b[0] < 1e-13:
-            raise CoverError("ladder descends below coordinate resolution")
         stream = _stream_size_for(dom, d, candidate_count, seed + j)
         centers = build_packing(dom, d, c1, candidate_count=stream, seed=seed + j)
         z_reps = walk_to_depth(dom, centers, np.sqrt(depth_a[0] * depth_a[1]))
@@ -578,7 +566,3 @@ def family_cutoff(cover: Cover, members: list[tuple[int, int]]):
 
     return f
 
-
-def textbook_ladder(m: int, j_max: int) -> tuple[list[float], float]:
-    """The literal ladder t_j = 2^(-j m) with shrink 2^-m."""
-    return [2.0 ** (-j * m) for j in range(1, j_max + 1)], 2.0 ** (-m)

@@ -140,9 +140,6 @@ class DomainSpec:
         """Euclidean norm of the real gradient of r; equals 2*|dbar r|."""
         return 2.0 * np.linalg.norm(self.dbar_r(z), axis=-1)
 
-    def contains(self, z: np.ndarray) -> np.ndarray:
-        return self.r_val(z) < 0
-
     @property
     def boundary_tol(self) -> float:
         return BOUNDARY_TOL_REL * self.box_diameter()
@@ -308,16 +305,6 @@ def certify_pseudoconvexity(dom: DomainSpec, mesh_density: int = 4000, seed: int
     return {"c_min": c_min, "theta_ok": hess_ok and grad_ok, "witness": witness}
 
 
-def select_theta(dom: DomainSpec, mesh_density: int = 2000, seed: int = 0) -> float:
-    """Largest theta = 2**-k, k = 1..11, whose certification passes; dyadic grid search."""
-    for k in range(1, 12):
-        cand = DomainSpec(dom.n, dom.r, dom.bounding_box, dom.c, 2.0 ** (-k), dom.tag)
-        res = certify_pseudoconvexity(cand, mesh_density=mesh_density, seed=seed)
-        if res["theta_ok"]:
-            return 2.0 ** (-k)
-    raise DomainError("no dyadic theta in range passes certification")
-
-
 def normal_direction(dom: DomainSpec, z: np.ndarray) -> np.ndarray:
     """Unit outward-tilted direction dbar r / |dbar r| at z; |dbar r| < 1e-12 raises."""
     g = dom.dbar_r(z)
@@ -413,31 +400,17 @@ def _line_root(f_df, level: np.ndarray, lo: np.ndarray, hi: np.ndarray, scale) -
     return s
 
 
-def fit_projection_constant(dom: DomainSpec, count: int = 200, seed: int = 0) -> float:
-    """Fitted C_p with |z - p(z)| <= C_p |r(z)| over the sampled collar {1e-4 <= -r <= 0.25}."""
-    pts = sample_region(dom, ("shell", 1e-4, 0.25), count, seed)
-    proj = walk_to_depth(dom, pts, 0.0)
-    return float(np.max(np.linalg.norm(proj - pts, axis=1) / np.abs(dom.r_val(pts))))
-
-
 def sample_region(dom: DomainSpec, region, count: int, seed: int = 0) -> np.ndarray:
-    """Rejection / projection sampler for the standard regions.
+    """Uniform rejection sampler of the box for the standard interior regions.
 
     region is one of
       "interior"            : {r < 0}
       ("shell", t1, t2)     : {t1 <= -r <= t2}
-      "boundary"            : {r = 0} within boundary_tol (surface measure
-                              weighted; see :func:`surface_sample`)
-      ("surface", rho)      : {-r = rho} likewise
 
+    Boundary and level-surface points come from :func:`surface_sample`.
     Deterministic for a fixed seed.
     """
     rng = np.random.default_rng(seed)
-    if region == "boundary":
-        return surface_sample(dom, 0.0, count, rng)[0]
-    if isinstance(region, tuple) and region[0] == "surface":
-        return surface_sample(dom, float(region[1]), count, rng)[0]
-
     if region == "interior":
         def keep(rv):
             return rv < 0

@@ -382,13 +382,3 @@ def shell_volume(
     denom = 2.0 ** (dom.n * j) * (2.0**k * t) ** (dom.n + 1)
     return {"volume": vol, "stderr": stderr, "bound_ratio": vol / denom}
 
-
-def shell_index_of(dom: DomainSpec, z: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Dyadic indices (k, j) of w relative to z: depth ratio band and gauge band."""
-    z = np.asarray(z, complex).reshape(-1)
-    t = abs(float(dom.r_val(z)))
-    rw = np.abs(dom.r_val(w))
-    k = np.ceil(np.log2(np.maximum(rw, 1e-300) / t)).astype(int)
-    g = normal_gauge(dom, z, w)
-    j = np.maximum(np.ceil(np.log2(np.maximum(g, 1e-300) / (2.0 ** k * t))), 0).astype(int)
-    return k, j

@@ -165,58 +165,55 @@ class BallQuadrature:
     nodes: np.ndarray  # (m, n) complex
     weights: np.ndarray  # (m,)
 
-    @staticmethod
-    def build(n: int, degree: int, angular_order: int | None = None) -> "BallQuadrature":
-        q = degree + 2
-        m_ang = 2 * degree + 3 if angular_order is None else int(angular_order)
-        # simplex factors: t_1 = x_1, t_2 = (1-x_1) x_2, ... with Jacobi weights
-        xs, ws = [], []
-        for i in range(n):
-            alpha = n - 1 - i  # remaining (1-x)^alpha factor from the map
-            xj, wj = gauss_jacobi(q, alpha)
-            xs.append(0.5 * (xj + 1.0))
-            ws.append(wj * 0.5 ** (alpha + 1))
-        grids = np.meshgrid(*xs, indexing="ij")
-        wgrids = np.meshgrid(*ws, indexing="ij")
-        t = []
-        rem = np.ones_like(grids[0])
-        for i in range(n):
-            t.append(rem * grids[i])
-            rem = rem * (1.0 - grids[i])
-        radial_w = np.ones_like(grids[0])
-        for i in range(n):
-            radial_w = radial_w * wgrids[i]
-        t = [ti.ravel() for ti in t]
-        radial_w = radial_w.ravel()
-
-        angles = 2.0 * pi * np.arange(m_ang) / m_ang
-        ang_grids = np.meshgrid(*([angles] * n), indexing="ij")
-        phases = [np.exp(1j * g.ravel()) for g in ang_grids]
-
-        nodes = np.empty((len(radial_w) * len(phases[0]), n), complex)
-        weights = np.empty(len(radial_w) * len(phases[0]))
-        idx = 0
-        block = len(phases[0])
-        for j in range(len(radial_w)):
-            amp = np.sqrt(np.asarray([t[i][j] for i in range(n)]))
-            for i in range(n):
-                nodes[idx : idx + block, i] = amp[i] * phases[i]
-            weights[idx : idx + block] = pi**n * radial_w[j] / block
-            idx += block
-        return BallQuadrature(n, degree, nodes, weights)
-
     def integrate(self, values: np.ndarray) -> complex:
         return complex(np.sum(values * self.weights))
 
 
 @functools.cache
 def ball_quadrature(n: int, degree: int, angular_order: int | None = None) -> BallQuadrature:
-    """The rule of :meth:`BallQuadrature.build`, built once per process.
+    """The :class:`BallQuadrature` of the given degree, built once per process.
 
-    The cache keys on the arguments as passed: give ``angular_order``
+    ``angular_order`` points per torus factor, 2*degree + 3 by default.  The
+    cache keys on the arguments as passed: give ``angular_order``
     positionally, and only when it is not the default.
     """
-    return BallQuadrature.build(n, degree, angular_order)
+    q = degree + 2
+    m_ang = 2 * degree + 3 if angular_order is None else int(angular_order)
+    # simplex factors: t_1 = x_1, t_2 = (1-x_1) x_2, ... with Jacobi weights
+    xs, ws = [], []
+    for i in range(n):
+        alpha = n - 1 - i  # remaining (1-x)^alpha factor from the map
+        xj, wj = gauss_jacobi(q, alpha)
+        xs.append(0.5 * (xj + 1.0))
+        ws.append(wj * 0.5 ** (alpha + 1))
+    grids = np.meshgrid(*xs, indexing="ij")
+    wgrids = np.meshgrid(*ws, indexing="ij")
+    t = []
+    rem = np.ones_like(grids[0])
+    for i in range(n):
+        t.append(rem * grids[i])
+        rem = rem * (1.0 - grids[i])
+    radial_w = np.ones_like(grids[0])
+    for i in range(n):
+        radial_w = radial_w * wgrids[i]
+    t = [ti.ravel() for ti in t]
+    radial_w = radial_w.ravel()
+
+    angles = 2.0 * pi * np.arange(m_ang) / m_ang
+    ang_grids = np.meshgrid(*([angles] * n), indexing="ij")
+    phases = [np.exp(1j * g.ravel()) for g in ang_grids]
+
+    nodes = np.empty((len(radial_w) * len(phases[0]), n), complex)
+    weights = np.empty(len(radial_w) * len(phases[0]))
+    idx = 0
+    block = len(phases[0])
+    for j in range(len(radial_w)):
+        amp = np.sqrt(np.asarray([t[i][j] for i in range(n)]))
+        for i in range(n):
+            nodes[idx : idx + block, i] = amp[i] * phases[i]
+        weights[idx : idx + block] = pi**n * radial_w[j] / block
+        idx += block
+    return BallQuadrature(n, degree, nodes, weights)
 
 
 def monomial_norm_sq(n: int, alpha) -> float:
@@ -229,28 +226,6 @@ def monomial_norm_sq(n: int, alpha) -> float:
 
 
 # -- derived objects -------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class NormalizedKernel:
-    """Unit-norm reproducing kernel at a center, with on-demand values."""
-
-    dom: DomainSpec
-    mode: KernelMode
-    center: np.ndarray
-    norm: float  # ||K_center|| = sqrt(K(center, center))
-
-    def __call__(self, w: np.ndarray) -> np.ndarray:
-        vals = kernel_eval(self.dom, self.mode, np.asarray(w, complex), self.center)
-        return np.conj(vals) / self.norm  # K_z(w) = K(w, z) = conj(K(z, w))
-
-
-def normalized_kernel(dom: DomainSpec, mode: KernelMode, z: np.ndarray) -> NormalizedKernel:
-    z = np.asarray(z, complex).reshape(-1)
-    kzz = kernel_eval(dom, mode, z, z.reshape(1, -1))[0]
-    if np.real(kzz) <= 0:
-        raise KernelError("diagonal kernel value not positive; wrong mode for this point")
-    return NormalizedKernel(dom, mode, z, float(np.sqrt(np.real(kzz))))
 
 
 def reproducing_residual(dom: DomainSpec, coeffs: dict, z: np.ndarray) -> float:

@@ -12,6 +12,7 @@ over-estimation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import factorial, pi
 
 import numpy as np
 
@@ -599,8 +600,6 @@ def ball_superset_sampler(dom: DomainSpec, z: np.ndarray, a: float):
 
 def _polydisc_volume(pd: Polydisc, n: int) -> float:
     """Lebesgue volume of the polydisc in C^n."""
-    from math import factorial, pi
-
     tang = pi ** (n - 1) / factorial(n - 1) * pd.a ** (2 * (n - 1))
     return tang * pi * pd.b**2
 

@@ -21,7 +21,7 @@ import numpy as np
 from ._poly import HermPoly
 from .domain import DomainSpec, _domain_depth_max, _ray_field, normal_direction, unit_ball, walk_to_depth
 from .kernel import EXACT_BALL, ball_quadrature, kernel_eval, monomial_norm_sq
-from .metric import CHEAP_BUDGET, DistanceEstimator, straight_chord_upper
+from .metric import CHEAP_BUDGET, DistanceEstimator, Polydisc, straight_chord_upper
 
 
 class OperatorError(ValueError):
@@ -89,14 +89,15 @@ def _ball_domain(n: int) -> DomainSpec:
     return unit_ball(n)
 
 
-def build_galerkin(n: int, N: int, quad_degree: int | None = None) -> GalerkinSpace:
+def build_galerkin(n: int, N: int) -> GalerkinSpace:
+    """The monomials of degree <= N on the unit ball of C^n, orthonormalized.
+
+    The quadrature is exact to degree 2N + 2(n + 1), above the 2N the Gram
+    matrix needs.
+    """
     if N < 0:
         raise OperatorError("degree cap must be nonnegative")
-    if quad_degree is None:
-        quad_degree = 2 * N + 2 * (n + 1)
-    if quad_degree < 2 * N:
-        raise OperatorError("quadrature exactness below 2N cannot orthonormalize the basis")
-    quad = ball_quadrature(n, quad_degree)
+    quad = ball_quadrature(n, 2 * N + 2 * (n + 1))
     alphas = _multi_indices(n, N)
     norms = np.array([np.sqrt(monomial_norm_sq(n, a)) for a in alphas])
     space = GalerkinSpace(n, N, alphas, norms, quad, np.empty((0, 0)))
@@ -321,8 +322,6 @@ def _shell_point(dom: DomainSpec, t: float, rng: np.random.Generator) -> np.ndar
 def _nearby_candidates(dom: DomainSpec, z: np.ndarray, rng: np.random.Generator, count: int) -> np.ndarray:
     t = max(-float(dom.r_val(z)), 1e-12)
     u = normal_direction(dom, z)
-    from .metric import Polydisc
-
     pd = Polydisc(z, u, 0.35 * np.sqrt(t), 0.35 * t)
     return pd.sample(count, rng)
 
@@ -440,33 +439,21 @@ def offdiag_split_search(space: GalerkinSpace, A: OperatorMatrix, f_list: list) 
 # -- compactness diagnostics -----------------------------------------------------------
 
 
-def compactness_report(
-    space: GalerkinSpace,
-    A: OperatorMatrix,
-    boundary_grid: np.ndarray | None = None,
-    seed: int = 0,
-) -> dict:
+def compactness_report(space: GalerkinSpace, A: OperatorMatrix, seed: int = 0) -> dict:
     """Berezin, off-diagonal and singular-value tails of a truncated operator.
 
-    The boundary grid walks toward the boundary but stops at the
-    :func:`resolution_limit`.  At each depth the off-diagonal entry is the
-    largest over 6 nearby partners within estimator distance 2; the
-    singular-value tail is the share of the singular values beyond the
-    degree N - 2 head.
+    The boundary grid is the depths 2^(-k/2), k = 1, 2, ..., 39, walking
+    toward the boundary; it stops at the :func:`resolution_limit`.  At each
+    depth the off-diagonal entry is the largest over 6 nearby partners
+    within estimator distance 2; the singular-value tail is the share of
+    the singular values beyond the degree N - 2 head.
     """
     dom = _ball_domain(space.n)
     limit = resolution_limit(space)
-    if boundary_grid is None:
-        ks = np.arange(1, 40)
-        depths = 2.0 ** (-ks * 0.5)
-        boundary_grid = depths[depths >= limit]
-    else:
-        boundary_grid = np.asarray(boundary_grid, float)
-        if np.any(boundary_grid < limit):
-            raise OperatorError("grid exceeds the truncation resolution limit")
-    if len(boundary_grid) == 0:
+    depths = 2.0 ** (-np.arange(1, 40) * 0.5)
+    depths = depths[depths >= limit]
+    if len(depths) == 0:
         raise OperatorError("empty boundary grid after the resolution clamp")
-    depths = np.sort(boundary_grid)[::-1]
 
     rng = np.random.default_rng(seed)
     berezin_by_depth = []

@@ -18,7 +18,6 @@ from berglab.covering import (
     family_cutoff,
     fit_engulfing_constant,
     index_partition,
-    textbook_ladder,
     _cap_sample,
     _greedy_packing,
     _overlap_counts,
@@ -51,28 +50,6 @@ def test_cap_contains_hand_values(disc):
 def test_whole_boundary_single_center(disc):
     centers = build_packing(disc, d=100.0, c1=2.0, candidate_count=600, seed=1)
     assert len(centers) == 1
-
-
-def test_textbook_scale_formula():
-    ladder, sigma = textbook_ladder(8, 2)
-    assert ladder[0] == pytest.approx(8 * 2.0**-8 / 8)  # t_1 = 2^-m; d = m * t
-    assert sigma == 2.0**-8
-
-
-def test_literal_small_profile_packing(disc):
-    # the literal ladder at m = 8: cap radius m 2^-m = 0.03125, cell bands
-    # [2^-24, 2^-16) -- representable and auditable end to end
-    m = 8
-    ladder, sigma = textbook_ladder(m, 1)
-    c1 = fit_engulfing_constant(disc, seed=2)
-    cover = build_cover(
-        disc, m=65.0, ladder=ladder, sigma=sigma, c1=c1, candidate_count=5000, seed=2, cap_prefactor=m
-    )
-    lv = cover.levels[0]
-    assert lv.d == pytest.approx(m * 2.0**-m)
-    assert lv.depth_a == (pytest.approx(2.0**-24), pytest.approx(2.0**-16))
-    assert lv.depth_b == (pytest.approx(2.0**-32), pytest.approx(2.0**-8))
-    assert len(lv.centers) >= 40
 
 
 # -- engulfing ---------------------------------------------------------------------
@@ -450,8 +427,3 @@ def test_cover_serialization(disc_cover):
 def test_profile_requires_large_m(disc):
     with pytest.raises(CoverError):
         build_cover(disc, m=40.0, candidate_count=500, seed=0)
-
-
-def test_ladder_resolution_guard(disc):
-    with pytest.raises(CoverError):
-        build_cover(disc, m=65.0, ladder=[2.0**-60], sigma=2.0**-5, c1=3.0, candidate_count=500, seed=0)

@@ -13,10 +13,8 @@ from berglab.domain import (
     complex_tangent_basis,
     custom_domain,
     ellipsoid,
-    fit_projection_constant,
     normal_direction,
     sample_region,
-    select_theta,
     surface_sample,
     unit_ball,
     walk_to_depth,
@@ -175,13 +173,6 @@ def test_certify_fails_on_indefinite_hessian():
     assert res["c_min"] == pytest.approx(-1.0, abs=1e-9)
 
 
-def test_select_theta_ball():
-    dom = unit_ball(1, theta=0.5)
-    theta = select_theta(dom, mesh_density=3000)
-    assert theta <= 0.5
-    assert theta >= 2.0**-6
-
-
 def test_walk_to_boundary_disc(disc):
     p = walk_to_depth(disc, np.array([0.9 + 0j]), 0.0)[0]
     assert p[0] == pytest.approx(1.0, abs=1e-9)
@@ -196,15 +187,6 @@ def test_walk_to_boundary_ball(ball2):
 def test_walk_to_boundary_fixed_point(disc):
     z = np.array([1.0 + 0j])
     assert np.array_equal(walk_to_depth(disc, z, 0.0)[0], z)
-
-
-def test_projection_constant_fit(disc):
-    cp = fit_projection_constant(disc, count=60, seed=2)
-    # oracle on the disc: |z - p| = 1 - |z| and |r| = 1 - |z|^2 >= 1 - |z|
-    assert cp <= 1.05
-    z = np.array([0.9 + 0j])
-    p = walk_to_depth(disc, z, 0.0)[0]
-    assert np.linalg.norm(p - z) <= cp * abs(disc.r_val(z))
 
 
 def test_normal_direction_examples(disc, ball2):
@@ -233,11 +215,6 @@ def test_sample_region_shell(disc):
     pts = sample_region(disc, ("shell", 0.25, 0.5), 300, seed=4)
     d = 1 - np.abs(pts[:, 0]) ** 2
     assert np.all((d >= 0.25) & (d <= 0.5))
-
-
-def test_sample_region_surface(ball2):
-    pts = sample_region(ball2, ("surface", 0.0), 200, seed=4)
-    assert np.all(np.abs(np.sum(np.abs(pts) ** 2, axis=1) - 1) < 1e-8)
 
 
 def test_sample_region_deterministic(disc):

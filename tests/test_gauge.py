@@ -11,7 +11,6 @@ from berglab.gauge import (
     exponent_regression,
     fr_integral,
     normal_gauge,
-    shell_index_of,
     shell_volume,
     taylor_remainder,
 )
@@ -245,14 +244,6 @@ def test_shell_volume_positive(disc):
     z = np.array([0.9 + 0j])
     res = shell_volume(disc, z, k=0, j=0, samples=20000, seed=4)
     assert 0 < res["volume"] < np.pi
-
-
-def test_shell_index(disc):
-    z = np.array([0.9 + 0j])
-    w = np.array([[0.8 + 0j]])
-    k, j = shell_index_of(disc, z, w)
-    assert k[0] == 1  # depth ratio 0.36/0.19 in (1, 2]
-    assert j[0] >= 0
 
 
 # -- normal ray checks -------------------------------------------------------------

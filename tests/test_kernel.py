@@ -12,7 +12,6 @@ from berglab.kernel import (
     gauss_jacobi,
     kernel_eval,
     monomial_norm_sq,
-    normalized_kernel,
     reproducing_residual,
 )
 from berglab.metric import CHEAP_BUDGET, DistanceEstimator, ball_superset_sampler
@@ -52,22 +51,14 @@ def test_fefferman_rejects_far_pairs(ball2):
         kernel_eval(ball2, FEFFERMAN, z, np.array([[-0.2, 0]], complex))
 
 
-def test_normalized_kernel_center(disc):
-    # k_0 is the constant 1/sqrt(pi)
-    nk = normalized_kernel(disc, EXACT_BALL, np.array([0j]))
-    assert nk.norm == pytest.approx(1 / np.sqrt(np.pi))
-    vals = nk(np.array([[0.3 + 0j], [0.5j]]))
-    assert vals[0] == pytest.approx(1 / np.sqrt(np.pi))
-    assert vals[1] == pytest.approx(1 / np.sqrt(np.pi))
-
-
-def test_normalized_kernel_unit_norm_by_quadrature(disc):
-    z = np.array([0.5 + 0j])
-    nk = normalized_kernel(disc, EXACT_BALL, z)
+@pytest.mark.parametrize("x", [0.0, 0.5])
+def test_exact_kernel_norm_by_quadrature(disc, x):
+    # ||K_z||^2 = int |K(w, z)|^2 dv(w) = K(z, z): the normalized kernel has unit norm
+    z = np.array([x + 0j])
     quad = ball_quadrature(1, 80)
-    vals = nk(quad.nodes)
-    mass = float(np.real(quad.integrate(np.abs(vals) ** 2)))
-    assert mass == pytest.approx(1.0, abs=1e-6)
+    mass = float(np.real(quad.integrate(np.abs(kernel_eval(disc, EXACT_BALL, z, quad.nodes)) ** 2)))
+    kzz = float(np.real(kernel_eval(disc, EXACT_BALL, z, z.reshape(1, -1))[0]))
+    assert mass == pytest.approx(kzz, rel=1e-6)
 
 
 def test_diagonal_band_scan(disc):

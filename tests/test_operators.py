@@ -58,11 +58,6 @@ def test_degree_zero_basis():
     assert vals[0, 0] == pytest.approx(1 / np.sqrt(np.pi))
 
 
-def test_quadrature_exactness_guard():
-    with pytest.raises(OperatorError):
-        build_galerkin(1, 4, quad_degree=4)
-
-
 # -- Toeplitz ----------------------------------------------------------------------
 
 
@@ -331,11 +326,6 @@ def test_compactness_rank_one():
 def test_compactness_identity(sp8):
     rep = compactness_report(sp8, identity_operator(sp8), seed=0)
     assert rep["berezin_tail"] >= 0.99
-
-
-def test_compactness_grid_guard(sp8):
-    with pytest.raises(OperatorError):
-        compactness_report(sp8, identity_operator(sp8), boundary_grid=np.array([1e-9]))
 
 
 def test_compact_symbol_tails_shrink_with_degree():
