@@ -166,7 +166,7 @@ def _radius_at_depth(dom, t: float) -> float:
     """s with -r(s * e1) = t, inward of the boundary on the first coordinate axis."""
     rays = dom_mod._ray_field(dom)
     e1 = np.eye(1, dom.n, dtype=complex)
-    return float(rays.solve_depth(e1, rays.boundary_radius(e1), np.array([t]))[0])
+    return float(rays.solve_depth(e1, t)[0])
 
 
 def _boundary_anchor(dom) -> np.ndarray:

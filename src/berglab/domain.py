@@ -33,6 +33,10 @@ _SURFACE_BLOCK = 4096
 # the surface sampler's acceptance bound sits this factor above the largest
 # density it has drawn
 _BOUND_MARGIN = 1.01
+# candidate heights per missing direction in each round of the cap sampler's
+# rejection: at n = 2 a candidate is accepted with probability at least 2/3
+# (the narrow-cap limit), so a row misses all three with probability <= 1/27
+_CAP_TRIES = 3
 
 
 class DomainError(ValueError):
@@ -375,28 +379,33 @@ def _line_root(f_df, level: np.ndarray, lo: np.ndarray, hi: np.ndarray, scale) -
     [a, b] is at most 4 eps max(b, scale).  ``scale`` is the size of the
     line's base point: a walk from z moves to z + s*u, which rounds at about
     eps |z|, so a step far below that no longer moves the point.  A ray from
-    the origin has scale 0.
+    the origin has scale 0.  The per-line state is kept for the open lines
+    only, and gathered again only when some line stops.
     """
     tol = 4.0 * np.finfo(float).eps
-    scale = np.broadcast_to(np.asarray(scale, float), lo.shape)
-    lo, hi, s = lo.copy(), hi.copy(), hi.copy()
-    active = np.arange(len(s))
+    s = np.empty(len(hi))
+    active = np.arange(len(hi))
+    x, a, b = hi, lo, hi
+    level = np.broadcast_to(np.asarray(level, float), s.shape)
+    floor = np.broadcast_to(np.asarray(scale, float), s.shape)
     for _ in range(100):
-        x, a, b = s[active], lo[active], hi[active]
         f, df = f_df(x, active)
-        f = f - level[active]
+        f = f - level
         below = f <= 0
         a = np.where(below, x, a)
         b = np.where(below, b, x)
         with np.errstate(divide="ignore", invalid="ignore"):
             nxt = x - f / df
         nxt = np.where((nxt >= a) & (nxt <= b), nxt, 0.5 * (a + b))
-        lo[active], hi[active], s[active] = a, b, nxt
-        floor = scale[active]
         done = (np.abs(nxt - x) <= tol * np.maximum(x, floor)) | (b - a <= tol * np.maximum(b, floor))
-        active = active[~done]
-        if not len(active):
-            break
+        x = nxt
+        if np.any(done):
+            s[active[done]] = x[done]
+            keep = ~done
+            active, x, a, b, level, floor = active[keep], x[keep], a[keep], b[keep], level[keep], floor[keep]
+            if not len(active):
+                break
+    s[active] = x
     return s
 
 
@@ -524,14 +533,18 @@ class RayField:
         half = 0.5 * _betainc((d - 1) / 2.0, 0.5, 1.0 - cos_cap**2)
         return half if cos_cap >= 0 else 1.0 - half
 
-    def cap_directions(self, axis: np.ndarray, cos_cap: float, count: int, rng: np.random.Generator) -> np.ndarray:
-        """Uniform directions in the spherical cap around ``axis`` (complex n-vector).
+    def cap_directions(self, axis: np.ndarray, cos_cap, count: int, rng: np.random.Generator) -> np.ndarray:
+        """Uniform directions in spherical caps around ``axis`` (complex n-vector).
 
-        The cap must have interior: a cosine of 1 or more raises, since the
+        ``cos_cap`` is one cosine for every direction or one per direction.
+        Each cap must have interior: a cosine of 1 or more raises, since the
         cap is then the axis alone and has measure zero.
         """
-        if not cos_cap < 1.0:
-            raise DomainError(f"spherical cap around {axis.tolist()} with cosine {cos_cap!r} is empty")
+        cos_cap = np.asarray(cos_cap, float)
+        if not np.all(cos_cap < 1.0):
+            bad = float(cos_cap.flat[np.argmin(cos_cap < 1.0)])
+            raise DomainError(f"spherical cap around {axis.tolist()} with cosine {bad!r} is empty")
+        cos_cap = np.broadcast_to(cos_cap, (count,))
         d = 2 * self.dom.n
         ax = self._to_real(axis.reshape(1, -1))[0]
         ax = ax / np.linalg.norm(ax)
@@ -542,15 +555,19 @@ class RayField:
             x = np.stack([np.cos(ang), np.sin(ang)], axis=1)
             return self._to_complex(x, self.dom.n)
         # heights h with density (1-h^2)^((d-3)/2) on [cos_cap, 1], by rejection
-        # under its maximum there, taken at h = max(cos_cap, 0)
-        env = max((1.0 - max(cos_cap, 0.0) ** 2) ** ((d - 3) / 2.0), 1e-300)
-        hs = np.empty(0)
-        while len(hs) < count:
-            m = max(4 * count, 1024)
-            cand = rng.uniform(cos_cap, 1.0, m)
-            acc = rng.uniform(0, env, m) < (1.0 - cand**2) ** ((d - 3) / 2.0)
-            hs = np.concatenate([hs, cand[acc]])
-        hs = hs[:count]
+        # under its maximum there, taken at h = max(cos_cap, 0): a few candidates
+        # per missing height, the first accepted one kept
+        env = np.maximum((1.0 - np.maximum(cos_cap, 0.0) ** 2) ** ((d - 3) / 2.0), 1e-300)
+        hs = np.empty(count)
+        todo = np.arange(count)
+        while len(todo):
+            lo = cos_cap[todo, None]
+            cand = lo + (1.0 - lo) * rng.random((len(todo), _CAP_TRIES))
+            acc = env[todo, None] * rng.random(cand.shape) < (1.0 - cand**2) ** ((d - 3) / 2.0)
+            first = np.argmax(acc, axis=1)
+            hit = acc[np.arange(len(todo)), first]
+            hs[todo[hit]] = cand[hit, first[hit]]
+            todo = todo[~hit]
         # tangential part: uniform on the (d-2)-sphere orthogonal to ax
         g = rng.standard_normal((count, d))
         g -= np.outer(g @ ax, ax)
@@ -563,39 +580,46 @@ class RayField:
         return np.stack([np.real(p(omega)) for p in self._parts])
 
     def boundary_radius(self, omega: np.ndarray) -> np.ndarray:
-        """Smallest s > 0 with r(s * omega) = 0 along each direction."""
-        coef = self._ray_coefficients(omega)
-        s_hi = np.full(len(omega), 0.25)
-        for _ in range(60):
-            grow = _horner(coef, s_hi)[0] < 0
-            if not np.any(grow):
-                break
-            s_hi[grow] *= 1.5
-        zero = np.zeros(len(omega))
-        return _line_root(lambda s, idx: _horner(coef[:, idx], s), zero, zero, s_hi, 0.0)
+        """Smallest s > 0 with r(s * omega) = 0 along each direction: :meth:`solve_depth` at depth 0."""
+        return self.solve_depth(omega, 0.0)
 
     @staticmethod
     def _radial_slope(omega: np.ndarray, grad: np.ndarray) -> np.ndarray:
         """d(-r)/ds along each ray, from ``grad`` = dbar r at the ray's point."""
         return -2.0 * np.real(np.einsum("mi,mi->m", np.conj(omega), grad))
 
-    def solve_depth(self, omega: np.ndarray, radius: np.ndarray, targets: np.ndarray) -> np.ndarray:
-        """s with -r(s*omega) = target, searching inward from the boundary."""
+    def solve_depth(self, omega: np.ndarray, targets) -> np.ndarray:
+        """s > 0 with -r(s * omega) = target along each ray, one target or one per ray.
+
+        The bracket [0, s_hi] grows s_hi from 0.25 by 1.5 until
+        -r(s_hi * omega) <= target, then one :func:`_line_root` settles it.
+        A target deeper than the origin, or a ray still deeper than its
+        target after 60 growth steps (one that never leaves the domain),
+        raises.
+        """
         coef = self._ray_coefficients(omega)
-        s_lo = np.zeros_like(radius)
-        # bracket: walk inward until -r >= target
-        frac = np.full(len(radius), 0.5)
-        for _ in range(200):
-            cand = radius * frac
-            deep = -_horner(coef, cand)[0] >= targets
-            s_lo = np.where(deep & (s_lo == 0), cand, s_lo)
-            frac = np.where(s_lo == 0, frac * 0.7, frac)
-            if np.all(s_lo > 0):
+        level = np.broadcast_to(-np.asarray(targets, float), (len(omega),))
+        if np.any(coef[0] > level):  # coef[0] = r(0) on every ray
+            raise DomainError(f"depth target {float(-level.min())!r} is deeper than the origin, at {float(-coef[0, 0])!r}")
+        s_hi = np.full(len(omega), 0.25)
+        grow = _horner(coef, s_hi)[0] < level
+        for _ in range(60):
+            if not np.any(grow):
                 break
-        if np.any(s_lo == 0):
-            raise DomainError("depth target unreachable along some ray")
-        level = np.broadcast_to(-np.asarray(targets, float), radius.shape)
-        return _line_root(lambda s, idx: _horner(coef[:, idx], s), level, s_lo, radius, 0.0)
+            s_hi[grow] *= 1.5
+            grow = _horner(coef, s_hi)[0] < level
+        if np.any(grow):
+            i = int(np.argmax(grow))
+            raise DomainError(
+                f"the ray along {omega[i].tolist()} stays deeper than its target {float(-level[i])!r} out to "
+                f"s = {s_hi[i]:.6g}: it never leaves the domain"
+            )
+
+        def f_df(s, idx):
+            # _line_root passes every line until the first one stops
+            return _horner(coef if len(idx) == len(level) else coef[:, idx], s)
+
+        return _line_root(f_df, level, np.zeros(len(omega)), s_hi, 0.0)
 
     def level_points(self, omega: np.ndarray, rho: float) -> tuple[np.ndarray, np.ndarray]:
         """The points s*omega of the level surface {-r = rho}, and its density J over directions.
@@ -604,9 +628,7 @@ class RayField:
         J = s^(2n-1) |grad r| / |d r/ds|: the sphere's element scaled to
         radius s, divided by the cosine between the ray and the normal.
         """
-        s = self.boundary_radius(omega)
-        if rho > 0:
-            s = self.solve_depth(omega, s, np.full(len(omega), rho))
+        s = self.solve_depth(omega, rho) if rho > 0 else self.boundary_radius(omega)
         pts = s[:, None] * omega
         grad = self.dom.dbar_r(pts)
         slope = np.abs(self._radial_slope(omega, grad))
@@ -662,11 +684,10 @@ class RayField:
             n_cap_total = int(round(0.5 * count))
             per_cap = np.full(len(cos_caps), n_cap_total // len(cos_caps))
             per_cap[: n_cap_total - int(np.sum(per_cap))] += 1
-            parts = [self.directions(count - n_cap_total, rng)]
-            for c, m in zip(cos_caps, per_cap):
-                if m > 0:
-                    parts.append(self.cap_directions(np.asarray(axis, complex), float(c), int(m), rng))
-            omega = np.concatenate(parts, axis=0)
+            omega = np.concatenate([
+                self.directions(count - n_cap_total, rng),
+                self.cap_directions(np.asarray(axis, complex), np.repeat(cos_caps, per_cap), n_cap_total, rng),
+            ])
             ax = self._to_real(np.asarray(axis, complex).reshape(1, -1))[0]
             ax /= np.linalg.norm(ax)
             height = self._to_real(omega) @ ax
@@ -686,8 +707,7 @@ class RayField:
         Every line is solved on its own, so placing any split of a draw's
         lines gives the same bits as placing them together.
         """
-        radius = self.boundary_radius(omega)
-        s = self.solve_depth(omega, radius, u)
+        s = self.solve_depth(omega, u)
         pts = s[:, None] * omega
         slope = np.abs(self._radial_slope(omega, self.dom.dbar_r(pts)))
         slope = np.maximum(slope, 1e-14)

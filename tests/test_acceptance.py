@@ -79,7 +79,6 @@ def _depth_ratio_offset(dom, seed):
     from berglab.gauge import _ray_field
 
     rays = _ray_field(dom)
-    radii = rays.boundary_radius(dirs)
     from berglab.domain import _domain_depth_max
 
     dmax = _domain_depth_max(dom)
@@ -89,7 +88,7 @@ def _depth_ratio_offset(dom, seed):
         for t in depth_grid:
             if t >= dmax:
                 continue
-            s = rays.solve_depth(dirs[i : i + 1], radii[i : i + 1], np.array([t]))[0]
+            s = rays.solve_depth(dirs[i : i + 1], t)[0]
             pts.append(s * dirs[i])
         pts = np.asarray(pts)
         for a in range(len(pts)):

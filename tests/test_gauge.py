@@ -321,9 +321,12 @@ def test_ray_roots_match_reference_bisection(request, name):
     fixed = [np.full(len(omega), 2.0**-k) for k in (44, 30, 16, 8, 4)]
     mixed_targets = np.exp(rng.uniform(np.log(2.0**-44), np.log(0.1), len(omega)))
     for targets in fixed + [np.full(len(omega), 0.1), mixed_targets]:
-        s = rays.solve_depth(omega, radius, targets)
+        s = rays.solve_depth(omega, targets)
         s_ref = _reference_solve_depth(dom, omega, radius_ref, targets)
         assert np.all(np.abs(s - s_ref) <= 2e-15 * s_ref)
+    # the boundary radius is the solve at depth 0
+    assert rays.solve_depth(omega, 0.0).tobytes() == radius.tobytes()
+    assert rays.solve_depth(omega, np.zeros(len(omega))).tobytes() == radius.tobytes()
 
 
 @pytest.mark.parametrize("cos_cap", [-0.5, 0.0, 0.6])
@@ -336,6 +339,57 @@ def test_cap_directions_heights(ball2, cos_cap):
     # the share of the cap above height 0.75, against the closed form
     share = rays.cap_fraction(0.75) / rays.cap_fraction(cos_cap)
     assert abs(np.mean(h >= 0.75) - share) <= 4 * np.sqrt(share * (1 - share) / len(h))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_cap_directions_heights_one_cosine_per_direction(n):
+    # one call over three caps, their cosines shuffled, so a row drawn again
+    # after a round without an acceptance must keep its own cosine
+    from berglab.gauge import RayField
+
+    rays = RayField(unit_ball(n))
+    caps = np.array([-0.5, 0.0, 0.6])
+    cos = np.random.default_rng(1).permutation(np.repeat(caps, 40000))
+    h = rays.cap_directions(np.eye(n, dtype=complex)[0], cos, len(cos), np.random.default_rng(0))[:, 0].real
+    assert np.all(h >= cos)
+    for c in caps:
+        hc = h[cos == c]
+        # the share of the cap above its middle height, against the closed form
+        mid = 0.5 * (c + 1.0)
+        share = rays.cap_fraction(mid) / rays.cap_fraction(c)
+        assert abs(np.mean(hc >= mid) - share) <= 4 * np.sqrt(share * (1 - share) / len(hc))
+
+
+def test_cap_directions_per_direction_equals_per_cap_calls_at_n1():
+    # at n = 1 a cap draw is one uniform angle per direction, so one call over a
+    # band's caps consumes the generator exactly as one call per cap did
+    from berglab.gauge import RayField
+
+    rays = RayField(unit_ball(1))
+    axis = np.array([np.exp(0.3j)])
+    caps, per_cap = [-0.2, 0.5, 0.9, 0.99], [3, 0, 5, 4]
+    rng_band, rng_caps = np.random.default_rng(7), np.random.default_rng(7)
+    band = rays.cap_directions(axis, np.repeat(caps, per_cap), sum(per_cap), rng_band)
+    ref = np.concatenate([rays.cap_directions(axis, c, m, rng_caps) for c, m in zip(caps, per_cap)])
+    assert band.tobytes() == ref.tobytes()
+    assert rng_band.random() == rng_caps.random()
+
+
+def test_a_ray_that_never_leaves_is_refused():
+    # r = |z1|^2 - 1 does not depend on z2, so the ray along (0, 1) stays at r = -1
+    from berglab.domain import DomainError, custom_domain
+    from berglab.gauge import RayField
+
+    dom = custom_domain(2, [((1, 0), (1, 0), 1.0), ((0, 0), (0, 0), -1.0)], [[-1.2, 1.2]] * 4, c=1.0, theta=0.1)
+    rays = RayField(dom)
+    omega = np.array([[1.0, 0.0], [0.0, 1.0]], complex)
+    with pytest.raises(DomainError, match=r"along \[0j, \(1\+0j\)\] stays deeper than its target 0.0 .* never leaves"):
+        rays.boundary_radius(omega)
+    with pytest.raises(DomainError, match=r"along \[0j, \(1\+0j\)\] stays deeper than its target 0.01 "):
+        rays.solve_depth(omega, [0.01, 0.01])
+    with pytest.raises(DomainError, match="depth target 2.0 is deeper than the origin, at 1.0"):
+        rays.solve_depth(omega[:1], 2.0)
+    assert rays.boundary_radius(omega[:1])[0] == 1.0
 
 
 def test_cap_fraction_normaliser(ball2):
@@ -404,7 +458,7 @@ def test_layered_stderr_counts_the_bulk_volume():
 
 
 def _reference_layer_sample(rays, depth_lo, depth_hi, count, rng, focus=None):
-    """RayField.layer_sample as one function, with one pass over the caps per cap."""
+    """RayField.layer_sample as one function: one cap draw for all the caps, one root solve per ray."""
     if focus is None:
         omega = rays.directions(count, rng)
         dir_density = np.full(count, 1.0 / rays.sphere_area)
@@ -413,20 +467,17 @@ def _reference_layer_sample(rays, depth_lo, depth_hi, count, rng, focus=None):
         n_cap_total = int(round(0.5 * count))
         per_cap = np.full(len(cos_caps), n_cap_total // len(cos_caps))
         per_cap[: n_cap_total - int(np.sum(per_cap))] += 1
-        parts = [rays.directions(count - n_cap_total, rng)]
-        for c, m in zip(cos_caps, per_cap):
-            if m > 0:
-                parts.append(rays.cap_directions(np.asarray(axis, complex), float(c), int(m), rng))
-        omega = np.concatenate(parts, axis=0)
+        uniform = rays.directions(count - n_cap_total, rng)
+        capped = rays.cap_directions(np.asarray(axis, complex), np.repeat(cos_caps, per_cap), n_cap_total, rng)
+        omega = np.concatenate([uniform, capped], axis=0)
         ax = rays._to_real(np.asarray(axis, complex).reshape(1, -1))[0]
         ax /= np.linalg.norm(ax)
         height = rays._to_real(omega) @ ax
         dir_density = np.full(len(omega), 0.5 / rays.sphere_area)
         for c, frac in zip(cos_caps, fracs):
             dir_density = dir_density + np.where(height >= c, 0.5 / (len(cos_caps) * rays.sphere_area * frac), 0.0)
-    radius = rays.boundary_radius(omega)
     u = np.exp(rng.uniform(np.log(depth_lo), np.log(depth_hi), count))
-    s = rays.solve_depth(omega, radius, u)
+    s = rays.solve_depth(omega, u)
     pts = s[:, None] * omega
     slope = np.maximum(np.abs(rays._radial_slope(omega, rays.dom.dbar_r(pts))), 1e-14)
     p_u = 1.0 / (u * np.log(depth_hi / depth_lo))
@@ -500,6 +551,36 @@ def test_layer_pass_matches_reference_band_loop(request, monkeypatch, name, shar
     gauge.fr_integral(dom, z, kappa=0.0, a=1.0, mode=mode, tail_radius=1.0, samples=samples, seed=5)
     (z_, integrand, kw, out), = calls
     assert out == _reference_layered_mc_integral(dom, z_, integrand, **kw)
+
+
+def test_one_root_solve_per_chunk_and_one_cap_draw_per_band(monkeypatch, ball2):
+    # each placed chunk of lines costs one _line_root (the boundary radius is
+    # not solved on its own), and each focused band one cap_directions call
+    from berglab import domain as domain_mod, gauge
+
+    roots, caps, places, focused = [], [], [], []
+    line_root, rays = domain_mod._line_root, gauge._ray_field(ball2)
+    cap_directions, layer_draw, layer_place = rays.cap_directions, rays.layer_draw, rays.layer_place
+
+    def counted_root(f_df, level, *args):
+        roots.append(len(level))
+        return line_root(f_df, level, *args)
+
+    def counted_draw(*args, focus=None):
+        focused.append(focus is not None)
+        return layer_draw(*args, focus=focus)
+
+    monkeypatch.setattr(domain_mod, "_line_root", counted_root)
+    monkeypatch.setattr(rays, "cap_directions", lambda *a: caps.append(a[2]) or cap_directions(*a))
+    monkeypatch.setattr(rays, "layer_draw", counted_draw)
+    monkeypatch.setattr(rays, "layer_place", lambda omega, *a: places.append(len(omega)) or layer_place(omega, *a))
+    monkeypatch.setattr(gauge, "_PASS_CHUNK", 1000)
+    z = np.array([0.97 * rays.boundary_radius(np.eye(1, 2, dtype=complex))[0], 0.0])
+    roots.clear()
+    gauge.layered_mc_integral(ball2, z, lambda p: np.ones(len(p)), samples=20000, seed=3)
+    # two passes of 21 bands each, placed in 23 chunks
+    assert len(places) > 2 and roots == places
+    assert len(focused) > 2 and all(focused) and len(caps) == len(focused)
 
 
 @pytest.mark.parametrize("n", [1, 2])
