@@ -18,7 +18,6 @@ the deepest band ends at 2^-31 (C^1) and 2^-24 (C^2).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -150,36 +149,6 @@ class Cover:
     def ramp(self, x: np.ndarray) -> np.ndarray:
         """Piecewise-linear profile: 1 at 0, 0 beyond the ramp radius."""
         return np.clip(1.0 - np.asarray(x, float) / self.ramp_radius, 0.0, 1.0)
-
-    def to_json(self) -> str:
-        doc = {
-            "m": self.m,
-            "c1": self.c1,
-            "sigma": self.sigma,
-            "n0_observed": self.n0_observed,
-            "n0_bound": self.n0_bound,
-            "ramp_radius": self.ramp_radius,
-            "levels": [
-                {
-                    "index": lv.index,
-                    "t": lv.t,
-                    "d": lv.d,
-                    "a": lv.a,
-                    "b": lv.b,
-                    "depth_a": list(lv.depth_a),
-                    "depth_b": list(lv.depth_b),
-                    "centers": _c2j(lv.centers),
-                    "z_reps": _c2j(lv.z_reps),
-                    "colors": lv.colors.tolist(),
-                }
-                for lv in self.levels
-            ],
-        }
-        return json.dumps(doc, sort_keys=True)
-
-
-def _c2j(arr: np.ndarray) -> list:
-    return [[float(x) for x in np.concatenate([p.real, p.imag])] for p in arr]
 
 
 # -- packing ------------------------------------------------------------------------

@@ -9,7 +9,6 @@ metric, the same yardstick every consumer and every check uses.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,26 +32,6 @@ class Lattice:
 
     def __len__(self) -> int:
         return len(self.points)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "a": self.a,
-                "seed": self.seed,
-                "region": self.region,
-                "points": [[float(x) for x in np.concatenate([p.real, p.imag])] for p in self.points],
-            },
-            sort_keys=True,
-        )
-
-    @staticmethod
-    def from_json(text: str) -> "Lattice":
-        doc = json.loads(text)
-        pts = []
-        for row in doc["points"]:
-            half = len(row) // 2
-            pts.append(np.asarray(row[:half]) + 1j * np.asarray(row[half:]))
-        return Lattice(np.asarray(pts), float(doc["a"]), int(doc["seed"]), str(doc["region"]))
 
 
 def _depth_stratified_shuffle(dom: DomainSpec, pts: np.ndarray, rng: np.random.Generator) -> np.ndarray:

@@ -6,7 +6,8 @@ are estimated from above by optimizing piecewise-linear paths with L-BFGS
 on the exact gradient of their Gauss-Legendre length; every consumer in this
 library treats the optimizer output as the working metric, so inequalities
 checked downstream are stated in the direction that stays valid under
-over-estimation.
+over-estimation.  The one cheap upper bound is the length of the straight
+chord (:func:`straight_chord_upper`).
 """
 
 from __future__ import annotations
@@ -194,16 +195,18 @@ def _polyline_length(dom: DomainSpec, nodes: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class DistanceBudget:
-    """Optimizer budget for the distance upper bound."""
+    """Optimizer budget for the distance upper bound: path nodes and descent iterations."""
 
     nodes: int = 64
     max_iters: int = 40
-    arc_seed: bool = True  # also descend from the inward-retreat seed
+
+    def __post_init__(self):
+        if self.nodes < 1 or self.max_iters < 1:
+            raise MetricError(f"distance budget needs nodes >= 1 and max_iters >= 1, got {self}")
 
 
-ORACLE_BUDGET = DistanceBudget(nodes=64, max_iters=60, arc_seed=True)
-SCAN_BUDGET = DistanceBudget(nodes=12, max_iters=12, arc_seed=True)
-CHEAP_BUDGET = DistanceBudget(nodes=8, max_iters=0, arc_seed=False)
+ORACLE_BUDGET = DistanceBudget(nodes=64, max_iters=60)
+SCAN_BUDGET = DistanceBudget(nodes=12, max_iters=12)
 
 
 def _resample_polyline(nodes: np.ndarray, k_out: int) -> np.ndarray:
@@ -244,7 +247,7 @@ def _inward_point(dom: DomainSpec, z: np.ndarray, depth: float) -> np.ndarray:
         return z
 
 
-def _arc_seed(dom: DomainSpec, z: np.ndarray, w: np.ndarray, k: int) -> np.ndarray | None:
+def _retreat_seed(dom: DomainSpec, z: np.ndarray, w: np.ndarray, k: int) -> np.ndarray | None:
     """Boundary-avoiding seed: retreat both ends inward, then connect."""
     dz, dw = -dom.r_val(z), -dom.r_val(w)
     gap2 = float(np.sum(np.abs(z - w) ** 2))
@@ -343,8 +346,6 @@ def _optimize_nodes(dom: DomainSpec, nodes: np.ndarray, max_iters: int) -> tuple
     length = _polyline_length(dom, nodes)
     if len(nodes) < 3:
         return nodes, length, 0, True, 0
-    if max_iters <= 0:
-        return nodes, length, 0, False, 0
     x = nodes[1:-1].view(float)
     g = _length_gradient(dom, nodes).view(float)
     iterations, trials = 1, 0
@@ -387,9 +388,10 @@ def _optimize_nodes(dom: DomainSpec, nodes: np.ndarray, max_iters: int) -> tuple
 def distance(dom: DomainSpec, z: np.ndarray, w: np.ndarray, budget: DistanceBudget = SCAN_BUDGET) -> dict:
     """Upper bound on the path-infimum distance.
 
-    Multi-start local optimization: a straight seed plus an inward-retreat
-    seed (both directions).  The pair is canonically ordered before
-    optimizing, so the estimate is exactly symmetric in (z, w).
+    Multi-start local optimization from a straight seed and an
+    inward-retreat seed; a seed that leaves the domain, or an inward-retreat
+    seed that does not retreat, is skipped.  The pair is canonically ordered
+    before optimizing, so the estimate is exactly symmetric in (z, w).
     ``converged`` reports whether the last descent on the winning seed
     converged (see :func:`_optimize_nodes`); ``iterations`` counts the
     gradient evaluations and ``trials`` the line-search trial lengths over
@@ -407,21 +409,13 @@ def distance(dom: DomainSpec, z: np.ndarray, w: np.ndarray, budget: DistanceBudg
     a, b = (w, z) if key_rev < key else (z, w)
 
     k = budget.nodes
-    seeds = [_straight_seed(a, b, k)]
-    if budget.arc_seed:
-        arc = _arc_seed(dom, a, b, k)
-        if arc is not None:
-            seeds.append(arc)
-
     best_len = np.inf
     converged = False
     iterations = trials = 0
     k_opt = min(k, 16)
-    for seed_nodes in seeds:
-        if not _feasible(dom, seed_nodes):
-            seed_nodes = _arc_seed(dom, a, b, k)
-            if seed_nodes is None or not _feasible(dom, seed_nodes):
-                continue
+    for seed_nodes in (_straight_seed(a, b, k), _retreat_seed(dom, a, b, k)):
+        if seed_nodes is None or not _feasible(dom, seed_nodes):
+            continue
         # optimize the shape on a coarse polyline, then refine the node count
         # for quadrature accuracy and polish
         coarse = _resample_polyline(seed_nodes, k_opt) if k_opt < k else seed_nodes
@@ -429,7 +423,7 @@ def distance(dom: DomainSpec, z: np.ndarray, w: np.ndarray, budget: DistanceBudg
         iterations += its
         trials += tries
         if k_opt < k:
-            polish = max(budget.max_iters // 4, 2) if budget.max_iters > 0 else 0
+            polish = max(budget.max_iters // 4, 2)
             nodes, val, its, done, tries = _optimize_nodes(dom, _resample_polyline(nodes, k), polish)
             iterations += its
             trials += tries
@@ -605,23 +599,11 @@ def _polydisc_volume(pd: Polydisc, n: int) -> float:
 
 
 def metric_ball_volume(dom: DomainSpec, z, a: float, samples: int = 20000, seed: int = 0) -> dict:
-    """mu(D(z, a)) with membership decided by the chord bound, or by a ``CHEAP_BUDGET`` estimate near the edge."""
+    """mu(D(z, a)) with membership decided by the chord bound.
+
+    A point is in when its straight chord from z is shorter than a; the chord
+    to a point outside the domain is +inf, so such a point is out.
+    """
     z = np.asarray(z, complex).reshape(-1)
-    est = DistanceEstimator(dom, CHEAP_BUDGET)
-    sampler = ball_superset_sampler(dom, z, a)
-
-    def member(pts):
-        inside = dom.r_val(pts) < 0
-        out = np.zeros(len(pts), bool)
-        idx = np.where(inside)[0]
-        if len(idx):
-            chords = straight_chord_upper(dom, z, pts[idx])
-            near = chords < a
-            # optimizer pass only where the chord is inconclusive but close
-            maybe = (~near) & (chords < 3.0 * a)
-            for i in np.where(maybe)[0]:
-                near[i] = est(z, pts[idx[i]]) < a
-            out[idx] = near
-        return out
-
-    return mu_volume(dom, member, sampler, samples=samples, seed=seed)
+    return mu_volume(dom, lambda pts: straight_chord_upper(dom, z, pts) < a, ball_superset_sampler(dom, z, a),
+                     samples=samples, seed=seed)

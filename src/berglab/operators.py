@@ -21,7 +21,7 @@ import numpy as np
 from ._poly import HermPoly
 from .domain import DomainSpec, _domain_depth_max, _ray_field, normal_direction, unit_ball, walk_to_depth
 from .kernel import EXACT_BALL, ball_quadrature, kernel_eval, monomial_norm_sq
-from .metric import CHEAP_BUDGET, DistanceEstimator, Polydisc, straight_chord_upper
+from .metric import Polydisc, straight_chord_upper
 
 
 class OperatorError(ValueError):
@@ -155,10 +155,8 @@ class EnlargedSpace:
 
     n: int
     N: int
-    conj_degree: int
     pairs: list[tuple[tuple[int, ...], tuple[int, ...]]]
     n_holo: int
-    chol: np.ndarray
     quad: object
     Uw: np.ndarray  # (nodes, dim) orthonormalized values with sqrt weights
     galerkin_cols: np.ndarray
@@ -214,7 +212,7 @@ def enlarged_space(n: int, N: int, conj_degree: int) -> EnlargedSpace:
     U = forward_substitution(L, V.conj().T).conj().T
     Uw = U * np.sqrt(quad.weights)[:, None]
     gal_cols = np.array([holo.index((a, (0,) * n)) for a in _multi_indices(n, N)])
-    return EnlargedSpace(n, N, conj_degree, pairs, len(holo), L, quad, Uw, gal_cols)
+    return EnlargedSpace(n, N, pairs, len(holo), quad, Uw, gal_cols)
 
 
 def hankel_and_commutator(space: GalerkinSpace, f) -> dict:
@@ -279,15 +277,14 @@ def oscillation_profile(
     seed: int = 0,
     shells: tuple[int, int] = (2, 12),
 ) -> OscillationProfile:
-    """Sampled sup of |f(z) - f(w)| over pairs within estimator distance 1.
+    """Sampled sup of |f(z) - f(w)| over pairs within distance 1.
 
     Each of the ``pair_samples`` points per shell gets 12 partners drawn
-    inside scaled tangential/normal boxes, kept only when the
-    ``CHEAP_BUDGET`` estimator confirms the distance bound, so the recorded
-    sup is a true lower bound for the continuum oscillation.
+    inside scaled tangential/normal boxes, kept only when the straight chord
+    from z is at most 1 (a chord that leaves the domain bounds nothing), so
+    the recorded sup is a true lower bound for the continuum oscillation.
     """
     rng = np.random.default_rng(seed)
-    est = DistanceEstimator(dom, CHEAP_BUDGET)
     k_lo, k_hi = shells
     depths = []
     sups = []
@@ -298,12 +295,9 @@ def oscillation_profile(
             z = _shell_point(dom, t, rng)
             fz = complex(f(z.reshape(1, -1))[0])
             ws = _nearby_candidates(dom, z, rng, 12)
-            for w in ws:
-                if dom.r_val(w) >= 0:
-                    continue
-                if est(z, w) <= 1.0:
-                    fw = complex(f(w.reshape(1, -1))[0])
-                    sup_k = max(sup_k, abs(fz - fw))
+            for w in ws[straight_chord_upper(dom, z, ws) <= 1.0]:
+                fw = complex(f(w.reshape(1, -1))[0])
+                sup_k = max(sup_k, abs(fz - fw))
         depths.append(t)
         sups.append(sup_k)
     sups_arr = np.asarray(sups)
@@ -445,8 +439,9 @@ def compactness_report(space: GalerkinSpace, A: OperatorMatrix, seed: int = 0) -
     The boundary grid is the depths 2^(-k/2), k = 1, 2, ..., 39, walking
     toward the boundary; it stops at the :func:`resolution_limit`.  At each
     depth the off-diagonal entry is the largest over 6 nearby partners
-    within estimator distance 2; the singular-value tail is the share of
-    the singular values beyond the degree N - 2 head.
+    whose straight chord from the base point is shorter than 2; the
+    singular-value tail is the share of the singular values beyond the
+    degree N - 2 head.
     """
     dom = _ball_domain(space.n)
     limit = resolution_limit(space)
@@ -458,7 +453,6 @@ def compactness_report(space: GalerkinSpace, A: OperatorMatrix, seed: int = 0) -
     rng = np.random.default_rng(seed)
     berezin_by_depth = []
     offdiag_by_depth = []
-    est = DistanceEstimator(dom, CHEAP_BUDGET)
     for t in depths:
         z = np.zeros(space.n, complex)
         z[0] = np.sqrt(1 - t)
@@ -468,7 +462,7 @@ def compactness_report(space: GalerkinSpace, A: OperatorMatrix, seed: int = 0) -
         off = 0.0
         for _ in range(6):
             w = _nearby_candidates(dom, z, rng, 1)[0]
-            if dom.r_val(w) >= 0 or est(z, w) >= 2.0:
+            if straight_chord_upper(dom, z, w) >= 2.0:
                 continue
             u = space.kernel_coeffs(w)
             u = u / np.linalg.norm(u)

@@ -14,7 +14,6 @@ import pytest
 from berglab.domain import ellipsoid, sample_region, unit_ball
 from berglab.gauge import exponent_regression, fr_integral, normal_gauge, comparability_scale
 from berglab.metric import (
-    CHEAP_BUDGET,
     ORACLE_BUDGET,
     DistanceBudget,
     DistanceEstimator,
@@ -64,7 +63,7 @@ def _depth_ratio_offset(dom, seed):
     deterministic, so the fitted offset is dominated by the same pairs on
     every seed; seeded random cross pairs fill in the bulk.
     """
-    est = DistanceEstimator(dom, DistanceBudget(nodes=10, max_iters=8, arc_seed=True))
+    est = DistanceEstimator(dom, DistanceBudget(nodes=10, max_iters=8))
     kappas = []
     count = 0
     # canonical ladder directions: coordinate axes and diagonals
@@ -281,7 +280,6 @@ def test_criterion_6_operator_identities():
 
     # lattice-sum perturbation shrinks with the perturbation scale
     disc = unit_ball(1, theta=1.0)
-    est = DistanceEstimator(disc, CHEAP_BUDGET)
     pts = np.array([[0.5 + 0j], [-0.5 + 0j], [0.55j]])
     base = discrete_sum_matrix(sp, pts, np.ones(3))
     eps = []
@@ -289,7 +287,7 @@ def test_criterion_6_operator_identities():
         moved = []
         for p in pts:
             q = p * (1 - 0.3 * delta * (-disc.r_val(p)))
-            assert est(p, q) <= delta
+            assert straight_chord_upper(disc, p, q) <= delta
             moved.append(q)
         pert = discrete_sum_matrix(sp, np.asarray(moved), np.ones(3))
         eps.append(float(np.linalg.norm(base.matrix - pert.matrix, 2)))
@@ -396,12 +394,11 @@ def test_criterion_8_covering_suite(n):
         ok = False
     delta = 1.0 / (cover.m / 13.0 - 4.0)
     # sampled oscillation over confirmed unit-distance pairs
-    est = DistanceEstimator(dom, CHEAP_BUDGET)
     osc = 0.0
     for p in probes[:10]:
         for _ in range(4):
             q = p * (1 + 0.2 * (-dom.r_val(p)) * rng.standard_normal())
-            if dom.r_val(q) >= 0 or est(p, q) > 1.0:
+            if dom.r_val(q) >= 0 or straight_chord_upper(dom, p, q) > 1.0:
                 continue
             osc = max(osc, abs(fI(p.reshape(1, -1))[0] - fI(q.reshape(1, -1))[0]))
     if osc > delta * 1.25:

@@ -24,7 +24,7 @@ from berglab.covering import (
 )
 from berglab.domain import surface_pool, unit_ball
 from berglab.gauge import exponent_regression, normal_gauge
-from berglab.metric import CHEAP_BUDGET, DistanceEstimator
+from berglab.metric import straight_chord_upper
 
 
 @pytest.fixture(scope="session")
@@ -327,7 +327,6 @@ def test_separation_screen(disc_cover, disc):
     bound = min(disc_cover.m / 13.0, np.log2(1.0 / disc_cover.sigma) / 4.0) * 0.9
     cell = build_cells(disc, lv, 0)
     anchors = a_cell_samples(disc_cover, 0, 0, 6)
-    est = DistanceEstimator(disc, CHEAP_BUDGET)
     rng = np.random.default_rng(7)
     for anchor in anchors[:3]:
         for _ in range(8):
@@ -335,7 +334,7 @@ def test_separation_screen(disc_cover, disc):
             w = anchor + np.array([step])
             if disc.r_val(w) >= 0:
                 continue
-            if est(anchor, w) < bound:
+            if straight_chord_upper(disc, anchor, w) < bound:
                 assert cell["b_cell"](w.reshape(1, -1))[0]
 
 
@@ -412,16 +411,6 @@ def test_coverage_of_realized_band(disc_cover, disc):
         if np.all(covered):
             break
     assert np.all(covered)
-
-
-def test_cover_serialization(disc_cover):
-    doc = disc_cover.to_json()
-    import json
-
-    back = json.loads(doc)
-    assert back["m"] == disc_cover.m
-    assert len(back["levels"]) == len(disc_cover.levels)
-    assert back["levels"][0]["centers"]
 
 
 def test_profile_requires_large_m(disc):

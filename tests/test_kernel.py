@@ -14,7 +14,7 @@ from berglab.kernel import (
     monomial_norm_sq,
     reproducing_residual,
 )
-from berglab.metric import CHEAP_BUDGET, DistanceEstimator, ball_superset_sampler
+from berglab.metric import ball_superset_sampler, straight_chord_upper
 
 
 def test_kernel_center_values(disc, ball2):
@@ -95,7 +95,7 @@ def test_monomial_norms_match_quadrature():
 # -- sampled norms over metric balls ------------------------------------------------
 
 
-def _ball_norm_sq(dom, est, f_vals, z, a=1.0, samples=1500, seed=0):
+def _ball_norm_sq(dom, f_vals, z, a=1.0, samples=1500, seed=0):
     """MC of the squared L^2 norm of f over the metric ball D(z, a)."""
     rng = np.random.default_rng(seed)
     draw = ball_superset_sampler(dom, z, a)
@@ -105,7 +105,7 @@ def _ball_norm_sq(dom, est, f_vals, z, a=1.0, samples=1500, seed=0):
     for p, d_ok, dens_i in zip(pts, keep, dens):
         if not d_ok:
             continue
-        if est(z, p) < a:
+        if straight_chord_upper(dom, z, p) < a:
             total += abs(f_vals(p.reshape(1, -1))[0]) ** 2 / dens_i
     return total / samples
 
@@ -125,13 +125,12 @@ def _random_poly(rng, deg=4):
 def test_pointwise_bound_from_ball_norm(disc_global):
     # |f(z)| <= C |r(z)|^-(n+1)/2 ||f chi_D(z,1)|| with one fitted constant
     rng = np.random.default_rng(1)
-    est = DistanceEstimator(disc_global, CHEAP_BUDGET)
     ratios = []
     for trial in range(6):
         f = _random_poly(rng)
         t = 10 ** rng.uniform(-3, -1)
         z = np.array([np.sqrt(1 - t) * np.exp(2j * np.pi * rng.uniform())])
-        norm = np.sqrt(_ball_norm_sq(disc_global, est, f, z, seed=trial))
+        norm = np.sqrt(_ball_norm_sq(disc_global, f, z, seed=trial))
         lhs = abs(f(z.reshape(1, -1))[0])
         ratios.append(lhs * t / max(norm, 1e-12))
     assert max(ratios) <= 10.0
@@ -140,17 +139,16 @@ def test_pointwise_bound_from_ball_norm(disc_global):
 def test_gradient_bound_from_ball_norm(disc_global):
     # |f(w) - f(z)| <= C d(z,w) |r(z)|^-(n+1)/2 ||f chi_D(z,1)|| for close pairs
     rng = np.random.default_rng(2)
-    est = DistanceEstimator(disc_global, CHEAP_BUDGET)
     ratios = []
     for trial in range(5):
         f = _random_poly(rng)
         t = 10 ** rng.uniform(-3, -1)
         z = np.array([np.sqrt(1 - t) * np.exp(2j * np.pi * rng.uniform())])
         w = z * (1 - 0.02 * t / abs(z[0]) ** 2)  # small radial step
-        d = est(z, w)
+        d = straight_chord_upper(disc_global, z, w)
         if d >= 0.5 or d <= 0:
             continue
-        norm = np.sqrt(_ball_norm_sq(disc_global, est, f, z, seed=100 + trial))
+        norm = np.sqrt(_ball_norm_sq(disc_global, f, z, seed=100 + trial))
         lhs = abs(f(w.reshape(1, -1))[0] - f(z.reshape(1, -1))[0])
         ratios.append(lhs * t / (d * max(norm, 1e-12)))
     assert ratios and max(ratios) <= 20.0
@@ -158,12 +156,11 @@ def test_gradient_bound_from_ball_norm(disc_global):
 
 def test_kernel_direction_continuity(disc_global):
     # ||k_z - k_w|| <= C d(z,w) for close pairs, via the exact Gram identity
-    est = DistanceEstimator(disc_global, CHEAP_BUDGET)
     ratios = []
     for t in (0.1, 0.01, 0.001):
         z = np.array([np.sqrt(1 - t) + 0j])
         w = z * (1 - 0.05 * t)
-        d = est(z, w)
+        d = straight_chord_upper(disc_global, z, w)
         kzz = float(np.real(kernel_eval(disc_global, EXACT_BALL, z, z.reshape(1, -1))[0]))
         kww = float(np.real(kernel_eval(disc_global, EXACT_BALL, w, w.reshape(1, -1))[0]))
         kwz = complex(kernel_eval(disc_global, EXACT_BALL, w, z.reshape(1, -1))[0])
@@ -174,12 +171,11 @@ def test_kernel_direction_continuity(disc_global):
 
 
 def test_close_kernels_correlate(disc_global):
-    # pairs within a small estimator distance keep |<k_z, k_w>| >= 1/2
-    est = DistanceEstimator(disc_global, CHEAP_BUDGET)
+    # pairs a short chord apart keep |<k_z, k_w>| >= 1/2
     for t in (0.1, 0.01, 0.001):
         z = np.array([np.sqrt(1 - t) + 0j])
         w = z * (1 - 0.02 * t)
-        assert est(z, w) <= 0.15
+        assert straight_chord_upper(disc_global, z, w) <= 0.15
         kzz = float(np.real(kernel_eval(disc_global, EXACT_BALL, z, z.reshape(1, -1))[0]))
         kww = float(np.real(kernel_eval(disc_global, EXACT_BALL, w, w.reshape(1, -1))[0]))
         kwz = complex(kernel_eval(disc_global, EXACT_BALL, w, z.reshape(1, -1))[0])

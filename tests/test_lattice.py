@@ -9,7 +9,7 @@ from berglab.lattice import (
     pairwise_dupper,
     partition_separated,
 )
-from berglab.metric import CHEAP_BUDGET, SCAN_BUDGET, DistanceEstimator, metric_ball_volume
+from berglab.metric import SCAN_BUDGET, DistanceEstimator, metric_ball_volume
 
 
 def test_empty_region(disc):
@@ -122,14 +122,6 @@ def test_packing_balls_disjoint_sampled(disc_global):
                 if i == j:
                     continue
                 assert est(w, p) >= a - 1e-9
-
-
-def test_lattice_json_round_trip(disc):
-    lat = Lattice(np.array([[0.1 + 0.2j], [0.5 - 0.1j]]), 0.25, 3, "interior")
-    back = Lattice.from_json(lat.to_json())
-    assert back.a == lat.a
-    assert back.seed == lat.seed
-    assert np.allclose(back.points, lat.points)
 
 
 def test_greedy_colors_follow_the_order():

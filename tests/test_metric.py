@@ -2,16 +2,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from berglab.domain import sample_region, unit_ball
+from berglab.domain import custom_domain, sample_region, unit_ball
 from berglab.gauge import RayField, normal_gauge
 from berglab.metric import (
     _GL_T,
     _GL_W,
-    CHEAP_BUDGET,
     ORACLE_BUDGET,
     SCAN_BUDGET,
     DistanceBudget,
     DistanceEstimator,
+    MetricError,
     Polydisc,
     _inward_point,
     _length_gradient,
@@ -240,7 +240,6 @@ def test_distance_reports_convergence(disc_global, ball2_global):
     res = distance(ball2_global, np.zeros(2, complex), np.array([0.5, 0], complex), ORACLE_BUDGET)
     assert res["converged"] and res["iterations"] == 2  # coarse descent, then polish
     z, w = np.array([0.5 + 0j]), np.array([0.5j])
-    assert distance(disc_global, z, w, CHEAP_BUDGET)["converged"] is False
     # one iteration cannot straighten the curved path: the budget runs out
     res = distance(disc_global, z, w, DistanceBudget(nodes=16, max_iters=1))
     assert not res["converged"] and res["iterations"] == 2  # one per seed
@@ -248,10 +247,30 @@ def test_distance_reports_convergence(disc_global, ball2_global):
 
 def test_distance_reports_line_search_trials(disc_global):
     z, w = np.array([0.5 + 0j]), np.array([0.5j])
-    assert distance(disc_global, z, w, CHEAP_BUDGET)["trials"] == 0
     for budget in (SCAN_BUDGET, ORACLE_BUDGET):
         res = distance(disc_global, z, w, budget)
         assert 0 < res["trials"] <= 12 * res["iterations"]
+
+
+def test_straight_seed_leaving_a_nonconvex_domain_is_skipped():
+    # the sextic terms dent the disc, and the chord between these two points
+    # at depth 0.01 leaves it: one descent from the inward-retreat seed
+    # alone gives the bound, with no second descent standing in for the
+    # straight seed
+    terms = [((1,), (1,), 1.0), ((0,), (0,), -1.0), ((6,), (0,), 0.05), ((0,), (6,), 0.05)]
+    dom = custom_domain(1, terms, [[-1.11, 1.11]] * 2, c=2.0, theta=0.02)
+    z = np.array([0.18051772607177607 - 1.0063627668232251j])
+    w = np.array([0.7816924776233692 - 0.6592644278734904j])
+    assert np.isinf(straight_chord_upper(dom, z, w))
+    res = distance(dom, z, w, SCAN_BUDGET)
+    assert np.float64(res["d_upper"]).tobytes() == np.float64(1.9094536940736).tobytes()
+    assert res["iterations"] == 12 and res["trials"] == 14
+
+
+@pytest.mark.parametrize("field", ["nodes", "max_iters"])
+def test_budget_refuses_zero(field):
+    with pytest.raises(MetricError):
+        DistanceBudget(**{field: 0})
 
 
 def _ball_distance(z, w):
@@ -398,7 +417,7 @@ def test_metric_ball_volume_band(disc_global):
 
 
 def test_estimator_memoized(disc):
-    est = DistanceEstimator(disc, CHEAP_BUDGET)
+    est = DistanceEstimator(disc, SCAN_BUDGET)
     z, w = np.array([0.1 + 0j]), np.array([0.5 + 0.2j])
     assert est(z, w) == est(w, z)
 
@@ -409,8 +428,8 @@ def test_estimator_exact_in_unordered_pair(name, request):
     dom = request.getfixturevalue(name)
     pts = sample_region(dom, "interior", 12, seed=5)
     for z, w in zip(pts[:6], pts[6:]):
-        d_zw = DistanceEstimator(dom, CHEAP_BUDGET)(z, w)
-        d_wz = DistanceEstimator(dom, CHEAP_BUDGET)(w, z)
+        d_zw = DistanceEstimator(dom, SCAN_BUDGET)(z, w)
+        d_wz = DistanceEstimator(dom, SCAN_BUDGET)(w, z)
         assert np.float64(d_zw).tobytes() == np.float64(d_wz).tobytes()
 
 

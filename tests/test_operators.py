@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from berglab.domain import _domain_depth_max, unit_ball
 from berglab.lattice import build_separated
-from berglab.metric import CHEAP_BUDGET, DistanceEstimator
+from berglab.metric import straight_chord_upper
 from berglab.operators import (
     OperatorError,
     OperatorMatrix,
@@ -164,13 +164,12 @@ def test_oscillation_angular_step_persists(disc1):
     def step(pts):
         return (np.angle(pts[:, 0]) > 0).astype(float)
 
-    est = DistanceEstimator(disc1, CHEAP_BUDGET)
     for k in range(2, 9):
         t = 2.0**-k
         eps = 0.3 * t  # unit-ball pairs on the disc separate at scale t
         z = np.array([np.sqrt(1 - t) * np.exp(1j * eps)])
         w = np.array([np.sqrt(1 - t) * np.exp(-1j * eps)])
-        assert est(z, w) <= 1.0
+        assert straight_chord_upper(disc1, z, w) <= 1.0
         assert abs(step(z.reshape(1, -1))[0] - step(w.reshape(1, -1))[0]) == 1.0
 
 
@@ -232,13 +231,12 @@ def test_separated_sum_bounded(sp8, disc1):
 def test_perturbation_shrinks_with_delta(sp8, disc1):
     pts = np.array([[0.45 + 0j], [-0.45 + 0j]])
     base = discrete_sum_matrix(sp8, pts, np.ones(2))
-    est = DistanceEstimator(disc1, CHEAP_BUDGET)
     norms = []
     for delta in (0.2, 0.1, 0.05):
         moved = []
         for p in pts:
             q = p * (1 - 0.3 * delta * (-disc1.r_val(p)))
-            assert est(p, q) <= delta
+            assert straight_chord_upper(disc1, p, q) <= delta
             moved.append(q)
         pert = discrete_sum_matrix(sp8, np.asarray(moved), np.ones(2))
         norms.append(np.linalg.norm(base.matrix - pert.matrix, 2))
@@ -410,14 +408,13 @@ def test_two_vector_commutator_inequality(dim, seed):
 
 def test_telescoping_bound(disc1):
     f = cutoff_family(disc1, "phi", t=0.3, delta=0.4)
-    est = DistanceEstimator(disc1, CHEAP_BUDGET)
     diff = oscillation_profile(disc1, f, pair_samples=10, seed=6).diff
     rng = np.random.default_rng(7)
     for _ in range(10):
         t1, t2 = 10 ** rng.uniform(-3, -0.5, 2)
         z = np.array([np.sqrt(1 - t1) * np.exp(2j * np.pi * rng.uniform())])
         w = np.array([np.sqrt(1 - t2) * np.exp(2j * np.pi * rng.uniform())])
-        d = est(z, w)
+        d = straight_chord_upper(disc1, z, w)
         if not np.isfinite(d):
             continue
         k = int(np.ceil(d))

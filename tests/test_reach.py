@@ -1,12 +1,16 @@
-"""Every top-level definition of the library is reached, or kept for a stated reason.
+"""Every top-level definition and method of the library is reached, or kept for a stated reason.
 
 A top-level function or class of ``src/berglab/*.py`` is reached when its
 name appears as a whole word somewhere else in ``src/berglab`` (its own
 definition and ``__init__.py`` do not count), or in ``scripts/`` or
-``bench/``.  Tests do not count: code that only its own tests reach is a
-deletion candidate unless ``KEPT`` names it with the reason it stays.  The
-scan matches names, so it can miss unreached code, but it never reports
-reached code as unreached.
+``bench/``.  A method of a top-level class (dunder methods aside, which
+Python calls itself) is reached when its name appears as an attribute,
+``.name``, anywhere in ``src/berglab``, ``scripts/`` or ``bench/``.  Tests
+do not count: code that only its own tests reach is a deletion candidate
+unless ``KEPT`` or ``KEPT_METHODS`` names it with the reason it stays.  The
+scans match names, so they can miss unreached code (a method sharing its
+name with a reached one looks reached), but they never report reached code
+as unreached.
 """
 
 import ast
@@ -37,10 +41,19 @@ KEPT = {
     "build_cells": "the nested cells with representatives that README advertises",
 }
 
+KEPT_METHODS = {
+    "DomainSpec.to_json": "writes the custom-domain JSON schema that README documents",
+    "Polydisc.contains": "the membership oracle of test_polydisc_sampler_inside",
+}
+
+
+def _outside() -> list[str]:
+    return [p.read_text() for d in ("scripts", "bench") for p in sorted((ROOT / d).rglob("*.py"))]
+
 
 def _unreached() -> set[str]:
     texts = {p: p.read_text() for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"}
-    outside = [p.read_text() for d in ("scripts", "bench") for p in sorted((ROOT / d).rglob("*.py"))]
+    outside = _outside()
     found = set()
     for path, text in texts.items():
         lines = text.splitlines(keepends=True)
@@ -56,9 +69,36 @@ def _unreached() -> set[str]:
     return found
 
 
+def _unreached_methods() -> set[str]:
+    sources = [p.read_text() for p in sorted(SRC.glob("*.py"))]
+    texts = sources + _outside()
+    found = set()
+    for text in sources:
+        for cls in ast.parse(text).body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                if node.name.startswith("__") and node.name.endswith("__"):
+                    continue
+                attr = re.compile(rf"\.{re.escape(node.name)}\b")
+                if not any(attr.search(t) for t in texts):
+                    found.add(f"{cls.name}.{node.name}")
+    return found
+
+
 def test_every_definition_is_reached_or_kept():
     unreached = _unreached()
     orphans = sorted(unreached - KEPT.keys())
     stale = sorted(KEPT.keys() - unreached)
     assert not orphans, f"reached by nothing but its own tests: {orphans}"
     assert not stale, f"KEPT names that are reached or no longer defined: {stale}"
+
+
+def test_every_method_is_reached_or_kept():
+    unreached = _unreached_methods()
+    orphans = sorted(unreached - KEPT_METHODS.keys())
+    stale = sorted(KEPT_METHODS.keys() - unreached)
+    assert not orphans, f"methods reached by nothing but their own tests: {orphans}"
+    assert not stale, f"KEPT_METHODS names that are reached or no longer defined: {stale}"
