@@ -54,10 +54,15 @@ class HermPoly:
         for (a, b), c in self.terms.items():
             term = np.full(z.shape[:-1], c, dtype=complex)
             for i in range(self.n):
-                if a[i]:
-                    term = term * z[..., i] ** a[i]
-                if b[i]:
-                    term = term * zc[..., i] ** b[i]
+                for e, w in ((a[i], z), (b[i], zc)):
+                    if e:
+                        power = w[..., i] ** e
+                        # term * power written over the fresh power, so a value does
+                        # not depend on the array size: numpy's complex product is not
+                        # commutative in the last bit, ``*`` on a large array may reuse
+                        # the power and swap the factors, and a one-element in-place
+                        # product takes another loop
+                        term = np.multiply(term, power, out=power if np.size(power) > 1 else None)
             out += term
         return out
 

@@ -107,6 +107,21 @@ class DomainSpec:
         evaluated once per sorted index tuple and written to every
         permutation slot.
         """
+        z = np.asarray(z, dtype=complex)
+        out = np.empty(z.shape[:-1] + (self.n,) * (holo + anti), dtype=complex)
+        for p, slots in self._table(holo, anti):
+            v = p(z)
+            for s in slots:
+                out[s] = v
+        return out
+
+    def vanishes(self, holo: int, anti: int) -> bool:
+        """Whether every polynomial of the (holo, anti) table is zero, as the
+        dbar dbar r and d dbar dbar r tables of a quadratic r are."""
+        return all(not p.terms for p, _ in self._table(holo, anti))
+
+    def _table(self, holo: int, anti: int) -> list:
+        """The (polynomial, permutation slots) rows of the (holo, anti) table, memoized."""
         def build():
             rows = []
             for d in combinations_with_replacement(range(self.n), holo):
@@ -115,13 +130,7 @@ class DomainSpec:
                     rows.append((self.partial(d, b), slots))
             return rows
 
-        z = np.asarray(z, dtype=complex)
-        out = np.empty(z.shape[:-1] + (self.n,) * (holo + anti), dtype=complex)
-        for p, slots in self.memo(("derivatives", holo, anti), build):
-            v = p(z)
-            for s in slots:
-                out[s] = v
-        return out
+        return self.memo(("derivatives", holo, anti), build)
 
     # -- pointwise geometry ------------------------------------------------
 

@@ -21,8 +21,6 @@ from .metric import SCAN_BUDGET, DistanceEstimator, straight_chord_upper
 class Lattice:
     points: np.ndarray  # (m, n) complex
     a: float
-    seed: int
-    region: str = "interior"
 
     def __post_init__(self):
         pts = np.asarray(self.points, complex)
@@ -63,18 +61,22 @@ def build_separated(
 ) -> Lattice:
     """Greedy maximal packing relative to the sampled candidate stream.
 
-    ``est`` defaults to a fresh SCAN_BUDGET estimator; pass a shared one to
-    reuse its optimizer distances in later partitions and counts.
+    A candidate's close pairs (chord below 2a + 2) go to the optimizer as one
+    batch, which stops at the first path shorter than 2a: the decision of
+    asking them one by one up to the first estimate below 2a.  ``est``
+    defaults to a fresh SCAN_BUDGET estimator; pass a shared one to reuse
+    the accepted candidates' optimizer distances in later partitions and
+    counts.
     """
     if a <= 0:
         raise ValueError("separation parameter must be positive")
     rng = np.random.default_rng(seed)
     if candidates is None:
         if candidate_count == 0:
-            return Lattice(np.empty((0, dom.n), complex), a, seed, str(region))
+            return Lattice(np.empty((0, dom.n), complex), a)
         candidates = sample_region(dom, region, candidate_count, seed)
     if len(candidates) == 0:
-        return Lattice(np.empty((0, dom.n), complex), a, seed, str(region))
+        return Lattice(np.empty((0, dom.n), complex), a)
     candidates = _depth_stratified_shuffle(dom, np.asarray(candidates, complex), rng)
 
     if est is None:
@@ -89,15 +91,9 @@ def build_separated(
         if np.any(chords < 2 * a):
             continue
         # chords are upper bounds; confirm near misses with the optimizer
-        close = np.where(chords < 2 * a + 2.0)[0]
-        ok = True
-        for i in close:
-            if est(cand, acc[i]) < 2 * a:
-                ok = False
-                break
-        if ok:
+        if est.all_at_least(cand, acc[chords < 2 * a + 2.0], 2 * a):
             accepted.append(cand)
-    return Lattice(np.asarray(accepted), a, seed, str(region))
+    return Lattice(np.asarray(accepted), a)
 
 
 def pairwise_dupper(dom: DomainSpec, pts: np.ndarray, est: DistanceEstimator | None = None,
@@ -138,7 +134,7 @@ def partition_separated(dom: DomainSpec, lat: Lattice, R: float,
     np.fill_diagonal(conflict, False)
     colors = _greedy_colors(conflict, range(m))
     return [
-        Lattice(lat.points[colors == c], R, lat.seed, lat.region)
+        Lattice(lat.points[colors == c], R)
         for c in range(int(colors.max()) + 1)
     ]
 

@@ -6,8 +6,11 @@ are estimated from above by optimizing piecewise-linear paths with L-BFGS
 on the exact gradient of their Gauss-Legendre length; every consumer in this
 library treats the optimizer output as the working metric, so inequalities
 checked downstream are stated in the direction that stays valid under
-over-estimation.  The one cheap upper bound is the length of the straight
-chord (:func:`straight_chord_upper`).
+over-estimation.  The optimizer runs a stack of paths in lockstep, one
+length-and-gradient evaluation per round for all of them, and each path gets
+the bits it would get alone; :func:`distance` is the batch of one.  The one
+cheap upper bound is the length of the straight chord
+(:func:`straight_chord_upper`).
 """
 
 from __future__ import annotations
@@ -48,12 +51,14 @@ def psi_blend(dom: DomainSpec, r_val: np.ndarray) -> np.ndarray:
     return _smoothstep((r_val + 2.0 * dom.theta) / dom.theta)
 
 
-def metric_form(dom: DomainSpec, z: np.ndarray, xi: np.ndarray, rv: np.ndarray | None = None) -> np.ndarray:
+def metric_form(dom: DomainSpec, z: np.ndarray, xi: np.ndarray, rv: np.ndarray | None = None,
+                H: np.ndarray | None = None, g: np.ndarray | None = None) -> np.ndarray:
     """Quadratic form sum B[i,j](z) xi_i conj(xi_j) of the metric, vectorized, no matrices.
 
     For -r(z) <= theta, B is exactly the complex Hessian of log(1/-r):
     B = A/(-r) + (dbar r)(dbar r)^H / r^2.  Used on every quadrature
-    abscissa; ``rv`` is r(z) when the caller already has it.
+    abscissa; ``rv``, ``H`` and ``g`` are r(z), hessian(z) and dbar_r(z)
+    when the caller already has them.
     """
     z = np.asarray(z, dtype=complex)
     xi = np.asarray(xi, dtype=complex)
@@ -62,22 +67,30 @@ def metric_form(dom: DomainSpec, z: np.ndarray, xi: np.ndarray, rv: np.ndarray |
     if np.any(rv >= 0):
         raise MetricError("quadrature abscissa escaped the domain")
     psi = psi_blend(dom, rv)
-    H = dom.hessian(z)
-    g = dom.dbar_r(z)
+    H = dom.hessian(z) if H is None else H
+    g = dom.dbar_r(z) if g is None else g
     levi = levi_form(H, xi)
     normal = np.abs(np.einsum("...i,...i->...", xi, np.conj(g))) ** 2
     eucl = np.sum(np.abs(xi) ** 2, axis=-1)
     return psi * (levi / (-rv) + normal / rv**2) + (1.0 - psi) * eucl
 
 
-def _form_gradients(dom: DomainSpec, z: np.ndarray, xi: np.ndarray, rv: np.ndarray):
-    """:func:`metric_form` Q(z, xi) and its Wirtinger derivatives dQ/dconj(z), dQ/dconj(xi).
+def _form_gradients(dom: DomainSpec, z: np.ndarray, xi: np.ndarray, rv: np.ndarray, H: np.ndarray, g: np.ndarray):
+    """Q(z, xi) of :func:`metric_form` and its Wirtinger derivatives dQ/dconj(z), dQ/dconj(xi).
 
-    With s = -r, L = sum H[i,j] xi_i conj(xi_j), u = sum xi_i d_i r, N = |u|^2 and
-    E = |xi|^2, Q = psi(r) (L/s + N/s^2) + (1 - psi(r)) E.  Differentiating in
-    conj(z_k) brings in dbar_k r, d_i dbar_j dbar_k r (through L) and
-    dbar_i dbar_k r (through conj(u)); differentiating in conj(xi_k) needs only
-    the Hessian and dbar r.
+    H and g are hessian(z) and dbar_r(z).  With s = -r, L = sum H[i,j] xi_i
+    conj(xi_j), u = sum xi_i d_i r, N = |u|^2 and E = |xi|^2,
+    Q = psi(r) (L/s + N/s^2) + (1 - psi(r)) E.  Differentiating in conj(z_k)
+    brings in dbar_k r, d_i dbar_j dbar_k r (through L) and dbar_i dbar_k r
+    (through conj(u)); differentiating in conj(xi_k) needs only H and g.  A
+    third-order table whose polynomials are all zero (both, for a quadratic
+    r) is neither evaluated nor contracted.  Q is assembled here from the
+    same terms as its derivatives, so it agrees with metric_form's value to
+    rounding, not bit for bit; lengths come from metric_form.  No product of
+    two complex arrays takes a temporary as its second factor: numpy's
+    complex product is not commutative in the last bit, and on a large array
+    ``a * temporary`` may reuse the temporary and swap the factors, so a
+    point's values would depend on how many segments share the call.
     """
     # scalars per point keep a trailing axis of length 1 to broadcast against vectors
     rv = rv[..., None]
@@ -85,25 +98,23 @@ def _form_gradients(dom: DomainSpec, z: np.ndarray, xi: np.ndarray, rv: np.ndarr
     x = (rv + 2.0 * dom.theta) / dom.theta
     psi = _smoothstep(x)
     dpsi = _smoothstep_slope(x) / dom.theta
-    g = dom.dbar_r(z)
-    H = dom.hessian(z)
-    G = dom.derivatives(z, 0, 2)
-    T = dom.derivatives(z, 1, 2)
-    xic = np.conj(xi)
+    xic, gc = np.conj(xi), np.conj(g)
     h_xi = np.einsum("...ik,...i->...k", H, xi)
     levi = np.real(np.sum(h_xi * xic, axis=-1, keepdims=True))
-    u = np.sum(xi * np.conj(g), axis=-1, keepdims=True)
+    u = np.sum(xi * gc, axis=-1, keepdims=True)
     normal = np.abs(u) ** 2
     eucl = np.sum(np.abs(xi) ** 2, axis=-1, keepdims=True)
     near = levi / s + normal / s**2
-    form = (psi * near + (1.0 - psi) * eucl)[..., 0]
-    d_levi = np.einsum("...ijk,...i,...j->...k", T, xi, xic)
-    d_normal = np.conj(u) * h_xi + u * np.einsum("...jk,...j->...k", G, xic)
-    q_z = dpsi * g * (near - eucl) + psi * (
-        d_levi / s + d_normal / s**2 + g * (levi / s**2 + 2.0 * normal / s**3)
-    )
+    d_normal = np.conj(u) * h_xi
+    if not dom.vanishes(0, 2):
+        g_xi = np.einsum("...jk,...j->...k", dom.derivatives(z, 0, 2), xic)
+        d_normal = d_normal + u * g_xi
+    d_near = d_normal / s**2
+    if not dom.vanishes(1, 2):
+        d_near = np.einsum("...ijk,...i,...j->...k", dom.derivatives(z, 1, 2), xi, xic) / s + d_near
+    q_z = dpsi * g * (near - eucl) + psi * (d_near + g * (levi / s**2 + 2.0 * normal / s**3))
     q_xi = psi * (h_xi / s + u * g / s**2) + (1.0 - psi) * xi
-    return form, q_z, q_xi
+    return (psi * near + (1.0 - psi) * eucl)[..., 0], q_z, q_xi
 
 
 # -- paths --------------------------------------------------------------------
@@ -183,11 +194,45 @@ def _segment_lengths_fixed(dom: DomainSpec, p: np.ndarray, q: np.ndarray, level:
     return out
 
 
-def _polyline_length(dom: DomainSpec, nodes: np.ndarray) -> float:
-    """Quadrature length of the polyline through ``nodes``; +inf once any abscissa escapes the domain."""
-    if np.all(np.abs(nodes[1:] - nodes[:-1]) == 0):
-        return 0.0
-    return float(np.sum(_segment_lengths(dom, nodes[:-1], nodes[1:])))
+def _lengths_and_gradients(dom: DomainSpec, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Quadrature lengths of a stack of polylines and their exact gradients, in one evaluation.
+
+    ``nodes`` has shape (P, K + 1, n).  Returns the P lengths, +inf once any
+    abscissa escapes the domain, and dL/dRe + i dL/dIm = 2 dL/dconj(node) at
+    the interior nodes, shape (P, K - 1, n).  Each segment's length is
+    sum_a w_a sqrt(Q(z_a, v)) with z_a = p + t_a v and v = q - p, so p
+    enters z_a with the real weight 1 - t_a and v with -1, and q with t_a and
+    +1.  Q is :func:`metric_form`'s arithmetic, so a length here equals
+    :func:`_segment_lengths`' bit for bit.  The refinement buckets are held
+    at the current nodes; an escaped segment adds nothing to the gradient.
+    """
+    count, k1, n = nodes.shape
+    p = nodes[:, :-1].reshape(-1, n)
+    q = nodes[:, 1:].reshape(-1, n)
+    v = q - p
+    seg = np.full(len(p), np.inf)
+    grad_p = np.zeros_like(p)
+    grad_q = np.zeros_like(q)
+    bucket = _segment_buckets(dom, p, q)
+    for b in sorted(set(bucket[bucket > 0].tolist())):
+        sel = np.flatnonzero(bucket == b)
+        t, w, pts, rv, inside = _abscissae(dom, p[sel], q[sel], b)
+        sel = sel[inside]
+        if len(sel) == 0:
+            continue
+        pts, rv = pts[inside], rv[inside]
+        xi = np.broadcast_to(v[sel][:, None, None, :], pts.shape).copy()
+        H, g = dom.hessian(pts), dom.dbar_r(pts)
+        seg[sel] = np.sum(np.sqrt(np.maximum(metric_form(dom, pts, xi, rv, H, g), 0.0)) * w, axis=(-1, -2))
+        speeds2, d_z, d_xi = _form_gradients(dom, pts, xi, rv, H, g)
+        speeds = np.sqrt(np.maximum(speeds2, 0.0))
+        # d sqrt(Q) = dQ / (2 sqrt(Q)), and the gradient is twice the conj-derivative
+        c = np.divide(w, speeds, out=np.zeros_like(speeds), where=speeds > 0)[..., None]
+        grad_p[sel] = np.sum(c * ((1.0 - t)[..., None] * d_z - d_xi), axis=(1, 2))
+        grad_q[sel] = np.sum(c * (t[..., None] * d_z + d_xi), axis=(1, 2))
+    lengths = np.sum(seg.reshape(count, k1 - 1), axis=1)
+    grad = grad_q.reshape(count, k1 - 1, n)[:, :-1] + grad_p.reshape(count, k1 - 1, n)[:, 1:]
+    return lengths, grad
 
 
 # -- distance estimation ------------------------------------------------------
@@ -274,115 +319,191 @@ def _feasible(dom: DomainSpec, nodes: np.ndarray) -> bool:
     return bool(np.all(dom.r_val(allp) < 0))
 
 
-def _length_gradient(dom: DomainSpec, nodes: np.ndarray) -> np.ndarray:
-    """Exact gradient of the quadrature length of a polyline in its interior nodes.
-
-    Returns dL/dRe + i dL/dIm = 2 dL/dconj(node) for each interior node,
-    shape (K-1, n).  Each segment's length is sum_a w_a sqrt(Q(z_a, v)) with
-    z_a = p + t_a v and v = q - p, so p enters z_a with the real weight
-    1 - t_a and v with -1, and q with t_a and +1.  The refinement buckets are
-    held at the current nodes; a segment with any abscissa outside the domain
-    contributes nothing.
-    """
-    p, q = nodes[:-1], nodes[1:]
-    grad_p = np.zeros_like(p)
-    grad_q = np.zeros_like(q)
-    bucket = _segment_buckets(dom, p, q)
-    for b in sorted(set(bucket[bucket > 0].tolist())):
-        sel = np.flatnonzero(bucket == b)
-        t, w, pts, rv, inside = _abscissae(dom, p[sel], q[sel], b)
-        sel = sel[inside]
-        if len(sel) == 0:
-            continue
-        pts = pts[inside]
-        xi = np.broadcast_to((q - p)[sel][:, None, None, :], pts.shape)
-        speeds2, d_z, d_xi = _form_gradients(dom, pts, xi, rv[inside])
-        # d sqrt(Q) = dQ / (2 sqrt(Q)), and the gradient is twice the conj-derivative
-        speeds = np.sqrt(np.maximum(speeds2, 0.0))
-        c = np.divide(w, speeds, out=np.zeros_like(speeds), where=speeds > 0)[..., None]
-        grad_p[sel] = np.sum(c * ((1.0 - t)[..., None] * d_z - d_xi), axis=(1, 2))
-        grad_q[sel] = np.sum(c * (t[..., None] * d_z + d_xi), axis=(1, 2))
-    return grad_q[:-1] + grad_p[1:]
-
-
 _MEMORY = 6  # L-BFGS curvature pairs kept
 _TRIALS = 12  # line-search trials per step: length 1, then halvings
 _ARMIJO = 1e-4  # sufficient-decrease constant
 
 
-def _lbfgs_direction(g: np.ndarray, memory: list) -> np.ndarray:
-    """-H g by the two-loop recursion over the (s, y, 1/(s.y)) pairs, oldest first."""
+def _lbfgs_directions(g: np.ndarray, S: np.ndarray, Y: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """-H g for each row of g by the two-loop recursion.
+
+    Row i holds ``_MEMORY`` slots S[i, j], Y[i, j], rho[i, j] = 1/(s.y),
+    oldest first and the newest last; an empty slot is all zeros and changes
+    nothing.
+    """
     q = g.copy()
     alphas = []
-    for s, y, rho in reversed(memory):
-        a = rho * np.sum(s * q)
-        q -= a * y
+    for j in reversed(range(_MEMORY)):
+        a = rho[:, j] * np.sum(S[:, j] * q, axis=-1)
+        q -= a[:, None] * Y[:, j]
         alphas.append(a)
-    s, y, _ = memory[-1]
-    q *= np.sum(s * y) / np.sum(y * y)
-    for (s, y, rho), a in zip(memory, reversed(alphas)):
-        q += (a - rho * np.sum(y * q)) * s
+    s, y = S[:, -1], Y[:, -1]
+    q *= (np.sum(s * y, axis=-1) / np.sum(y * y, axis=-1))[:, None]
+    for j, a in zip(range(_MEMORY), reversed(alphas)):
+        q += (a - rho[:, j] * np.sum(Y[:, j] * q, axis=-1))[:, None] * S[:, j]
     return -q
 
 
-def _optimize_nodes(dom: DomainSpec, nodes: np.ndarray, max_iters: int) -> tuple[np.ndarray, float, int, bool, int]:
-    """L-BFGS on the real coordinates of the interior nodes.
+def _optimize_paths(dom: DomainSpec, nodes: np.ndarray, max_iters: int, stop_below: float = -np.inf):
+    """L-BFGS on the real coordinates of the interior nodes of a stack of paths, in lockstep.
 
-    The objective is the quadrature length and its gradient is exact
-    (:func:`_length_gradient`).  Directions come from the two-loop recursion
-    over the last ``_MEMORY`` curvature pairs; with no pairs held, the step is
-    steepest descent of length 0.1 max|node| / |g|.  Each line search tries
-    step 1, then halves, until the Armijo test passes, at most ``_TRIALS``
-    times; a trial whose path leaves the domain has infinite length and fails,
-    which plays the role of the interior barrier.  A failed search with memory
-    drops the memory and retries along steepest descent.
+    ``nodes`` has shape (P, K + 1, n).  Every path keeps its own curvature
+    memory, direction, step, counts and active flag, and takes the steps it
+    would take alone.  Each round evaluates the trials of all searching paths
+    in one :func:`_lengths_and_gradients` call; an accepted trial's gradient
+    is the one the next step uses.  Directions come from the two-loop
+    recursion over the last ``_MEMORY`` curvature pairs; with no pairs held,
+    the step is steepest descent of length 0.1 max|node| / |g|.  Each line
+    search tries step 1, then halves, until the Armijo test passes, at most
+    ``_TRIALS`` times; a trial whose path leaves the domain has infinite
+    length and fails, which plays the role of the interior barrier.  A failed
+    search with memory drops the memory and retries along steepest descent.
 
-    Returns the nodes, their length, the number of gradient evaluations (at
-    most ``max_iters``), whether the descent converged and the number of
-    trial lengths the line searches computed.  It converged when the gradient
-    fell below 1e-12 or a steepest-descent search failed; running out of
-    ``max_iters`` is not convergence.
+    Returns the nodes, their lengths, the iterations (the seed and each
+    accepted step, at most ``max_iters``), whether each descent converged and
+    the number of trial lengths its line searches computed.  A descent
+    converged when its gradient fell below 1e-12 or a steepest-descent search
+    failed; running out of ``max_iters`` is not convergence.  An accepted
+    step lowers a path's length, so once any length is below ``stop_below``
+    the path's final length will be too: the batch stops and returns None.
     """
-    length = _polyline_length(dom, nodes)
-    if len(nodes) < 3:
-        return nodes, length, 0, True, 0
-    x = nodes[1:-1].view(float)
-    g = _length_gradient(dom, nodes).view(float)
-    iterations, trials = 1, 0
-    memory: list = []
+    count, k1, n = nodes.shape
+    lengths, grad = _lengths_and_gradients(dom, nodes)
+    iterations = np.zeros(count, int)
+    trials = np.zeros(count, int)
+    converged = np.ones(count, bool)
+    if np.any(lengths < stop_below):
+        return None
+    if k1 < 3:
+        return nodes, lengths, iterations, converged, trials
+    nodes = nodes.copy()
+    iterations[:] = 1
+    g = grad.reshape(count, -1).view(float)
+    S = np.zeros((count, _MEMORY, g.shape[1]))
+    Y = np.zeros_like(S)
+    rho = np.zeros((count, _MEMORY))
+    held = np.zeros(count, bool)
+    d = np.zeros_like(g)
+    slope = np.zeros(count)
+    step = np.ones(count)
+    tries = np.zeros(count, int)
+    active = np.ones(count, bool)
+    fresh = active.copy()  # paths starting a line search this round
     while True:
-        gn = float(np.sqrt(np.sum(g * g)))
-        if gn < 1e-12:
-            return nodes, length, iterations, True, trials
-        if memory:
-            d = _lbfgs_direction(g, memory)
+        new = np.flatnonzero(fresh)
+        fresh[:] = False
+        gn = np.sqrt(np.sum(g[new] * g[new], axis=-1))
+        active[new[gn < 1e-12]] = False
+        new, gn = new[gn >= 1e-12], gn[gn >= 1e-12]
+        lb, sd = new[held[new]], new[~held[new]]
+        if len(lb):
+            d[lb] = _lbfgs_directions(g[lb], S[lb], Y[lb], rho[lb])
+        if len(sd):
+            span = np.max(np.abs(nodes[sd, 1:-1]), axis=(1, 2))
+            d[sd] = -(0.1 * np.maximum(span, 1e-3) / gn[~held[new]])[:, None] * g[sd]
+        slope[new] = np.sum(g[new] * d[new], axis=-1)
+        step[new] = 1.0
+        tries[new] = 0
+
+        live = np.flatnonzero(active)
+        if len(live) == 0:
+            return nodes, lengths, iterations, converged, trials
+        x = nodes[live, 1:-1].reshape(len(live), -1).view(float)
+        x_new = x + step[live, None] * d[live]
+        trial = nodes[live]
+        trial[:, 1:-1] = x_new.view(complex).reshape(len(live), k1 - 2, n)
+        val, grad = _lengths_and_gradients(dom, trial)
+        trials[live] += 1
+        ok = val < lengths[live] + _ARMIJO * step[live] * slope[live]
+        if np.any(val[ok] < stop_below):
+            return None
+
+        acc = live[ok]
+        last = iterations[acc] == max_iters
+        nodes[acc] = trial[ok]
+        lengths[acc] = val[ok]
+        converged[acc[last]] = False
+        active[acc[last]] = False
+        go = ~last
+        acc = acc[go]
+        iterations[acc] += 1
+        s_new = (x_new[ok] - x[ok])[go]
+        g_new = grad[ok][go].reshape(len(acc), (k1 - 2) * n).view(float)
+        y_new = g_new - g[acc]
+        sy = np.sum(s_new * y_new, axis=-1)
+        keep = sy > 0  # keep H positive definite, so every direction descends
+        upd = acc[keep]
+        S[upd] = np.concatenate([S[upd, 1:], s_new[keep, None]], axis=1)
+        Y[upd] = np.concatenate([Y[upd, 1:], y_new[keep, None]], axis=1)
+        rho[upd] = np.concatenate([rho[upd, 1:], (1.0 / sy[keep])[:, None]], axis=1)
+        held[upd] = True
+        g[acc] = g_new
+        fresh[acc] = True
+
+        rej = live[~ok]
+        step[rej] *= 0.5
+        tries[rej] += 1
+        failed = rej[tries[rej] == _TRIALS]
+        retry, done = failed[held[failed]], failed[~held[failed]]
+        S[retry] = Y[retry] = 0.0
+        rho[retry] = 0.0
+        held[retry] = False
+        fresh[retry] = True
+        active[done] = False
+
+
+def _distances(dom: DomainSpec, Z: np.ndarray, W: np.ndarray, budget: DistanceBudget,
+               stop_below: float = -np.inf) -> dict | None:
+    """:func:`distance` for each row pair (Z[i], W[i]), all descents of a stage in one batch.
+
+    Returns the arrays ``d_upper``, ``converged``, ``iterations`` and
+    ``trials``, equal bit for bit to one-pair calls, or None when a path of
+    the last stage falls below ``stop_below`` (see :func:`_optimize_paths`).
+    """
+    Z = np.asarray(Z, dtype=complex)
+    W = np.asarray(W, dtype=complex)
+    if np.any(dom.r_val(Z) >= 0) or np.any(dom.r_val(W) >= 0):
+        raise MetricError("distance endpoints must be interior")
+    k = budget.nodes
+    k_opt = min(k, 16)
+    same = np.all(Z == W, axis=-1)
+    seeds, owner = [], []
+    for i, (z, w) in enumerate(zip(Z, W)):
+        if same[i]:
+            continue
+        key = tuple(np.concatenate([z.view(float), w.view(float)]))
+        key_rev = tuple(np.concatenate([w.view(float), z.view(float)]))
+        a, b = (w, z) if key_rev < key else (z, w)
+        for nodes in (_straight_seed(a, b, k), _retreat_seed(dom, a, b, k)):
+            if nodes is not None and _feasible(dom, nodes):
+                seeds.append(_resample_polyline(nodes, k_opt) if k_opt < k else nodes)
+                owner.append(i)
+    best = np.where(same, 0.0, np.inf)
+    converged = same.copy()
+    iterations = np.zeros(len(Z), int)
+    trials = np.zeros(len(Z), int)
+    if seeds:
+        # optimize the shape on a coarse polyline, then refine the node count
+        # for quadrature accuracy and polish
+        nodes, its, tries = np.asarray(seeds), 0, 0
+        if k_opt < k:
+            nodes, _, its, _, tries = _optimize_paths(dom, nodes, budget.max_iters)
+            nodes = np.asarray([_resample_polyline(x, k) for x in nodes])
+            out = _optimize_paths(dom, nodes, max(budget.max_iters // 4, 2), stop_below)
         else:
-            d = -(0.1 * max(np.max(np.abs(nodes[1:-1])), 1e-3) / gn) * g
-        slope = float(np.sum(g * d))
-        step = 1.0
-        for _ in range(_TRIALS):
-            x_new = x + step * d
-            trial = nodes.copy()
-            trial[1:-1] = x_new.view(complex)
-            val = _polyline_length(dom, trial)
-            trials += 1
-            if val < length + _ARMIJO * step * slope:
-                break
-            step *= 0.5
-        else:
-            if memory:
-                memory.clear()
-                continue
-            return nodes, length, iterations, True, trials
-        if iterations == max_iters:
-            return trial, val, iterations, False, trials
-        g_new = _length_gradient(dom, trial).view(float)
-        iterations += 1
-        s, y = x_new - x, g_new - g
-        sy = float(np.sum(s * y))
-        if sy > 0:  # keep H positive definite, so every direction descends
-            memory = (memory + [(s, y, 1.0 / sy)])[-_MEMORY:]
-        nodes, x, g, length = trial, x_new, g_new, val
+            out = _optimize_paths(dom, nodes, budget.max_iters, stop_below)
+        if out is None:
+            return None
+        _, vals, its_last, done, tries_last = out
+        its, tries = its + its_last, tries + tries_last
+        for j, i in enumerate(owner):  # each pair's seeds in order: straight, then retreat
+            iterations[i] += its[j]
+            trials[i] += tries[j]
+            if vals[j] < best[i]:
+                best[i], converged[i] = vals[j], done[j]
+    if np.any(np.isinf(best)):
+        raise MetricError("no feasible path seed; endpoints may hug a nonconvex boundary")
+    return {"d_upper": best, "converged": converged, "iterations": iterations, "trials": trials}
 
 
 def distance(dom: DomainSpec, z: np.ndarray, w: np.ndarray, budget: DistanceBudget = SCAN_BUDGET) -> dict:
@@ -393,45 +514,13 @@ def distance(dom: DomainSpec, z: np.ndarray, w: np.ndarray, budget: DistanceBudg
     seed that does not retreat, is skipped.  The pair is canonically ordered
     before optimizing, so the estimate is exactly symmetric in (z, w).
     ``converged`` reports whether the last descent on the winning seed
-    converged (see :func:`_optimize_nodes`); ``iterations`` counts the
-    gradient evaluations and ``trials`` the line-search trial lengths over
-    all seeds.
+    converged (see :func:`_optimize_paths`); ``iterations`` counts the
+    iterates and ``trials`` the line-search trial lengths over all seeds.
+    This is the batch of one of :func:`_distances`.
     """
-    z = np.asarray(z, dtype=complex).reshape(-1)
-    w = np.asarray(w, dtype=complex).reshape(-1)
-    if dom.r_val(z) >= 0 or dom.r_val(w) >= 0:
-        raise MetricError("distance endpoints must be interior")
-    if np.array_equal(z, w):
-        return {"d_upper": 0.0, "converged": True, "iterations": 0, "trials": 0}
-
-    key = tuple(np.concatenate([z.view(float), w.view(float)]))
-    key_rev = tuple(np.concatenate([w.view(float), z.view(float)]))
-    a, b = (w, z) if key_rev < key else (z, w)
-
-    k = budget.nodes
-    best_len = np.inf
-    converged = False
-    iterations = trials = 0
-    k_opt = min(k, 16)
-    for seed_nodes in (_straight_seed(a, b, k), _retreat_seed(dom, a, b, k)):
-        if seed_nodes is None or not _feasible(dom, seed_nodes):
-            continue
-        # optimize the shape on a coarse polyline, then refine the node count
-        # for quadrature accuracy and polish
-        coarse = _resample_polyline(seed_nodes, k_opt) if k_opt < k else seed_nodes
-        nodes, val, its, done, tries = _optimize_nodes(dom, coarse, budget.max_iters)
-        iterations += its
-        trials += tries
-        if k_opt < k:
-            polish = max(budget.max_iters // 4, 2)
-            nodes, val, its, done, tries = _optimize_nodes(dom, _resample_polyline(nodes, k), polish)
-            iterations += its
-            trials += tries
-        if val < best_len:
-            best_len, converged = val, done
-    if not np.isfinite(best_len):
-        raise MetricError("no feasible path seed; endpoints may hug a nonconvex boundary")
-    return {"d_upper": float(best_len), "converged": converged, "iterations": iterations, "trials": trials}
+    z = np.asarray(z, dtype=complex).reshape(1, -1)
+    w = np.asarray(w, dtype=complex).reshape(1, -1)
+    return {key: val[0].item() for key, val in _distances(dom, z, w, budget).items()}
 
 
 def straight_chord_upper(dom: DomainSpec, z: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -455,9 +544,10 @@ class DistanceEstimator:
     """Memoizing facade: min(chord, optimizer) at one budget.
 
     The value is an exact function of the unordered pair: both bounds are
-    computed with the endpoints in key order, so est(z, w) == est(w, z)
-    bit for bit, and sharing one estimator across callers cannot change
-    what any of them sees.
+    computed with the endpoints in key order, and a batch of pairs gives
+    each pair the bits it gets alone, so est(z, w) == est(w, z) bit for bit
+    and sharing one estimator across callers cannot change what any of them
+    sees.  Every call solves all its memo misses in one batch.
     """
 
     def __init__(self, dom: DomainSpec, budget: DistanceBudget = SCAN_BUDGET):
@@ -465,22 +555,54 @@ class DistanceEstimator:
         self.budget = budget
         self._memo: dict[bytes, float] = {}
 
-    def __call__(self, z: np.ndarray, w: np.ndarray) -> float:
+    def __call__(self, z: np.ndarray, w: np.ndarray) -> float | np.ndarray:
+        """The estimate for the pair (z, w), or for each row of w when w has shape (m, n)."""
         z = np.asarray(z, complex).reshape(-1)
-        w = np.asarray(w, complex).reshape(-1)
+        w = np.asarray(w, complex)
+        keys, misses = self._keys(z, w.reshape(-1, len(z)))
+        self._solve(misses)
+        vals = np.array([self._memo[key] for key in keys])
+        return vals if w.ndim == 2 else float(vals[0])
+
+    def all_at_least(self, z: np.ndarray, W: np.ndarray, t: float) -> bool:
+        """Whether est(z, w) >= t for every row w of W.
+
+        The same answer as asking each pair, but the batch stops as soon as a
+        chord or an optimizer path is shorter than t, since the estimate is
+        then shorter too.  Only the pairs of a finished batch are memoized.
+        """
+        z = np.asarray(z, complex).reshape(-1)
+        keys, misses = self._keys(z, np.asarray(W, complex).reshape(-1, len(z)))
+        if any(self._memo[key] < t for key in keys if key not in misses):
+            return False
+        return self._solve(misses, t) and all(self._memo[key] >= t for key in keys)
+
+    def _keys(self, z: np.ndarray, W: np.ndarray) -> tuple[list, dict]:
+        """The memo key of each pair (z, W[i]), and the missed pairs, endpoints in key order, by key."""
         ka = z.tobytes()
-        kb = w.tobytes()
-        if kb < ka:
-            z, w, ka, kb = w, z, kb, ka
-        key = ka + kb
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
-        chord = float(straight_chord_upper(self.dom, z, w))
-        opt = distance(self.dom, z, w, self.budget)["d_upper"]
-        val = min(chord, opt)
-        self._memo[key] = val
-        return val
+        keys, misses = [], {}
+        for w in W:
+            kb = w.tobytes()
+            key, pair = (ka + kb, (z, w)) if ka <= kb else (kb + ka, (w, z))
+            keys.append(key)
+            if key not in self._memo:
+                misses[key] = pair
+        return keys, misses
+
+    def _solve(self, misses: dict, stop_below: float = -np.inf) -> bool:
+        """Memoize the missed pairs' estimates from one batch; False when it stops below ``stop_below``."""
+        if not misses:
+            return True
+        A, B = (np.asarray(ends) for ends in zip(*misses.values()))
+        chord = straight_chord_upper(self.dom, A, B)
+        if np.any(chord < stop_below):
+            return False
+        opt = _distances(self.dom, A, B, self.budget, stop_below)
+        if opt is None:
+            return False
+        for key, c, o in zip(misses, chord.tolist(), opt["d_upper"].tolist()):
+            self._memo[key] = min(c, o)
+        return True
 
 
 # -- regions ------------------------------------------------------------------

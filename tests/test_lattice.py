@@ -1,15 +1,17 @@
 import numpy as np
 import pytest
 
+from berglab.domain import sample_region
 from berglab.lattice import (
     Lattice,
+    _depth_stratified_shuffle,
     _greedy_colors,
     build_separated,
     count_neighbors,
     pairwise_dupper,
     partition_separated,
 )
-from berglab.metric import SCAN_BUDGET, DistanceEstimator, metric_ball_volume
+from berglab.metric import SCAN_BUDGET, DistanceEstimator, metric_ball_volume, straight_chord_upper
 
 
 def test_empty_region(disc):
@@ -76,14 +78,45 @@ def test_shared_estimator_changes_nothing(name, candidates, request):
     assert 0 < len(est._memo) < est.requests
 
 
+def _build_reference(dom, region, a, candidate_count, seed):
+    """The greedy build asking each close pair alone, in order, up to the first estimate below 2a."""
+    rng = np.random.default_rng(seed)
+    candidates = _depth_stratified_shuffle(dom, sample_region(dom, region, candidate_count, seed), rng)
+    est = DistanceEstimator(dom, SCAN_BUDGET)
+    accepted = []
+    for cand in candidates:
+        if accepted:
+            acc = np.asarray(accepted)
+            chords = straight_chord_upper(dom, cand, acc)
+            if np.any(chords < 2 * a):
+                continue
+            if any(est(cand, acc[i]) < 2 * a for i in np.where(chords < 2 * a + 2.0)[0]):
+                continue
+        accepted.append(cand)
+    return np.asarray(accepted)
+
+
+@pytest.mark.parametrize("seed", [3, 4, 5])
+@pytest.mark.parametrize("name", ["disc", "egg"])
+def test_batched_build_matches_the_sequential_loop(name, seed, request):
+    # all_at_least stops a candidate's batch at the first short path; the
+    # lattice is the one the pair-by-pair loop with an early break builds
+    dom = request.getfixturevalue(name)
+    shell = ("shell", 0.02, 0.6)
+    lat = build_separated(dom, shell, 0.5, candidate_count=25, seed=seed)
+    ref = _build_reference(dom, shell, 0.5, 25, seed)
+    assert len(lat) >= 3
+    assert lat.points.tobytes() == ref.tobytes()
+
+
 def test_partition_single_point(disc):
-    lat = Lattice(np.array([[0.2 + 0j]]), 0.3, 0)
+    lat = Lattice(np.array([[0.2 + 0j]]), 0.3)
     classes = partition_separated(disc, lat, 0.3)
     assert len(classes) == 1
 
 
 def test_count_neighbors_far_point(disc_global):
-    lat = Lattice(np.array([[0.9 + 0j]]), 0.3, 0)
+    lat = Lattice(np.array([[0.9 + 0j]]), 0.3)
     # the center is metrically far from a point near the boundary
     assert count_neighbors(disc_global, lat, np.array([0j]), R=0.5) == 0
 

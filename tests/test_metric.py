@@ -13,12 +13,15 @@ from berglab.metric import (
     DistanceEstimator,
     MetricError,
     Polydisc,
+    _distances,
+    _form_gradients,
     _inward_point,
-    _length_gradient,
-    _optimize_nodes,
-    _polyline_length,
+    _lengths_and_gradients,
+    _optimize_paths,
     _refinement_breaks,
     _segment_lengths,
+    _smoothstep,
+    _smoothstep_slope,
     _straight_seed,
     distance,
     metric_ball_volume,
@@ -72,6 +75,16 @@ def test_blend_identity_near_boundary(disc):
 
 
 # -- path length ---------------------------------------------------------------
+
+
+def _polyline_length(dom, nodes):
+    """Quadrature length of one polyline, from the fused length-and-gradient evaluation."""
+    return _lengths_and_gradients(dom, nodes[None])[0][0]
+
+
+def _length_gradient(dom, nodes):
+    """Exact length gradient of one polyline in its interior nodes."""
+    return _lengths_and_gradients(dom, nodes[None])[1][0]
 
 
 def test_constant_path_zero(disc):
@@ -191,6 +204,8 @@ def test_quadrature_matches_reference_loops(name, request):
         new = _segment_lengths(dom, nodes[:-1], nodes[1:])
         ref = _segment_lengths_ref(dom, nodes[:-1], nodes[1:])
         assert new.tobytes() == ref.tobytes()
+        # the fused length-and-gradient evaluation sums the same segment lengths
+        assert _polyline_length(dom, nodes).tobytes() == np.sum(ref).tobytes()
     assert np.isinf(_segment_lengths(dom, outside[:-1], outside[1:])).any()
     for nodes in (deep, blend, shallow):
         h = 1e-6 * (1.0 + float(np.max(np.abs(nodes))))
@@ -231,9 +246,9 @@ def test_straight_radial_seed_is_stationary(ball2_global):
     # the descent stops on its first gradient
     nodes = _straight_seed(np.zeros(2, complex), np.array([0.5, 0], complex), 16)
     assert np.linalg.norm(_length_gradient(ball2_global, nodes)) < 1e-12
-    out, length, iterations, converged, trials = _optimize_nodes(ball2_global, nodes, 40)
-    assert out is nodes and iterations == 1 and converged
-    assert length == _polyline_length(ball2_global, nodes) and trials == 0
+    out, length, iterations, converged, trials = _optimize_paths(ball2_global, nodes[None], 40)
+    assert out[0].tobytes() == nodes.tobytes() and iterations[0] == 1 and converged[0]
+    assert length[0] == _polyline_length(ball2_global, nodes) and trials[0] == 0
 
 
 def test_distance_reports_convergence(disc_global, ball2_global):
@@ -252,19 +267,106 @@ def test_distance_reports_line_search_trials(disc_global):
         assert 0 < res["trials"] <= 12 * res["iterations"]
 
 
+def _dented_disc():
+    """The disc dented by sextic terms, and two points at depth 0.01 whose chord leaves it."""
+    terms = [((1,), (1,), 1.0), ((0,), (0,), -1.0), ((6,), (0,), 0.05), ((0,), (6,), 0.05)]
+    dom = custom_domain(1, terms, [[-1.11, 1.11]] * 2, c=2.0, theta=0.02)
+    z = np.array([0.18051772607177607 - 1.0063627668232251j])
+    w = np.array([0.7816924776233692 - 0.6592644278734904j])
+    return dom, z, w
+
+
 def test_straight_seed_leaving_a_nonconvex_domain_is_skipped():
     # the sextic terms dent the disc, and the chord between these two points
     # at depth 0.01 leaves it: one descent from the inward-retreat seed
     # alone gives the bound, with no second descent standing in for the
     # straight seed
-    terms = [((1,), (1,), 1.0), ((0,), (0,), -1.0), ((6,), (0,), 0.05), ((0,), (6,), 0.05)]
-    dom = custom_domain(1, terms, [[-1.11, 1.11]] * 2, c=2.0, theta=0.02)
-    z = np.array([0.18051772607177607 - 1.0063627668232251j])
-    w = np.array([0.7816924776233692 - 0.6592644278734904j])
+    dom, z, w = _dented_disc()
     assert np.isinf(straight_chord_upper(dom, z, w))
     res = distance(dom, z, w, SCAN_BUDGET)
     assert np.float64(res["d_upper"]).tobytes() == np.float64(1.9094536940736).tobytes()
     assert res["iterations"] == 12 and res["trials"] == 14
+
+
+# -- lockstep batches ----------------------------------------------------------
+
+
+def _batch_pairs(dom, count, seed):
+    """``count`` pairs from a shell; pair 1 is coincident, and pair 2 is radial,
+    so its straight seed is already optimal and its descent stops on its
+    first gradient while the others go on."""
+    pts = sample_region(dom, ("shell", 0.02, 0.6), 2 * count, seed)
+    Z, W = pts[:count].copy(), pts[count:].copy()
+    Z[1] = W[1]
+    Z[2], W[2] = 0.0, 0.0
+    W[2, 0] = 0.5
+    return Z, W
+
+
+@pytest.mark.parametrize("budget", [SCAN_BUDGET, ORACLE_BUDGET], ids=["scan", "oracle"])
+@pytest.mark.parametrize("name", ["disc", "ball2", "egg"])
+def test_batch_equals_one_pair_calls(name, budget, request):
+    # every pair of a lockstep batch gets the bits, iterations and trials a
+    # one-pair call gives it, at P = 1, 2 and a batch of at least 33 pairs
+    dom = request.getfixturevalue(name)
+    Z, W = _batch_pairs(dom, 33 if budget is SCAN_BUDGET else 4, seed=21)
+    one = [distance(dom, z, w, budget) for z, w in zip(Z, W)]
+    assert one[1] == {"d_upper": 0.0, "converged": True, "iterations": 0, "trials": 0}
+    assert one[2]["iterations"] < max(r["iterations"] for r in one)
+    for idx in (np.arange(1), np.arange(2), np.tile(np.arange(len(Z)), -(-33 // len(Z)))):
+        res = _distances(dom, Z[idx], W[idx], budget)
+        for key in one[0]:
+            assert np.asarray([one[i][key] for i in idx]).tobytes() == res[key].tobytes(), key
+
+
+def test_batch_keeps_the_nonconvex_witness():
+    # the witness above, batched with its reverse and a pair whose straight
+    # seed stays inside: the same bits, 12 iterations and 14 trials
+    dom, z, w = _dented_disc()
+    Z, W = np.array([z, w, 0.5 * z]), np.array([w, z, 0.5 * w])
+    res = _distances(dom, Z, W, SCAN_BUDGET)
+    assert res["d_upper"][:2].tobytes() == np.float64([1.9094536940736] * 2).tobytes()
+    assert res["iterations"][:2].tolist() == [12, 12] and res["trials"][:2].tolist() == [14, 14]
+    assert res["d_upper"][2] == distance(dom, 0.5 * z, 0.5 * w, SCAN_BUDGET)["d_upper"]
+
+
+def _form_gradients_ref(dom, z, xi, rv):
+    """:func:`_form_gradients` contracting both third-order tables, zero or not."""
+    H, g = dom.hessian(z), dom.dbar_r(z)
+    rv = rv[..., None]
+    s = -rv
+    x = (rv + 2.0 * dom.theta) / dom.theta
+    psi = _smoothstep(x)
+    dpsi = _smoothstep_slope(x) / dom.theta
+    xic, gc = np.conj(xi), np.conj(g)
+    h_xi = np.einsum("...ik,...i->...k", H, xi)
+    levi = np.real(np.sum(h_xi * xic, axis=-1, keepdims=True))
+    u = np.sum(xi * gc, axis=-1, keepdims=True)
+    normal = np.abs(u) ** 2
+    eucl = np.sum(np.abs(xi) ** 2, axis=-1, keepdims=True)
+    near = levi / s + normal / s**2
+    g_xi = np.einsum("...jk,...j->...k", dom.derivatives(z, 0, 2), xic)
+    d_normal = np.conj(u) * h_xi + u * g_xi
+    d_levi = np.einsum("...ijk,...i,...j->...k", dom.derivatives(z, 1, 2), xi, xic)
+    q_z = dpsi * g * (near - eucl) + psi * (d_levi / s + d_normal / s**2 + g * (levi / s**2 + 2.0 * normal / s**3))
+    q_xi = psi * (h_xi / s + u * g / s**2) + (1.0 - psi) * xi
+    return (psi * near + (1.0 - psi) * eucl)[..., 0], q_z, q_xi
+
+
+@pytest.mark.parametrize("name", ["disc", "ball2", "egg", "mixed", "quartic", "quartic2"])
+def test_zero_derivative_tables_are_skipped_bit_for_bit(name, request):
+    # dbar dbar r and d dbar dbar r vanish for every quadratic r; skipping
+    # them changes no bit, and a quartic r keeps the full path
+    dom = request.getfixturevalue(name)
+    quadratic = dom.r.degree() == 2
+    assert dom.vanishes(0, 2) is dom.vanishes(1, 2) is quadratic
+    rng = np.random.default_rng(9)
+    z = sample_region(dom, "interior", 64, seed=9)
+    xi = rng.standard_normal(z.shape) + 1j * rng.standard_normal(z.shape)
+    rv = dom.r_val(z)
+    got = _form_gradients(dom, z, xi, rv, dom.hessian(z), dom.dbar_r(z))
+    for a, b in zip(got, _form_gradients_ref(dom, z, xi, rv)):
+        assert a.tobytes() == b.tobytes()
 
 
 @pytest.mark.parametrize("field", ["nodes", "max_iters"])
@@ -431,6 +533,29 @@ def test_estimator_exact_in_unordered_pair(name, request):
         d_zw = DistanceEstimator(dom, SCAN_BUDGET)(z, w)
         d_wz = DistanceEstimator(dom, SCAN_BUDGET)(w, z)
         assert np.float64(d_zw).tobytes() == np.float64(d_wz).tobytes()
+
+
+@pytest.mark.parametrize("name", ["disc", "egg"])
+def test_estimator_batch_call_equals_one_pair_calls(name, request):
+    dom = request.getfixturevalue(name)
+    pts = sample_region(dom, "interior", 12, seed=5)
+    batch = DistanceEstimator(dom, SCAN_BUDGET)(pts[0], pts[1:])
+    alone = [DistanceEstimator(dom, SCAN_BUDGET)(pts[0], w) for w in pts[1:]]
+    assert batch.shape == (11,) and batch.tobytes() == np.float64(alone).tobytes()
+
+
+def test_all_at_least_decides_as_the_pairs_do(disc):
+    pts = sample_region(disc, "interior", 8, seed=5)
+    z, W = pts[0], pts[1:]
+    vals = DistanceEstimator(disc, SCAN_BUDGET)(z, W)
+    for t in (vals.min(), np.median(vals), vals.max(), np.nextafter(vals.max(), np.inf)):
+        est = DistanceEstimator(disc, SCAN_BUDGET)
+        assert est.all_at_least(z, W, t) == bool(np.all(vals >= t))
+        # a finished batch memoizes every pair; a stopped one memoizes none
+        assert len(est._memo) == (len(W) if np.all(vals >= t) else 0)
+        # and on the memo, the same answer again
+        est(z, W)
+        assert est.all_at_least(z, W, t) == bool(np.all(vals >= t))
 
 
 def test_gauge_vs_chord_scaling(disc_global):

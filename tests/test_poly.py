@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from berglab._poly import HermPoly
-from berglab.domain import unit_ball
+from berglab.domain import sample_region, unit_ball
 
 
 def _random_real_poly(rng, n=1, terms=4, max_deg=3):
@@ -63,3 +63,13 @@ def test_json_round_trip():
 def test_degree():
     p = HermPoly.from_terms(1, [((2,), (1,), 1.0), ((1,), (2,), 1.0)])
     assert p.degree() == 3
+
+
+def test_evaluation_does_not_depend_on_the_array_size(quartic2):
+    # numpy's complex product is not commutative in the last bit, and on a
+    # large array ``a * temporary`` may reuse the temporary and swap the factors
+    z = sample_region(quartic2, "interior", 20000, seed=1)
+    whole = quartic2.r(z)
+    chunks = np.concatenate([quartic2.r(z[i:i + 100]) for i in range(0, len(z), 100)])
+    assert whole.tobytes() == chunks.tobytes()
+    assert whole[:50].tobytes() == np.array([quartic2.r(p) for p in z[:50]]).tobytes()
