@@ -46,25 +46,13 @@ class HermPoly:
     def __call__(self, z: np.ndarray) -> np.ndarray:
         """Evaluate on points, vectorized over the leading axes of ``z``.
 
-        ``z`` has shape (..., n) complex; the result has shape (...).
+        ``z`` has shape (..., n) complex; the result has shape (...).  This
+        is :func:`evaluate` of the one polynomial, so every value has the
+        bits of that order: each term is its coefficient times its factors
+        in index order, z_i**e before conj(z_i)**e, and the terms are summed
+        into zeros in term order.
         """
-        z = np.asarray(z, dtype=complex)
-        zc = np.conj(z)
-        out = np.zeros(z.shape[:-1], dtype=complex)
-        for (a, b), c in self.terms.items():
-            term = np.full(z.shape[:-1], c, dtype=complex)
-            for i in range(self.n):
-                for e, w in ((a[i], z), (b[i], zc)):
-                    if e:
-                        power = w[..., i] ** e
-                        # term * power written over the fresh power, so a value does
-                        # not depend on the array size: numpy's complex product is not
-                        # commutative in the last bit, ``*`` on a large array may reuse
-                        # the power and swap the factors, and a one-element in-place
-                        # product takes another loop
-                        term = np.multiply(term, power, out=power if np.size(power) > 1 else None)
-            out += term
-        return out
+        return evaluate([self], z)[0]
 
     def d(self, i: int) -> "HermPoly":
         """Holomorphic derivative with respect to z_i."""
@@ -115,6 +103,45 @@ class HermPoly:
     def from_json_terms(n: int, data) -> "HermPoly":
         terms = [(tuple(a), tuple(b), complex(c[0], c[1])) for a, b, c in data]
         return HermPoly.from_terms(n, terms)
+
+
+def evaluate(polys, z: np.ndarray) -> list[np.ndarray]:
+    """Each polynomial of ``polys`` at the points ``z`` of shape (..., n).
+
+    Every power z_i**e and conj(z_i)**e is computed once per call and
+    shared by all terms of all the polynomials; exponent 1 reads the
+    coordinate itself.  A term's product starts from its scalar coefficient
+    and takes its factors in index order, z before conj(z), and each
+    polynomial's terms are summed into zeros in term order.  The products
+    never take a temporary as their second factor and are written in place
+    only on arrays of more than one point: numpy's complex product is not
+    commutative in the last bit, and a one-element in-place product takes
+    another loop.  So a point's value does not depend on the array size.
+    """
+    z = np.asarray(z, dtype=complex)
+    coords = (z, np.conj(z))
+    powers: dict[tuple[int, int, int], np.ndarray] = {}
+
+    def power(side: int, i: int, e: int) -> np.ndarray:
+        if (side, i, e) not in powers:
+            w = coords[side][..., i]
+            powers[side, i, e] = w if e == 1 else w**e
+        return powers[side, i, e]
+
+    outs = []
+    for p in polys:
+        out = np.zeros(z.shape[:-1], dtype=complex)
+        for (a, b), c in p.terms.items():
+            term = c
+            for i in range(p.n):
+                for side, e in ((0, a[i]), (1, b[i])):
+                    if e:
+                        # the first product makes the term's own array; later ones write over it
+                        own = term is not c and np.size(term) > 1
+                        term = np.multiply(term, power(side, i, e), out=term if own else None)
+            out += term
+        outs.append(out)
+    return outs
 
 
 def unit_vector(n: int, i: int) -> MultiIndex:

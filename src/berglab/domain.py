@@ -25,7 +25,7 @@ import numpy as np
 # it loads with the package instead of inside the first suite that runs
 import numpy.random  # noqa: F401
 
-from ._poly import HermPoly, unit_vector
+from ._poly import HermPoly, evaluate, unit_vector
 
 BOUNDARY_TOL_REL = 1e-10
 # directions per block of the surface sampler
@@ -105,12 +105,13 @@ class DomainSpec:
 
         The table is symmetric within each index group: each polynomial is
         evaluated once per sorted index tuple and written to every
-        permutation slot.
+        permutation slot.  The polynomials share one :func:`evaluate` call,
+        and so one power table, with the bits of their own ``__call__``.
         """
         z = np.asarray(z, dtype=complex)
         out = np.empty(z.shape[:-1] + (self.n,) * (holo + anti), dtype=complex)
-        for p, slots in self._table(holo, anti):
-            v = p(z)
+        rows = self._table(holo, anti)
+        for v, (_, slots) in zip(evaluate([p for p, _ in rows], z), rows):
             for s in slots:
                 out[s] = v
         return out
@@ -363,7 +364,7 @@ def walk_to_depth(dom: DomainSpec, zs: np.ndarray, depth: float | np.ndarray) ->
         p = z[idx] + (sg[idx] * s)[:, None] * v[idx]
         return sg[idx] * dom.r_val(p), 2.0 * np.real(np.einsum("mi,mi->m", v[idx], np.conj(dom.dbar_r(p))))
 
-    s = _line_root(f_df, -sg * depth[todo], np.zeros(len(todo)), s_hi[todo], np.linalg.norm(z, axis=1))
+    s = _line_root(f_df, -sg * depth[todo], np.zeros(len(todo)), s_hi[todo], np.linalg.norm(z, axis=1), s_hi[todo])
     out[todo] = z + (sg * s)[:, None] * v
     return out
 
@@ -378,12 +379,14 @@ def _horner(coef: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return p, dp
 
 
-def _line_root(f_df, level: np.ndarray, lo: np.ndarray, hi: np.ndarray, scale) -> np.ndarray:
+def _line_root(f_df, level: np.ndarray, lo: np.ndarray, hi: np.ndarray, scale, start: np.ndarray) -> np.ndarray:
     """s in [lo, hi] with f(s) = level, given f(lo) <= level <= f(hi) on each line.
 
     ``f_df(s, idx)`` returns f and f' at ``s`` on the lines ``idx``.  This is
     the one root finder for every line search on r.  Safeguarded Newton from
-    ``hi``: a step that leaves the current bracket is replaced by bisection.
+    ``start``, a point of each line's bracket (``hi`` for a walk, the root
+    of the quadratic part for a ray): a step that leaves the current bracket
+    is replaced by bisection.
     A line stops once its step is at most 4 eps max(s, scale) or its bracket
     [a, b] is at most 4 eps max(b, scale).  ``scale`` is the size of the
     line's base point: a walk from z moves to z + s*u, which rounds at about
@@ -394,7 +397,7 @@ def _line_root(f_df, level: np.ndarray, lo: np.ndarray, hi: np.ndarray, scale) -
     tol = 4.0 * np.finfo(float).eps
     s = np.empty(len(hi))
     active = np.arange(len(hi))
-    x, a, b = hi, lo, hi
+    x, a, b = start, lo, hi
     level = np.broadcast_to(np.asarray(level, float), s.shape)
     floor = np.broadcast_to(np.asarray(scale, float), s.shape)
     for _ in range(100):
@@ -586,7 +589,7 @@ class RayField:
 
     def _ray_coefficients(self, omega: np.ndarray) -> np.ndarray:
         """c[k, m] with r(s * omega[m]) = sum_k c[k, m] * s**k for real s."""
-        return np.stack([np.real(p(omega)) for p in self._parts])
+        return np.stack([np.real(v) for v in evaluate(self._parts, omega)])
 
     def boundary_radius(self, omega: np.ndarray) -> np.ndarray:
         """Smallest s > 0 with r(s * omega) = 0 along each direction: :meth:`solve_depth` at depth 0."""
@@ -600,17 +603,26 @@ class RayField:
     def solve_depth(self, omega: np.ndarray, targets) -> np.ndarray:
         """s > 0 with -r(s * omega) = target along each ray, one target or one per ray.
 
-        The bracket [0, s_hi] grows s_hi from 0.25 by 1.5 until
-        -r(s_hi * omega) <= target, then one :func:`_line_root` settles it.
-        A target deeper than the origin, or a ray still deeper than its
-        target after 60 growth steps (one that never leaves the domain),
-        raises.
+        Each ray starts at x0, the positive root of its polynomial's part of
+        degree <= 2, c0 + c1 s + c2 s^2 = -target, or at 0.25 where that
+        root is not a finite positive number.  The bracket [0, s_hi] grows
+        s_hi from 1.5 x0 by 1.5 until -r(s_hi * omega) <= target, then one
+        :func:`_line_root` from x0 settles it; for a quadratic r, x0 is the
+        root up to rounding and Newton stops after one evaluation.  A target
+        deeper than the origin, or a ray still deeper than its target after
+        60 growth steps (one that never leaves the domain), raises.
         """
         coef = self._ray_coefficients(omega)
         level = np.broadcast_to(-np.asarray(targets, float), (len(omega),))
         if np.any(coef[0] > level):  # coef[0] = r(0) on every ray
             raise DomainError(f"depth target {float(-level.min())!r} is deeper than the origin, at {float(-coef[0, 0])!r}")
-        s_hi = np.full(len(omega), 0.25)
+        c1, c2 = (coef[k] if len(coef) > k else np.zeros(len(omega)) for k in (1, 2))
+        gap = level - coef[0]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # the positive root of c2 s^2 + c1 s = gap >= 0, in the form without cancellation
+            x0 = 2.0 * gap / (c1 + np.sqrt(c1 * c1 + 4.0 * c2 * gap))
+        x0 = np.where(np.isfinite(x0) & (x0 > 0), x0, 0.25)
+        s_hi = 1.5 * x0
         grow = _horner(coef, s_hi)[0] < level
         for _ in range(60):
             if not np.any(grow):
@@ -628,7 +640,7 @@ class RayField:
             # _line_root passes every line until the first one stops
             return _horner(coef if len(idx) == len(level) else coef[:, idx], s)
 
-        return _line_root(f_df, level, np.zeros(len(omega)), s_hi, 0.0)
+        return _line_root(f_df, level, np.zeros(len(omega)), s_hi, 0.0, x0)
 
     def level_points(self, omega: np.ndarray, rho: float) -> tuple[np.ndarray, np.ndarray]:
         """The points s*omega of the level surface {-r = rho}, and its density J over directions.
@@ -805,9 +817,10 @@ def surface_pool(dom: DomainSpec, rho: float, count: int, seed: int) -> np.ndarr
 def _project_to_level(dom: DomainSpec, pts: np.ndarray, rho: float) -> np.ndarray:
     """Newton along the gradient direction onto {-r = rho}, vectorized; at most 40 steps."""
     z = np.array(pts, dtype=complex)
+    tol = dom.boundary_tol
     for _ in range(40):
         val = dom.r_val(z) + rho
-        if np.all(np.abs(val) <= dom.boundary_tol):
+        if np.all(np.abs(val) <= tol):
             break
         g = dom.dbar_r(z)
         gn2 = np.sum(np.abs(g) ** 2, axis=-1)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -390,6 +392,78 @@ def test_a_ray_that_never_leaves_is_refused():
     with pytest.raises(DomainError, match="depth target 2.0 is deeper than the origin, at 1.0"):
         rays.solve_depth(omega[:1], 2.0)
     assert rays.boundary_radius(omega[:1])[0] == 1.0
+
+
+def _shifted_disc():
+    """{|z - 0.1|^2 < 1}: r has a linear part along rays, c1 = -0.2 Re(omega)."""
+    from berglab.domain import custom_domain
+
+    terms = [((1,), (1,), 1.0), ((1,), (0,), -0.1), ((0,), (1,), -0.1), ((0,), (0,), -0.99)]
+    return custom_domain(1, terms, [[-0.95, 1.15], [-1.05, 1.05]], c=2.0, theta=0.1)
+
+
+def _counted_root_evaluations(monkeypatch):
+    """Per _line_root call, the numbers of lines of each f_df evaluation."""
+    from berglab import domain as domain_mod
+
+    solves, line_root = [], domain_mod._line_root
+
+    def counted(f_df, *args):
+        solves.append([])
+
+        def f_df_counted(s, idx):
+            solves[-1].append(len(idx))
+            return f_df(s, idx)
+        return line_root(f_df_counted, *args)
+
+    monkeypatch.setattr(domain_mod, "_line_root", counted)
+    return solves
+
+
+@pytest.mark.parametrize("name", ["disc", "ball2", "egg", "mixed", "shifted"])
+def test_a_quadratic_ray_root_takes_one_newton_evaluation(monkeypatch, request, name):
+    # for a quadratic r the start, the root of the quadratic part, is the root up
+    # to rounding; "shifted" has c1 != 0 of both signs
+    from berglab.gauge import RayField
+
+    dom = _shifted_disc() if name == "shifted" else request.getfixturevalue(name)
+    rays = RayField(dom)
+    rng = np.random.default_rng(23)
+    omega = rays.directions(2000, rng)
+    solves = _counted_root_evaluations(monkeypatch)
+    mixed_targets = np.exp(rng.uniform(np.log(2.0**-44), np.log(0.1), len(omega)))
+    radius_ref = _reference_boundary_radius(dom, omega)
+    for targets in (0.0, 2.0**-44, 0.1, mixed_targets):
+        solves.clear()
+        s = rays.solve_depth(omega, targets)
+        assert solves == [[len(omega)]]
+        if name == "shifted":
+            ref = radius_ref if np.all(targets == 0) else _reference_solve_depth(dom, omega, radius_ref, targets)
+            assert np.all(np.abs(s - ref) <= 2e-15 * ref)
+
+
+def test_a_ray_without_a_quadratic_part_starts_at_the_fallback(monkeypatch):
+    # along (0, 1) both domains have c1 = c2 = 0, so the ray starts at 0.25 and
+    # its bracket grows from 0.375
+    from berglab.domain import DomainError, custom_domain
+    from berglab.gauge import RayField
+
+    box = [[-1.2, 1.2]] * 4
+    flat = custom_domain(2, [((1, 0), (1, 0), 1.0), ((0, 0), (0, 0), -1.0)], box, c=1.0, theta=0.1)
+    with pytest.raises(DomainError, match=re.escape(f"s = {0.375 * 1.5**60:.6g}: it never leaves")):
+        RayField(flat).boundary_radius(np.array([[0.0, 1.0]], complex))
+    # {|z1|^2 + |z2|^4 < 1}: along (0, 1), -r(s omega) = 1 - s^4
+    quartic = custom_domain(2, [((1, 0), (1, 0), 1.0), ((0, 2), (0, 2), 1.0), ((0, 0), (0, 0), -1.0)], box,
+                            c=1.0, theta=0.1)
+    rays = RayField(quartic)
+    solves = _counted_root_evaluations(monkeypatch)
+    omega = np.array([[0.0, 1.0], [0.0, 1j], [1.0, 0.0]], complex)
+    for t in (0.0, 2.0**-30, 0.1, 0.5):
+        s = rays.solve_depth(omega, t)
+        assert np.all(np.abs(s[:2] - (1.0 - t) ** 0.25) <= 2e-15)
+        assert abs(s[2] - np.sqrt(1.0 - t)) <= 2e-15
+    # the fallback lines converge from below the root: several evaluations
+    assert max(len(ev) for ev in solves) > 1
 
 
 def test_cap_fraction_normaliser(ball2):

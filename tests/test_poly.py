@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from berglab._poly import HermPoly
+from berglab._poly import HermPoly, evaluate
 from berglab.domain import sample_region, unit_ball
 
 
@@ -73,3 +73,39 @@ def test_evaluation_does_not_depend_on_the_array_size(quartic2):
     chunks = np.concatenate([quartic2.r(z[i:i + 100]) for i in range(0, len(z), 100)])
     assert whole.tobytes() == chunks.tobytes()
     assert whole[:50].tobytes() == np.array([quartic2.r(p) for p in z[:50]]).tobytes()
+
+
+def _reference_call(p, z):
+    """``HermPoly.__call__`` before the shared power table: a fresh power per factor, kept as the reference."""
+    z = np.asarray(z, dtype=complex)
+    zc = np.conj(z)
+    out = np.zeros(z.shape[:-1], dtype=complex)
+    for (a, b), c in p.terms.items():
+        term = np.full(z.shape[:-1], c, dtype=complex)
+        for i in range(p.n):
+            for e, w in ((a[i], z), (b[i], zc)):
+                if e:
+                    power = w[..., i] ** e
+                    term = np.multiply(term, power, out=power if np.size(power) > 1 else None)
+        out += term
+    return out
+
+
+@pytest.mark.parametrize("name", ["disc", "ball2", "egg", "mixed", "quartic", "quartic2"])
+def test_shared_power_table_keeps_every_bit(request, name):
+    # r, every derivative table and every homogeneous part, from one power table
+    # per call, against one fresh power per factor
+    dom = request.getfixturevalue(name)
+    rng = np.random.default_rng(11)
+    parts = dom.r.homogeneous_parts()
+    for shape in [(), (1,), (7,), (3, 5), (400,), (16385,), (20000,), (40, 27, 4)]:
+        z = 0.6 * (rng.standard_normal(shape + (dom.n,)) + 1j * rng.standard_normal(shape + (dom.n,)))
+        r = dom.r(z)
+        assert np.shape(r) == shape and r.tobytes() == _reference_call(dom.r, z).tobytes()
+        for holo, anti in [(0, 1), (1, 1), (0, 2), (1, 2), (2, 0)]:
+            table = dom.derivatives(z, holo, anti)
+            for p, slots in dom._table(holo, anti):
+                ref = _reference_call(p, z).tobytes()
+                assert all(table[s].tobytes() == ref for s in slots)
+        for v, p in zip(evaluate(parts, z), parts):
+            assert v.tobytes() == _reference_call(p, z).tobytes()
