@@ -107,7 +107,6 @@ def _cap_sample(dom: DomainSpec, center: np.ndarray, t: float, count: int, rng: 
 @dataclass(frozen=True)
 class CoverLevel:
     index: int  # 1-based level index
-    t: float  # base depth (top of the outer cell band)
     d: float  # packing cap radius
     a: float  # inner cell cap radius
     b: float  # outer cell cap radius
@@ -139,7 +138,6 @@ class Cover:
     dom: DomainSpec
     m: float  # cutoff profile parameter; also the cap radius prefactor
     c1: float
-    sigma: float  # level shrink factor
     levels: list[CoverLevel]
     n0_observed: int
     n0_bound: float
@@ -501,10 +499,10 @@ def build_cover(dom: DomainSpec, m: float = 65.0, candidate_count: int = 20000, 
         colors, n0_here = index_partition(dom, centers, b)
         n0_obs = max(n0_obs, n0_here, int(colors.max()) + 1)
         levels.append(
-            CoverLevel(j, t, d, a, b, depth_a, depth_b, centers, z_reps, colors)
+            CoverLevel(j, d, a, b, depth_a, depth_b, centers, z_reps, colors)
         )
     n0_bound = _apriori_overlap_bound(dom.n, c1)
-    return Cover(dom, m, c1, sigma, levels, n0_obs, n0_bound, ramp_radius)
+    return Cover(dom, m, c1, levels, n0_obs, n0_bound, ramp_radius)
 
 
 def _apriori_overlap_bound(n: int, c1: float) -> float:

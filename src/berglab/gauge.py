@@ -11,6 +11,7 @@ sampled along rays from the star center with an exact importance density.
 
 from __future__ import annotations
 
+import functools
 from math import pi
 
 import numpy as np
@@ -98,7 +99,7 @@ def _chord_with_center_detour(dom: DomainSpec, z: np.ndarray, pts: np.ndarray) -
     """Upper bound on d(z, w): direct chord or the detour through the center."""
     direct = straight_chord_upper(dom, z, pts)
     center = np.zeros(dom.n, complex)
-    to_center = float(straight_chord_upper(dom, z[None, :] if z.ndim == 1 else z, center[None, :])[0])
+    to_center = straight_chord_upper(dom, z, center)
     from_center = straight_chord_upper(dom, center, pts)
     return np.minimum(direct, to_center + from_center)
 
@@ -235,6 +236,9 @@ def _layer_bands(rays: RayField, z: np.ndarray, rz: float, t_split: float, depth
         bands.append((lo, hi))
         hi = lo
 
+    # the bands deeper than |r(z)| share most of their ladder: one cap fraction per cosine
+    fraction = functools.cache(rays.cap_fraction)
+
     def band_focus(hi_band: float):
         if z_norm < 0.2:
             return None
@@ -248,7 +252,7 @@ def _layer_bands(rays: RayField, z: np.ndarray, rz: float, t_split: float, depth
             caps.append(float(np.cos(th)))
             th /= 2.0
         caps.append(float(np.cos(theta_lo)))
-        return (z / z_norm, caps, [rays.cap_fraction(c) for c in caps])
+        return (z / z_norm, caps, [fraction(c) for c in caps])
 
     return bands, [band_focus(hi_band) for _, hi_band in bands]
 

@@ -157,11 +157,10 @@ class BallQuadrature:
 
     Radial part: modulus-squared simplex coordinates via iterated
     Gauss-Jacobi; angular part: uniform grids on each torus factor.  Exact
-    when max(|a|, |b|) <= degree.
+    when max(|a|, |b|) is at most the degree :func:`ball_quadrature` built it for.
     """
 
     n: int
-    degree: int
     nodes: np.ndarray  # (m, n) complex
     weights: np.ndarray  # (m,)
 
@@ -213,7 +212,7 @@ def ball_quadrature(n: int, degree: int, angular_order: int | None = None) -> Ba
             nodes[idx : idx + block, i] = amp[i] * phases[i]
         weights[idx : idx + block] = pi**n * radial_w[j] / block
         idx += block
-    return BallQuadrature(n, degree, nodes, weights)
+    return BallQuadrature(n, nodes, weights)
 
 
 def monomial_norm_sq(n: int, alpha) -> float:

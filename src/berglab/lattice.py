@@ -96,29 +96,27 @@ def build_separated(
     return Lattice(np.asarray(accepted), a)
 
 
-def pairwise_dupper(dom: DomainSpec, pts: np.ndarray, est: DistanceEstimator | None = None,
-                    refine_below: float = np.inf) -> np.ndarray:
+def pairwise_dupper(dom: DomainSpec, pts: np.ndarray, est: DistanceEstimator | None = None, *,
+                    refine_below: float) -> np.ndarray:
     """Symmetric matrix of estimator distances between lattice points.
 
-    Chord bounds fill the matrix; pairs whose chord falls below
-    ``refine_below`` get the optimizer treatment.
+    Each row's chord bounds come from one chord call; the row's pairs whose
+    chord falls below ``refine_below`` then go to the estimator in one call.
+    A batch gives each pair the bits it gets alone, so the matrix is the one
+    that asking pair by pair gives.
     """
     pts = np.asarray(pts, complex)
     m = len(pts)
     if est is None:
         est = DistanceEstimator(dom, SCAN_BUDGET)
     out = np.zeros((m, m))
-    for i in range(m):
-        if i + 1 < m:
-            out[i, i + 1 :] = straight_chord_upper(dom, pts[i], pts[i + 1 :])
-    out = out + out.T
-    if np.isfinite(refine_below):
-        for i in range(m):
-            for j in range(i + 1, m):
-                if out[i, j] < refine_below:
-                    val = est(pts[i], pts[j])
-                    out[i, j] = out[j, i] = val
-    return out
+    for i in range(m - 1):
+        row = straight_chord_upper(dom, pts[i], pts[i + 1 :])
+        near = np.flatnonzero(row < refine_below)
+        if len(near):
+            row[near] = est(pts[i], pts[i + 1 + near])
+        out[i, i + 1 :] = row
+    return out + out.T
 
 
 def partition_separated(dom: DomainSpec, lat: Lattice, R: float,
@@ -162,8 +160,7 @@ def count_neighbors(dom: DomainSpec, lat: Lattice, z: np.ndarray, R: float,
     count = int(np.sum(chords <= R))
     if est is None:
         est = DistanceEstimator(dom, SCAN_BUDGET)
-    maybe = np.where((chords > R) & (chords <= R + 2.0))[0]
-    for i in maybe:
-        if est(z, lat.points[i]) <= R:
-            count += 1
+    maybe = (chords > R) & (chords <= R + 2.0)
+    if np.any(maybe):
+        count += int(np.sum(est(z, lat.points[maybe]) <= R))
     return count

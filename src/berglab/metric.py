@@ -10,7 +10,8 @@ over-estimation.  The optimizer runs a stack of paths in lockstep, one
 length-and-gradient evaluation per round for all of them, and each path gets
 the bits it would get alone; :func:`distance` is the batch of one.  The one
 cheap upper bound is the length of the straight chord
-(:func:`straight_chord_upper`).
+(:func:`straight_chord_upper`), by the same segment quadrature
+(:func:`_quadrature`) as every path segment.
 """
 
 from __future__ import annotations
@@ -133,13 +134,13 @@ def _refinement_breaks(level: int) -> np.ndarray:
 
 
 def _segment_buckets(dom: DomainSpec, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Refinement level of each segment p->q (rows), 0 where an endpoint is outside.
+    """Refinement level of each segment p->q (rows), 0 where an endpoint is not strictly inside.
 
     Segments are bucketed by the dyadic range of -r along them, so only
     boundary-hugging segments pay for deep refinement.
     """
     depth = -dom.r_val(np.stack([p, q, 0.5 * (p + q)]))
-    escaped = np.any(depth[:2] < 0, axis=0)
+    escaped = np.any(depth[:2] <= 0, axis=0)
     dp, dq, mid = np.maximum(depth, 1e-300)
     hi = np.maximum(mid, np.maximum(dp, dq))
     lo = np.minimum(dp, dq)
@@ -147,64 +148,45 @@ def _segment_buckets(dom: DomainSpec, p: np.ndarray, q: np.ndarray) -> np.ndarra
     return np.where(escaped, 0, np.clip((np.ceil(lev / 6) * 6).astype(int), 2, 48))
 
 
-def _segment_lengths(dom: DomainSpec, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Quadrature lengths of straight segments p->q, vectorized over batches.
+def _quadrature(dom: DomainSpec, p: np.ndarray, q: np.ndarray):
+    """Gauss-Legendre rule on the dyadic pieces of each segment p->q (rows), one refinement bucket at a time.
 
-    Escaped segments (an endpoint or any abscissa outside the domain) come
-    back as +inf; an outside endpoint is caught before any quadrature.
+    Yields ``(rows, t, w, pts, rv)`` per bucket: the indices of the bucket's
+    segments whose abscissae all lie inside the domain, the parameters t and
+    weights w of the bucket's level, shape (pieces, 4), the points
+    (len(rows), pieces, 4, n) and r at them.  A segment with an endpoint not
+    strictly inside is in no bucket, so no abscissa of it is evaluated; a
+    segment with an abscissa outside is in no tuple.  Either has no length.
     """
-    p = np.asarray(p, complex)
-    q = np.asarray(q, complex)
-    shape = np.broadcast_shapes(p.shape, q.shape)
-    p = np.broadcast_to(p, shape).reshape(-1, shape[-1])
-    q = np.broadcast_to(q, shape).reshape(-1, shape[-1])
     bucket = _segment_buckets(dom, p, q)
-    out = np.full(len(p), np.inf)
-    for b in sorted(set(bucket[bucket > 0].tolist())):
-        sel = bucket == b
-        out[sel] = _segment_lengths_fixed(dom, p[sel], q[sel], b)
-    return out.reshape(shape[:-1])
-
-
-def _abscissae(dom: DomainSpec, p: np.ndarray, q: np.ndarray, level: int):
-    """Gauss-Legendre rule on the dyadic pieces of [0, 1] at ``level``, placed on p->q.
-
-    Returns the parameters t and weights w, shape (pieces, 4), the points
-    (segments, pieces, 4, n), r at the points, and the mask of segments whose
-    abscissae all lie inside the domain.
-    """
-    brk = _refinement_breaks(level)
-    widths = brk[1:] - brk[:-1]
-    t = brk[:-1, None] + widths[:, None] * _GL_T[None, :]
-    w = widths[:, None] * _GL_W[None, :]
-    pts = p[:, None, None, :] + t[None, :, :, None] * (q - p)[:, None, None, :]
-    rv = dom.r_val(pts)
-    return t, w, pts, rv, np.all(rv < 0, axis=(-1, -2))
-
-
-def _segment_lengths_fixed(dom: DomainSpec, p: np.ndarray, q: np.ndarray, level: int) -> np.ndarray:
-    _, w, pts, rv, inside = _abscissae(dom, p, q, level)
-    out = np.full(len(p), np.inf)
-    if np.any(inside):
-        pts = pts[inside]
-        xi = np.broadcast_to((q - p)[inside][:, None, None, :], pts.shape)
-        speeds2 = metric_form(dom, pts, xi, rv=rv[inside])
-        speeds = np.sqrt(np.maximum(speeds2, 0.0))
-        out[inside] = np.sum(speeds * w, axis=(-1, -2))
-    return out
+    for level in sorted(set(bucket[bucket > 0].tolist())):
+        sel = np.flatnonzero(bucket == level)
+        brk = _refinement_breaks(level)
+        widths = brk[1:] - brk[:-1]
+        t = brk[:-1, None] + widths[:, None] * _GL_T[None, :]
+        w = widths[:, None] * _GL_W[None, :]
+        pts = p[sel][:, None, None, :] + t[None, :, :, None] * (q[sel] - p[sel])[:, None, None, :]
+        rv = dom.r_val(pts)
+        inside = np.all(rv < 0, axis=(-1, -2))
+        # rebinding drops the whole bucket's arrays before the caller works on the kept rows
+        pts, rv = pts[inside], rv[inside]
+        if len(pts):
+            yield sel[inside], t, w, pts, rv
 
 
 def _lengths_and_gradients(dom: DomainSpec, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Quadrature lengths of a stack of polylines and their exact gradients, in one evaluation.
 
     ``nodes`` has shape (P, K + 1, n).  Returns the P lengths, +inf once any
-    abscissa escapes the domain, and dL/dRe + i dL/dIm = 2 dL/dconj(node) at
-    the interior nodes, shape (P, K - 1, n).  Each segment's length is
-    sum_a w_a sqrt(Q(z_a, v)) with z_a = p + t_a v and v = q - p, so p
-    enters z_a with the real weight 1 - t_a and v with -1, and q with t_a and
-    +1.  Q is :func:`metric_form`'s arithmetic, so a length here equals
-    :func:`_segment_lengths`' bit for bit.  The refinement buckets are held
-    at the current nodes; an escaped segment adds nothing to the gradient.
+    segment escapes the domain (see :func:`_quadrature`), and dL/dRe +
+    i dL/dIm = 2 dL/dconj(node) at the interior nodes, shape (P, K - 1, n).
+    Each segment's length is sum_a w_a sqrt(Q(z_a, v)) with z_a = p + t_a v
+    and v = q - p, so p enters z_a with the real weight 1 - t_a and v with
+    -1, and q with t_a and +1.  The segments run through the same
+    :func:`_quadrature` and the same :func:`metric_form` arithmetic as
+    :func:`straight_chord_upper`, so a segment's length here is its chord
+    length bit for bit.  The refinement buckets are held at the current
+    nodes; an escaped segment adds nothing to the gradient.
     """
     count, k1, n = nodes.shape
     p = nodes[:, :-1].reshape(-1, n)
@@ -213,14 +195,7 @@ def _lengths_and_gradients(dom: DomainSpec, nodes: np.ndarray) -> tuple[np.ndarr
     seg = np.full(len(p), np.inf)
     grad_p = np.zeros_like(p)
     grad_q = np.zeros_like(q)
-    bucket = _segment_buckets(dom, p, q)
-    for b in sorted(set(bucket[bucket > 0].tolist())):
-        sel = np.flatnonzero(bucket == b)
-        t, w, pts, rv, inside = _abscissae(dom, p[sel], q[sel], b)
-        sel = sel[inside]
-        if len(sel) == 0:
-            continue
-        pts, rv = pts[inside], rv[inside]
+    for sel, t, w, pts, rv in _quadrature(dom, p, q):
         xi = np.broadcast_to(v[sel][:, None, None, :], pts.shape).copy()
         H, g = dom.hessian(pts), dom.dbar_r(pts)
         seg[sel] = np.sum(np.sqrt(np.maximum(metric_form(dom, pts, xi, rv, H, g), 0.0)) * w, axis=(-1, -2))
@@ -524,20 +499,24 @@ def distance(dom: DomainSpec, z: np.ndarray, w: np.ndarray, budget: DistanceBudg
 
 
 def straight_chord_upper(dom: DomainSpec, z: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Vectorized straight-chord length; +inf where the chord exits the domain.
+    """Metric length of the straight chord z->w, by the segment quadrature of path lengths.
 
-    z: (n,) or (m, n); w: (m, n).  An infinite value certifies nothing about
-    the true distance, so callers treat it as "no upper bound available".
+    z and w broadcast against each other, shape (..., n); the result has the
+    leading shape.  The chord is +inf where an endpoint is not strictly
+    inside the domain (r >= 0, caught before any quadrature) or an abscissa
+    leaves it.  An infinite value certifies nothing about the true distance,
+    so callers treat it as "no upper bound available".
     """
     z = np.asarray(z, complex)
     w = np.asarray(w, complex)
-    if z.ndim == 1:
-        z = np.broadcast_to(z, w.shape)
-    ok = (dom.r_val(z) < 0) & (dom.r_val(w) < 0)
-    out = np.full(w.shape[:-1], np.inf)
-    if np.any(ok):
-        out[ok] = _segment_lengths(dom, z[ok], w[ok])
-    return out
+    shape = np.broadcast_shapes(z.shape, w.shape)
+    p = np.broadcast_to(z, shape).reshape(-1, shape[-1])
+    q = np.broadcast_to(w, shape).reshape(-1, shape[-1])
+    out = np.full(len(p), np.inf)
+    for rows, _, wts, pts, rv in _quadrature(dom, p, q):
+        xi = np.broadcast_to((q[rows] - p[rows])[:, None, None, :], pts.shape)
+        out[rows] = np.sum(np.sqrt(np.maximum(metric_form(dom, pts, xi, rv=rv), 0.0)) * wts, axis=(-1, -2))
+    return out.reshape(shape[:-1])
 
 
 class DistanceEstimator:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._poly import HermPoly
+from ._poly import HermPoly, evaluate
 from .domain import DomainSpec, _domain_depth_max, _ray_field, normal_direction, unit_ball, walk_to_depth
 from .kernel import EXACT_BALL, ball_quadrature, kernel_eval, monomial_norm_sq
 from .metric import Polydisc, straight_chord_upper
@@ -61,7 +61,7 @@ class GalerkinSpace:
         """Matrix of normalized monomial values, shape (m, dim)."""
         pts = np.asarray(pts, complex).reshape(-1, self.n)
         zero = (0,) * self.n
-        return np.stack([HermPoly(self.n, {(a, zero): 1.0})(pts) for a in self.alphas], 1) / self.norms
+        return np.stack(evaluate([HermPoly(self.n, {(a, zero): 1.0}) for a in self.alphas], pts), 1) / self.norms
 
     def gram_defect(self) -> float:
         g = self.Qw.conj().T @ self.Qw
@@ -154,7 +154,6 @@ class EnlargedSpace:
     """
 
     n: int
-    N: int
     pairs: list[tuple[tuple[int, ...], tuple[int, ...]]]
     n_holo: int
     quad: object
@@ -208,11 +207,11 @@ def enlarged_space(n: int, N: int, conj_degree: int) -> EnlargedSpace:
     # beyond n = 1 the angular grid shrinks to qdeg + 1 points per torus factor
     quad = ball_quadrature(n, qdeg) if n == 1 else ball_quadrature(n, qdeg, qdeg + 1)
     pts = quad.nodes
-    V = np.stack([HermPoly(n, {ab: 1.0})(pts) for ab in pairs], 1) / pre
+    V = np.stack(evaluate([HermPoly(n, {ab: 1.0}) for ab in pairs], pts), 1) / pre
     U = forward_substitution(L, V.conj().T).conj().T
     Uw = U * np.sqrt(quad.weights)[:, None]
     gal_cols = np.array([holo.index((a, (0,) * n)) for a in _multi_indices(n, N)])
-    return EnlargedSpace(n, N, pairs, len(holo), quad, Uw, gal_cols)
+    return EnlargedSpace(n, pairs, len(holo), quad, Uw, gal_cols)
 
 
 def hankel_and_commutator(space: GalerkinSpace, f) -> dict:
@@ -264,7 +263,6 @@ def resolution_limit(space: GalerkinSpace) -> float:
 
 @dataclass(frozen=True)
 class OscillationProfile:
-    shell_depths: np.ndarray
     shell_sup: np.ndarray
     diff: float
     vo_verdict: bool
@@ -286,7 +284,6 @@ def oscillation_profile(
     """
     rng = np.random.default_rng(seed)
     k_lo, k_hi = shells
-    depths = []
     sups = []
     for k in range(k_lo, k_hi + 1):
         t = 2.0**-k
@@ -298,13 +295,12 @@ def oscillation_profile(
             for w in ws[straight_chord_upper(dom, z, ws) <= 1.0]:
                 fw = complex(f(w.reshape(1, -1))[0])
                 sup_k = max(sup_k, abs(fz - fw))
-        depths.append(t)
         sups.append(sup_k)
     sups_arr = np.asarray(sups)
     head = max(np.max(sups_arr[: max(len(sups_arr) // 3, 1)]), 1e-12)
     tail = np.max(sups_arr[-max(len(sups_arr) // 3, 1) :])
     verdict = bool(tail <= 0.5 * head or tail < 1e-6)
-    return OscillationProfile(np.asarray(depths), sups_arr, float(np.max(sups_arr)), verdict)
+    return OscillationProfile(sups_arr, float(np.max(sups_arr)), verdict)
 
 
 def _shell_point(dom: DomainSpec, t: float, rng: np.random.Generator) -> np.ndarray:

@@ -14,6 +14,7 @@ from berglab.covering import (
     class_indices,
     coverage_audit,
     cutoff_value,
+    default_ladder,
     distance_to_cell,
     family_cutoff,
     fit_engulfing_constant,
@@ -324,7 +325,8 @@ def test_separation_screen(disc_cover, disc):
     # points reached from an inner cell with a certificate below the
     # stride-derived bound stay in the surrounding outer cell
     lv = disc_cover.levels[0]
-    bound = min(disc_cover.m / 13.0, np.log2(1.0 / disc_cover.sigma) / 4.0) * 0.9
+    _, sigma = default_ladder(disc)
+    bound = min(disc_cover.m / 13.0, np.log2(1.0 / sigma) / 4.0) * 0.9
     cell = build_cells(disc, lv, 0)
     anchors = a_cell_samples(disc_cover, 0, 0, 6)
     rng = np.random.default_rng(7)
@@ -391,7 +393,8 @@ def test_class_membership_predicates(disc_cover, disc):
     vals = fI(np.asarray(probe).reshape(-1, 1))
     assert np.all(vals >= 0) and np.all(vals <= 1 + 1e-9)
     assert np.allclose(fI(deep), 0.0)
-    t_support = max(lv.t for lv in disc_cover.levels if lv.kappa == 1)
+    ladder, _ = default_ladder(disc)
+    t_support = max(t for t, lv in zip(ladder, disc_cover.levels) if lv.kappa == 1)
     shallow_deep = np.array([[np.sqrt(1 - 4 * t_support) + 0j]])
     assert fI(shallow_deep)[0] == 0.0
 

@@ -657,6 +657,34 @@ def test_one_root_solve_per_chunk_and_one_cap_draw_per_band(monkeypatch, ball2):
     assert len(focused) > 2 and all(focused) and len(caps) == len(focused)
 
 
+def test_one_cap_fraction_per_distinct_cosine(monkeypatch, disc):
+    # the bands deeper than |r(z)| share most of their focus ladder; one
+    # fr_integral computes each distinct cosine's cap fraction once
+    from berglab import gauge
+    from berglab.domain import RayField
+
+    asked, built = [], []
+    cap_fraction, layer_bands = RayField.cap_fraction, gauge._layer_bands
+
+    def counted_fraction(self, cos_cap):
+        asked.append(cos_cap)
+        return cap_fraction(self, cos_cap)
+
+    def spy(*args):
+        built.append(layer_bands(*args))
+        return built[-1]
+
+    monkeypatch.setattr(RayField, "cap_fraction", counted_fraction)
+    monkeypatch.setattr(gauge, "_layer_bands", spy)
+    z = np.array([np.sqrt(1 - 2.0**-8) + 0j])
+    fr_integral(disc, z, 0.0, 1.0, samples=4000, seed=1)
+    (_, focus), = built
+    cosines = [c for f in focus for c in f[1]]
+    assert len(asked) == len(set(asked)) == len(set(cosines)) < len(cosines)
+    rays = gauge._ray_field(disc)
+    assert all(f[2] == [cap_fraction(rays, c) for c in f[1]] for f in focus)
+
+
 @pytest.mark.parametrize("n", [1, 2])
 def test_layer_sample_matches_reference(n):
     from berglab.domain import DomainError, RayField

@@ -47,12 +47,14 @@ def test_partition_soundness(disc_global):
 
 
 class _CountingEstimator(DistanceEstimator):
+    """Counts the pairs it is asked for: one per row of w."""
+
     def __init__(self, dom, budget):
         super().__init__(dom, budget)
         self.requests = 0
 
     def __call__(self, z, w):
-        self.requests += 1
+        self.requests += len(np.asarray(w).reshape(-1, len(np.asarray(z).reshape(-1))))
         return super().__call__(z, w)
 
 
@@ -67,6 +69,7 @@ def test_shared_estimator_changes_nothing(name, candidates, request):
 
     est = _CountingEstimator(dom, SCAN_BUDGET)
     lat = build_separated(dom, shell, a, candidate_count=candidates, seed=3, est=est)
+    built = len(est._memo)
     classes = partition_separated(dom, lat, 2 * a, est)
     count = count_neighbors(dom, lat, lat.points[0], 2 * a, est)
 
@@ -74,8 +77,42 @@ def test_shared_estimator_changes_nothing(name, candidates, request):
     assert lat.points.tobytes() == fresh.points.tobytes()
     assert [c.points.tobytes() for c in classes] == [c.points.tobytes() for c in fresh_classes]
     assert count == fresh_count
-    # the partition re-asks pairs the build refined
-    assert 0 < len(est._memo) < est.requests
+    # the build refines every pair the partition and the count ask for (chord
+    # below 2a + 2), so they add no memo entry; the count re-asks pairs the
+    # partition asked, so the requests outnumber the entries
+    assert len(est._memo) == built
+    assert 0 < built < est.requests
+
+
+def _pairwise_reference(dom, pts, est, refine_below):
+    """The chord matrix with each pair below ``refine_below`` asked alone, in row order."""
+    m = len(pts)
+    out = np.zeros((m, m))
+    for i in range(m - 1):
+        out[i, i + 1 :] = straight_chord_upper(dom, pts[i], pts[i + 1 :])
+    out = out + out.T
+    for i in range(m):
+        for j in range(i + 1, m):
+            if out[i, j] < refine_below:
+                out[i, j] = out[j, i] = est(pts[i], pts[j])
+    return out
+
+
+@pytest.mark.parametrize("name", ["disc", "egg"])
+def test_pairwise_rows_match_the_pair_by_pair_loop(name, request):
+    # one estimator call per row gives every entry the bits of one call per pair
+    dom = request.getfixturevalue(name)
+    lat = build_separated(dom, ("shell", 0.02, 0.6), 0.5, candidate_count=25, seed=4)
+    assert len(lat) >= 4
+    chords = _pairwise_reference(dom, lat.points, None, 0.0)
+    for refine_below in (2.0, 3.0):
+        ref = _pairwise_reference(dom, lat.points, DistanceEstimator(dom, SCAN_BUDGET), refine_below)
+        assert np.any(ref != chords)
+        fresh = pairwise_dupper(dom, lat.points, refine_below=refine_below)
+        shared = DistanceEstimator(dom, SCAN_BUDGET)
+        shared(lat.points[0], lat.points[1:])
+        assert fresh.tobytes() == ref.tobytes()
+        assert pairwise_dupper(dom, lat.points, shared, refine_below=refine_below).tobytes() == ref.tobytes()
 
 
 def _build_reference(dom, region, a, candidate_count, seed):

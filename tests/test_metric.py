@@ -19,7 +19,6 @@ from berglab.metric import (
     _lengths_and_gradients,
     _optimize_paths,
     _refinement_breaks,
-    _segment_lengths,
     _smoothstep,
     _smoothstep_slope,
     _straight_seed,
@@ -201,12 +200,12 @@ def test_quadrature_matches_reference_loops(name, request):
     shallow = _radial_nodes(dom, [0.6, 1 - 1e-11, 1 - 2e-11, 1 - 1e-11, 0.8], seed=2)
     outside = _radial_nodes(dom, [0.5, 1.05, 0.4, 1 - 1e-14, 0.3], seed=3)
     for nodes in (deep, blend, shallow, outside):
-        new = _segment_lengths(dom, nodes[:-1], nodes[1:])
+        new = straight_chord_upper(dom, nodes[:-1], nodes[1:])
         ref = _segment_lengths_ref(dom, nodes[:-1], nodes[1:])
         assert new.tobytes() == ref.tobytes()
         # the fused length-and-gradient evaluation sums the same segment lengths
         assert _polyline_length(dom, nodes).tobytes() == np.sum(ref).tobytes()
-    assert np.isinf(_segment_lengths(dom, outside[:-1], outside[1:])).any()
+    assert np.isinf(straight_chord_upper(dom, outside[:-1], outside[1:])).any()
     for nodes in (deep, blend, shallow):
         h = 1e-6 * (1.0 + float(np.max(np.abs(nodes))))
         ref, escapes = _length_gradient_fd(dom, nodes, h)
@@ -216,6 +215,28 @@ def test_quadrature_matches_reference_loops(name, request):
         assert (escapes > 0) == (nodes is shallow)
         if nodes is not shallow:
             assert np.max(np.abs(exact - ref)) <= 1e-6 * np.max(np.abs(ref))
+
+
+def test_chord_needs_both_endpoints_strictly_inside(disc):
+    # r(1) == 0 on the disc: a chord from the boundary or from outside has no
+    # length in either argument order, although all its abscissae lie inside
+    # for the boundary point; rows with both endpoints inside keep the bits
+    # they get alone
+    edge, out = np.array([1.0 + 0j]), np.array([1.2 + 0j])
+    assert disc.r_val(edge) == 0.0
+    inner = np.array([[0.0 + 0j], [0.5j], [-0.3 + 0.2j], [0.9 + 0j]])
+    for end in (edge, out):
+        assert np.all(np.isinf(straight_chord_upper(disc, end, inner)))
+        assert np.all(np.isinf(straight_chord_upper(disc, inner, end)))
+    ends = np.array([inner[0], edge, inner[1], out, inner[2], inner[3]])
+    starts = np.array([inner[3], inner[0], inner[2], inner[1], inner[0], edge])
+    mixed = straight_chord_upper(disc, starts, ends)
+    assert np.isinf(mixed[[1, 3, 5]]).all()
+    for i in (0, 2, 4):
+        alone = straight_chord_upper(disc, starts[i : i + 1], ends[i : i + 1])
+        assert np.isfinite(mixed[i]) and mixed[i : i + 1].tobytes() == alone.tobytes()
+    # a path through the boundary point has no length either
+    assert _polyline_length(disc, np.array([[0.5j], [1.0], [0.5]], complex)) == np.inf
 
 
 @pytest.mark.parametrize("name", ["quartic", "quartic2"])

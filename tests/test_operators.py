@@ -58,6 +58,19 @@ def test_degree_zero_basis():
     assert vals[0, 0] == pytest.approx(1 / np.sqrt(np.pi))
 
 
+@pytest.mark.parametrize("n, N", [(1, 8), (2, 4)])
+def test_basis_eval_shares_one_power_table_bit_for_bit(n, N):
+    # one evaluate call over all monomials gives each column the bits of its
+    # own polynomial's evaluation
+    from berglab._poly import HermPoly
+
+    sp = build_galerkin(n, N)
+    pts = sp.quad.nodes[::7]
+    zero = (0,) * n
+    ref = np.stack([HermPoly(n, {(a, zero): 1.0})(pts) for a in sp.alphas], 1) / sp.norms
+    assert sp.basis_eval(pts).tobytes() == ref.tobytes()
+
+
 # -- Toeplitz ----------------------------------------------------------------------
 
 

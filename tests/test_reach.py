@@ -5,12 +5,13 @@ name appears as a whole word somewhere else in ``src/berglab`` (its own
 definition and ``__init__.py`` do not count), or in ``scripts/`` or
 ``bench/``.  A method of a top-level class (dunder methods aside, which
 Python calls itself) is reached when its name appears as an attribute,
-``.name``, anywhere in ``src/berglab``, ``scripts/`` or ``bench/``.  Tests
-do not count: code that only its own tests reach is a deletion candidate
-unless ``KEPT`` or ``KEPT_METHODS`` names it with the reason it stays.  The
-scans match names, so they can miss unreached code (a method sharing its
-name with a reached one looks reached), but they never report reached code
-as unreached.
+``.name``, anywhere in ``src/berglab``, ``scripts/`` or ``bench/``, and so
+is a field (an annotated name in a top-level class body).  Tests do not
+count: code that only its own tests reach is a deletion candidate unless
+``KEPT``, ``KEPT_METHODS`` or ``KEPT_FIELDS`` names it with the reason it
+stays.  The scans match names, so they can miss unreached code (a field
+sharing its name with a reached method or field looks reached), but they
+never report reached code as unreached.
 """
 
 import ast
@@ -46,6 +47,11 @@ KEPT_METHODS = {
     "Polydisc.contains": "the membership oracle of test_polydisc_sampler_inside",
 }
 
+KEPT_FIELDS = {
+    "OscillationProfile.shell_sup": "the per-shell sups a vanishing-oscillation plan row is to read",
+    "OscillationProfile.vo_verdict": "the verdict a vanishing-oscillation plan row is to report",
+}
+
 
 def _outside() -> list[str]:
     return [p.read_text() for d in ("scripts", "bench") for p in sorted((ROOT / d).rglob("*.py"))]
@@ -69,23 +75,32 @@ def _unreached() -> set[str]:
     return found
 
 
+def _class_members() -> list[tuple[str, ast.AST]]:
+    """(class name, node) for every statement in the body of a top-level class of the library."""
+    return [(cls.name, node) for p in sorted(SRC.glob("*.py")) for cls in ast.parse(p.read_text()).body
+            if isinstance(cls, ast.ClassDef) for node in cls.body]
+
+
+def _unread_attributes(names: list[tuple[str, str]]) -> set[str]:
+    """The ``Class.name`` pairs whose ``.name`` appears nowhere in the library, scripts or bench."""
+    texts = [p.read_text() for p in sorted(SRC.glob("*.py"))] + _outside()
+    return {f"{cls}.{name}" for cls, name in names
+            if not any(re.search(rf"\.{re.escape(name)}\b", t) for t in texts)}
+
+
 def _unreached_methods() -> set[str]:
-    sources = [p.read_text() for p in sorted(SRC.glob("*.py"))]
-    texts = sources + _outside()
-    found = set()
-    for text in sources:
-        for cls in ast.parse(text).body:
-            if not isinstance(cls, ast.ClassDef):
-                continue
-            for node in cls.body:
-                if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    continue
-                if node.name.startswith("__") and node.name.endswith("__"):
-                    continue
-                attr = re.compile(rf"\.{re.escape(node.name)}\b")
-                if not any(attr.search(t) for t in texts):
-                    found.add(f"{cls.name}.{node.name}")
-    return found
+    return _unread_attributes([
+        (cls, node.name) for cls, node in _class_members()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+    ])
+
+
+def _unread_fields() -> set[str]:
+    return _unread_attributes([
+        (cls, node.target.id) for cls, node in _class_members()
+        if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+    ])
 
 
 def test_every_definition_is_reached_or_kept():
@@ -102,3 +117,11 @@ def test_every_method_is_reached_or_kept():
     stale = sorted(KEPT_METHODS.keys() - unreached)
     assert not orphans, f"methods reached by nothing but their own tests: {orphans}"
     assert not stale, f"KEPT_METHODS names that are reached or no longer defined: {stale}"
+
+
+def test_every_field_is_read_or_kept():
+    unread = _unread_fields()
+    orphans = sorted(unread - KEPT_FIELDS.keys())
+    stale = sorted(KEPT_FIELDS.keys() - unread)
+    assert not orphans, f"fields read by nothing but tests: {orphans}"
+    assert not stale, f"KEPT_FIELDS names that are read or no longer defined: {stale}"
