@@ -160,7 +160,6 @@ class BallQuadrature:
     when max(|a|, |b|) is at most the degree :func:`ball_quadrature` built it for.
     """
 
-    n: int
     nodes: np.ndarray  # (m, n) complex
     weights: np.ndarray  # (m,)
 
@@ -212,7 +211,7 @@ def ball_quadrature(n: int, degree: int, angular_order: int | None = None) -> Ba
             nodes[idx : idx + block, i] = amp[i] * phases[i]
         weights[idx : idx + block] = pi**n * radial_w[j] / block
         idx += block
-    return BallQuadrature(n, nodes, weights)
+    return BallQuadrature(nodes, weights)
 
 
 def monomial_norm_sq(n: int, alpha) -> float:

@@ -142,11 +142,11 @@ def _greedy_colors(adj: np.ndarray, order) -> np.ndarray:
     smallest color none of its colored neighbours holds."""
     colors = -np.ones(len(adj), int)
     for i in order:
-        used = set(colors[j] for j in np.where(adj[i])[0] if colors[j] >= 0)
-        c = 0
-        while c in used:
-            c += 1
-        colors[i] = c
+        used = colors[adj[i]]
+        # k neighbours hold at most k colors, so one of 0..k is free
+        taken = np.zeros(len(used) + 1, bool)
+        taken[used[(used >= 0) & (used < len(taken))]] = True
+        colors[i] = np.argmin(taken)
     return colors
 
 

@@ -6,9 +6,11 @@ are estimated from above by optimizing piecewise-linear paths with L-BFGS
 on the exact gradient of their Gauss-Legendre length; every consumer in this
 library treats the optimizer output as the working metric, so inequalities
 checked downstream are stated in the direction that stays valid under
-over-estimation.  The optimizer runs a stack of paths in lockstep, one
-length-and-gradient evaluation per round for all of them, and each path gets
-the bits it would get alone; :func:`distance` is the batch of one.  The one
+over-estimation.  The optimizer runs a stack of paths in lockstep.  Each
+round takes every trial's length in one pass, and the gradient only of the
+paths that take another step, in a second pass over the arrays the first one
+kept, as weighted sums over each segment's abscissae.  Each path gets the
+bits it would get alone; :func:`distance` is the batch of one.  The one
 cheap upper bound is the length of the straight chord
 (:func:`straight_chord_upper`), by the same segment quadrature
 (:func:`_quadrature`) as every path segment.
@@ -17,6 +19,7 @@ cheap upper bound is the length of the straight chord
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from math import factorial, pi
 
 import numpy as np
@@ -76,48 +79,6 @@ def metric_form(dom: DomainSpec, z: np.ndarray, xi: np.ndarray, rv: np.ndarray |
     return psi * (levi / (-rv) + normal / rv**2) + (1.0 - psi) * eucl
 
 
-def _form_gradients(dom: DomainSpec, z: np.ndarray, xi: np.ndarray, rv: np.ndarray, H: np.ndarray, g: np.ndarray):
-    """Q(z, xi) of :func:`metric_form` and its Wirtinger derivatives dQ/dconj(z), dQ/dconj(xi).
-
-    H and g are hessian(z) and dbar_r(z).  With s = -r, L = sum H[i,j] xi_i
-    conj(xi_j), u = sum xi_i d_i r, N = |u|^2 and E = |xi|^2,
-    Q = psi(r) (L/s + N/s^2) + (1 - psi(r)) E.  Differentiating in conj(z_k)
-    brings in dbar_k r, d_i dbar_j dbar_k r (through L) and dbar_i dbar_k r
-    (through conj(u)); differentiating in conj(xi_k) needs only H and g.  A
-    third-order table whose polynomials are all zero (both, for a quadratic
-    r) is neither evaluated nor contracted.  Q is assembled here from the
-    same terms as its derivatives, so it agrees with metric_form's value to
-    rounding, not bit for bit; lengths come from metric_form.  No product of
-    two complex arrays takes a temporary as its second factor: numpy's
-    complex product is not commutative in the last bit, and on a large array
-    ``a * temporary`` may reuse the temporary and swap the factors, so a
-    point's values would depend on how many segments share the call.
-    """
-    # scalars per point keep a trailing axis of length 1 to broadcast against vectors
-    rv = rv[..., None]
-    s = -rv
-    x = (rv + 2.0 * dom.theta) / dom.theta
-    psi = _smoothstep(x)
-    dpsi = _smoothstep_slope(x) / dom.theta
-    xic, gc = np.conj(xi), np.conj(g)
-    h_xi = np.einsum("...ik,...i->...k", H, xi)
-    levi = np.real(np.sum(h_xi * xic, axis=-1, keepdims=True))
-    u = np.sum(xi * gc, axis=-1, keepdims=True)
-    normal = np.abs(u) ** 2
-    eucl = np.sum(np.abs(xi) ** 2, axis=-1, keepdims=True)
-    near = levi / s + normal / s**2
-    d_normal = np.conj(u) * h_xi
-    if not dom.vanishes(0, 2):
-        g_xi = np.einsum("...jk,...j->...k", dom.derivatives(z, 0, 2), xic)
-        d_normal = d_normal + u * g_xi
-    d_near = d_normal / s**2
-    if not dom.vanishes(1, 2):
-        d_near = np.einsum("...ijk,...i,...j->...k", dom.derivatives(z, 1, 2), xi, xic) / s + d_near
-    q_z = dpsi * g * (near - eucl) + psi * (d_near + g * (levi / s**2 + 2.0 * normal / s**3))
-    q_xi = psi * (h_xi / s + u * g / s**2) + (1.0 - psi) * xi
-    return (psi * near + (1.0 - psi) * eucl)[..., 0], q_z, q_xi
-
-
 # -- paths --------------------------------------------------------------------
 
 
@@ -148,6 +109,18 @@ def _segment_buckets(dom: DomainSpec, p: np.ndarray, q: np.ndarray) -> np.ndarra
     return np.where(escaped, 0, np.clip((np.ceil(lev / 6) * 6).astype(int), 2, 48))
 
 
+@cache
+def _level_rule(level: int) -> tuple[np.ndarray, np.ndarray]:
+    """Parameters t and weights w, shape (pieces, 4), of the rule on the dyadic pieces of one level; read-only."""
+    brk = _refinement_breaks(level)
+    widths = brk[1:] - brk[:-1]
+    t = brk[:-1, None] + widths[:, None] * _GL_T[None, :]
+    w = widths[:, None] * _GL_W[None, :]
+    t.setflags(write=False)
+    w.setflags(write=False)
+    return t, w
+
+
 def _quadrature(dom: DomainSpec, p: np.ndarray, q: np.ndarray):
     """Gauss-Legendre rule on the dyadic pieces of each segment p->q (rows), one refinement bucket at a time.
 
@@ -161,10 +134,7 @@ def _quadrature(dom: DomainSpec, p: np.ndarray, q: np.ndarray):
     bucket = _segment_buckets(dom, p, q)
     for level in sorted(set(bucket[bucket > 0].tolist())):
         sel = np.flatnonzero(bucket == level)
-        brk = _refinement_breaks(level)
-        widths = brk[1:] - brk[:-1]
-        t = brk[:-1, None] + widths[:, None] * _GL_T[None, :]
-        w = widths[:, None] * _GL_W[None, :]
+        t, w = _level_rule(level)
         pts = p[sel][:, None, None, :] + t[None, :, :, None] * (q[sel] - p[sel])[:, None, None, :]
         rv = dom.r_val(pts)
         inside = np.all(rv < 0, axis=(-1, -2))
@@ -174,40 +144,125 @@ def _quadrature(dom: DomainSpec, p: np.ndarray, q: np.ndarray):
             yield sel[inside], t, w, pts, rv
 
 
-def _lengths_and_gradients(dom: DomainSpec, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Quadrature lengths of a stack of polylines and their exact gradients, in one evaluation.
+def _path_lengths(dom: DomainSpec, nodes: np.ndarray) -> tuple[np.ndarray, list]:
+    """Quadrature lengths of a stack of polylines, and the arrays their gradients are read from.
 
     ``nodes`` has shape (P, K + 1, n).  Returns the P lengths, +inf once any
-    segment escapes the domain (see :func:`_quadrature`), and dL/dRe +
-    i dL/dIm = 2 dL/dconj(node) at the interior nodes, shape (P, K - 1, n).
-    Each segment's length is sum_a w_a sqrt(Q(z_a, v)) with z_a = p + t_a v
-    and v = q - p, so p enters z_a with the real weight 1 - t_a and v with
-    -1, and q with t_a and +1.  The segments run through the same
-    :func:`_quadrature` and the same :func:`metric_form` arithmetic as
-    :func:`straight_chord_upper`, so a segment's length here is its chord
-    length bit for bit.  The refinement buckets are held at the current
-    nodes; an escaped segment adds nothing to the gradient.
+    segment escapes the domain (see :func:`_quadrature`), and per refinement
+    bucket the tuple ``(rows, t, w, pts, rv, H, g, v, speeds)``: the
+    :func:`_quadrature` bucket, the Hessian and dbar r at its abscissae, the
+    segment vectors v = q - p of its rows and the metric speeds sqrt(Q).
+    The segments run through the same :func:`_quadrature` and the same
+    :func:`metric_form` arithmetic as :func:`straight_chord_upper`, so a
+    segment's length here is its chord length bit for bit.
     """
     count, k1, n = nodes.shape
     p = nodes[:, :-1].reshape(-1, n)
     q = nodes[:, 1:].reshape(-1, n)
     v = q - p
     seg = np.full(len(p), np.inf)
-    grad_p = np.zeros_like(p)
-    grad_q = np.zeros_like(q)
+    buckets = []
     for sel, t, w, pts, rv in _quadrature(dom, p, q):
-        xi = np.broadcast_to(v[sel][:, None, None, :], pts.shape).copy()
+        xi = np.broadcast_to(v[sel][:, None, None, :], pts.shape)
         H, g = dom.hessian(pts), dom.dbar_r(pts)
-        seg[sel] = np.sum(np.sqrt(np.maximum(metric_form(dom, pts, xi, rv, H, g), 0.0)) * w, axis=(-1, -2))
-        speeds2, d_z, d_xi = _form_gradients(dom, pts, xi, rv, H, g)
-        speeds = np.sqrt(np.maximum(speeds2, 0.0))
-        # d sqrt(Q) = dQ / (2 sqrt(Q)), and the gradient is twice the conj-derivative
-        c = np.divide(w, speeds, out=np.zeros_like(speeds), where=speeds > 0)[..., None]
-        grad_p[sel] = np.sum(c * ((1.0 - t)[..., None] * d_z - d_xi), axis=(1, 2))
-        grad_q[sel] = np.sum(c * (t[..., None] * d_z + d_xi), axis=(1, 2))
-    lengths = np.sum(seg.reshape(count, k1 - 1), axis=1)
-    grad = grad_q.reshape(count, k1 - 1, n)[:, :-1] + grad_p.reshape(count, k1 - 1, n)[:, 1:]
-    return lengths, grad
+        speeds = np.sqrt(np.maximum(metric_form(dom, pts, xi, rv, H, g), 0.0))
+        seg[sel] = np.sum(speeds * w, axis=(-1, -2))
+        buckets.append((sel, t, w, pts, rv, H, g, v[sel], speeds))
+    return np.sum(seg.reshape(count, k1 - 1), axis=1), buckets
+
+
+def _path_gradients(dom: DomainSpec, nodes: np.ndarray, buckets: list, paths: np.ndarray) -> np.ndarray:
+    """Exact length gradients of the paths ``paths`` of a stack, from the arrays its length pass kept.
+
+    ``nodes`` and ``buckets`` are the stack and the buckets of
+    :func:`_path_lengths`.  Returns dL/dRe + i dL/dIm = 2 dL/dconj(node) at
+    the interior nodes, shape (len(paths), K - 1, n).  Only the rows of the
+    chosen paths are read, and each segment's gradient is summed over its own
+    abscissae alone, so a path's gradient does not depend on which other
+    paths share the call.  A segment with no length adds nothing.
+    """
+    count, k1, n = nodes.shape
+    k = k1 - 1
+    slot = np.full(count, -1)
+    slot[paths] = np.arange(len(paths))
+    ends = np.zeros((len(paths) * k, 2, n), complex)
+    for sel, t, w, *arrays in buckets:
+        keep = slot[sel // k] >= 0
+        rows = sel[keep]
+        if len(rows) < len(sel):
+            arrays = [a[keep] for a in arrays]
+        if len(rows):
+            ends[slot[rows // k] * k + rows % k] = _segment_gradients(dom, t, w, *arrays)
+    ends = ends.reshape(len(paths), k, 2, n)
+    return ends[:, :-1, 1] + ends[:, 1:, 0]
+
+
+def _segment_gradients(dom: DomainSpec, t, w, pts, rv, H, g, v, speeds) -> np.ndarray:
+    """Gradients of the lengths of m segments p->q at p and at q, shape (m, 2, n), as weighted sums.
+
+    A segment's length is sum_a w_a sqrt(Q(z_a, v)) with z_a = p + t_a v and
+    v = q - p, so p enters z_a with the real weight 1 - t_a and v with -1,
+    and q with t_a and +1; the gradient is twice the conj-derivative, and
+    d sqrt(Q) = dQ / (2 sqrt(Q)).  With s = -r, L = sum H[i,j] v_i conj(v_j),
+    u = sum v_i d_i r, N = |u|^2 and E = |v|^2, the metric form is
+    Q = psi (L/s + N/s^2) + (1 - psi) E.  Times c = w / sqrt(Q) (0 where
+    Q = 0), its derivative in conj(z) is A dbar r + B conj(u) H^T v and in
+    conj(v) it is B u dbar r + C H^T v + D v, where (H^T v)_k = sum_i H[i,k] v_i
+    and
+
+        A = c (psi' (L/s + N/s^2 - E) + psi (L/s^2 + 2 N/s^3)),
+        B = c psi / s^2,  C = c psi / s,  D = c (1 - psi).
+
+    v is constant along the segment, so each gradient is a few sums over the
+    abscissae of dbar r and H^T v with these weights.  The conj(z)
+    derivative also has B u (dbar dbar r) conj(v) + C (d dbar dbar r) v
+    conj(v), weighted like A; a third-order table whose polynomials are all
+    zero (both, for a quadratic r) is neither evaluated nor contracted.  No
+    product of two complex arrays takes a temporary as its second factor:
+    numpy's complex product is not commutative in the last bit, and on a
+    large array ``a * temporary`` may reuse the temporary and swap the
+    factors, so a segment's values would depend on how many share the call.
+    """
+    m, n = v.shape
+    tt, ww = t.reshape(-1), w.reshape(-1)
+    rv, speeds = rv.reshape(m, -1), speeds.reshape(m, -1)
+    g = g.reshape(m, -1, n)
+    s = -rv
+    x = (rv + 2.0 * dom.theta) / dom.theta
+    psi = _smoothstep(x)
+    dpsi = _smoothstep_slope(x) / dom.theta
+    vc = np.conj(v)
+    # H^T v one index at a time: einsum's generic loop is several times slower here
+    H = H.reshape(m, -1, n, n)
+    h_v = H[:, :, 0] * v[:, None, :1]
+    for i in range(1, n):
+        h_v += H[:, :, i] * v[:, None, i : i + 1]
+    levi = np.real(np.einsum("mak,mk->ma", h_v, vc))
+    u_bar = np.einsum("mak,mk->ma", g, vc)
+    normal = u_bar.real**2 + u_bar.imag**2
+    eucl = np.sum(v.real**2 + v.imag**2, axis=-1, keepdims=True)
+    c = np.divide(ww, speeds, out=np.zeros_like(speeds), where=speeds > 0)
+    coef_a = c * (dpsi * (levi / s + normal / s**2 - eucl) + psi * (levi / s**2 + 2.0 * normal / s**3))
+    coef_b = c * psi / s**2
+    coef_c = c * psi / s
+    b_u = coef_b * np.conj(u_bar)
+    b_ubar = coef_b * u_bar
+    on_g = np.stack([(1.0 - tt) * coef_a - b_u, tt * coef_a + b_u], axis=1)
+    on_h = np.stack([(1.0 - tt) * b_ubar - coef_c, tt * b_ubar + coef_c], axis=1)
+    out = np.einsum("mca,mak->mck", on_g, g) + np.einsum("mca,mak->mck", on_h, h_v)
+    d_v = np.sum(c * (1.0 - psi), axis=-1, keepdims=True) * v
+    out[:, 0] -= d_v
+    out[:, 1] += d_v
+    third = []
+    if not dom.vanishes(0, 2):
+        g_v = np.einsum("majk,mj->mak", dom.derivatives(pts, 0, 2).reshape(m, -1, n, n), vc)
+        third.append(g_v * b_u[..., None])
+    if not dom.vanishes(1, 2):
+        t_v = np.einsum("maijk,mi,mj->mak", dom.derivatives(pts, 1, 2).reshape(m, -1, n, n, n), v, vc)
+        third.append(t_v * coef_c[..., None])
+    if third:
+        out += np.einsum("ca,mak->mck", np.stack([1.0 - tt, tt]), sum(third))
+    return out
 
 
 # -- distance estimation ------------------------------------------------------
@@ -324,9 +379,13 @@ def _optimize_paths(dom: DomainSpec, nodes: np.ndarray, max_iters: int, stop_bel
 
     ``nodes`` has shape (P, K + 1, n).  Every path keeps its own curvature
     memory, direction, step, counts and active flag, and takes the steps it
-    would take alone.  Each round evaluates the trials of all searching paths
-    in one :func:`_lengths_and_gradients` call; an accepted trial's gradient
-    is the one the next step uses.  Directions come from the two-loop
+    would take alone.  Each round takes the lengths of the trials of all
+    searching paths in one :func:`_path_lengths` pass, and then the gradients
+    of only the accepted trials that take another step in one
+    :func:`_path_gradients` pass over the arrays the length pass kept: a
+    rejected trial, or the last step of a descent that runs out of
+    ``max_iters``, computes no gradient.  The seeds' gradients come the same
+    way, once their lengths are known.  Directions come from the two-loop
     recursion over the last ``_MEMORY`` curvature pairs; with no pairs held,
     the step is steepest descent of length 0.1 max|node| / |g|.  Each line
     search tries step 1, then halves, until the Armijo test passes, at most
@@ -343,7 +402,7 @@ def _optimize_paths(dom: DomainSpec, nodes: np.ndarray, max_iters: int, stop_bel
     the path's final length will be too: the batch stops and returns None.
     """
     count, k1, n = nodes.shape
-    lengths, grad = _lengths_and_gradients(dom, nodes)
+    lengths, kept = _path_lengths(dom, nodes)
     iterations = np.zeros(count, int)
     trials = np.zeros(count, int)
     converged = np.ones(count, bool)
@@ -351,9 +410,10 @@ def _optimize_paths(dom: DomainSpec, nodes: np.ndarray, max_iters: int, stop_bel
         return None
     if k1 < 3:
         return nodes, lengths, iterations, converged, trials
+    g = _path_gradients(dom, nodes, kept, np.arange(count)).reshape(count, -1).view(float)
+    del kept  # before the first round's length pass builds its own
     nodes = nodes.copy()
     iterations[:] = 1
-    g = grad.reshape(count, -1).view(float)
     S = np.zeros((count, _MEMORY, g.shape[1]))
     Y = np.zeros_like(S)
     rho = np.zeros((count, _MEMORY))
@@ -387,7 +447,7 @@ def _optimize_paths(dom: DomainSpec, nodes: np.ndarray, max_iters: int, stop_bel
         x_new = x + step[live, None] * d[live]
         trial = nodes[live]
         trial[:, 1:-1] = x_new.view(complex).reshape(len(live), k1 - 2, n)
-        val, grad = _lengths_and_gradients(dom, trial)
+        val, kept = _path_lengths(dom, trial)
         trials[live] += 1
         ok = val < lengths[live] + _ARMIJO * step[live] * slope[live]
         if np.any(val[ok] < stop_below):
@@ -403,7 +463,8 @@ def _optimize_paths(dom: DomainSpec, nodes: np.ndarray, max_iters: int, stop_bel
         acc = acc[go]
         iterations[acc] += 1
         s_new = (x_new[ok] - x[ok])[go]
-        g_new = grad[ok][go].reshape(len(acc), (k1 - 2) * n).view(float)
+        g_new = _path_gradients(dom, trial, kept, np.flatnonzero(ok)[go]).reshape(len(acc), (k1 - 2) * n).view(float)
+        del kept  # before the next round's length pass builds its own
         y_new = g_new - g[acc]
         sy = np.sum(s_new * y_new, axis=-1)
         keep = sy > 0  # keep H positive definite, so every direction descends

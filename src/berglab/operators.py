@@ -153,7 +153,6 @@ class EnlargedSpace:
     coordinate truncation.
     """
 
-    n: int
     pairs: list[tuple[tuple[int, ...], tuple[int, ...]]]
     n_holo: int
     quad: object
@@ -211,7 +210,7 @@ def enlarged_space(n: int, N: int, conj_degree: int) -> EnlargedSpace:
     U = forward_substitution(L, V.conj().T).conj().T
     Uw = U * np.sqrt(quad.weights)[:, None]
     gal_cols = np.array([holo.index((a, (0,) * n)) for a in _multi_indices(n, N)])
-    return EnlargedSpace(n, pairs, len(holo), quad, Uw, gal_cols)
+    return EnlargedSpace(pairs, len(holo), quad, Uw, gal_cols)
 
 
 def hankel_and_commutator(space: GalerkinSpace, f) -> dict:

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from berglab.domain import sample_region
+from berglab.covering import _overlap_counts, index_partition
+from berglab.domain import sample_region, surface_pool
 from berglab.lattice import (
     Lattice,
     _depth_stratified_shuffle,
@@ -192,6 +193,45 @@ def test_packing_balls_disjoint_sampled(disc_global):
                 if i == j:
                     continue
                 assert est(w, p) >= a - 1e-9
+
+
+def _greedy_colors_ref(adj, order):
+    """Greedy coloring with a set of the colored neighbours' colors per vertex."""
+    colors = -np.ones(len(adj), int)
+    for i in order:
+        used = set(colors[j] for j in np.where(adj[i])[0] if colors[j] >= 0)
+        c = 0
+        while c in used:
+            c += 1
+        colors[i] = c
+    return colors
+
+
+def test_greedy_colors_match_the_set_loop(disc, ball2):
+    rng = np.random.default_rng(5)
+    for m, density in ((1, 0.0), (30, 0.1), (60, 0.5), (200, 0.03), (80, 1.0)):
+        adj = rng.random((m, m)) < density
+        adj |= adj.T
+        np.fill_diagonal(adj, False)
+        for order in (range(m), rng.permutation(m), np.argsort(-adj.sum(axis=1))):
+            assert np.array_equal(_greedy_colors(adj, order), _greedy_colors_ref(adj, order))
+    # the covering's cap-overlap graph, in its order of falling degree
+    for dom, bs in ((disc, (0.1, 0.05)), (ball2, (0.5, 0.1))):
+        centers = surface_pool(dom, 0.0, 300, 11)
+        for b in bs:
+            adj = _overlap_counts(dom, centers, b)
+            colors, _ = index_partition(dom, centers, b)
+            assert colors.max() >= 2
+            assert np.array_equal(colors, _greedy_colors_ref(adj, np.argsort(-adj.sum(axis=1))))
+    # the lattice's conflict graph, in index order
+    lat = build_separated(disc, ("shell", 0.02, 0.6), 0.3, candidate_count=40, seed=3)
+    est = DistanceEstimator(disc, SCAN_BUDGET)
+    conflict = pairwise_dupper(disc, lat.points, est, refine_below=2.2) <= 1.2
+    np.fill_diagonal(conflict, False)
+    colors = _greedy_colors_ref(conflict, range(len(lat)))
+    classes = partition_separated(disc, lat, 0.6, est)
+    assert len(classes) == colors.max() + 1 >= 2
+    assert [c.points.tobytes() for c in classes] == [lat.points[colors == c].tobytes() for c in range(len(classes))]
 
 
 def test_greedy_colors_follow_the_order():

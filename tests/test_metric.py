@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from berglab.domain import custom_domain, sample_region, unit_ball
+from berglab import metric
+from berglab.domain import DomainSpec, custom_domain, sample_region, unit_ball
 from berglab.gauge import RayField, normal_gauge
 from berglab.metric import (
     _GL_T,
@@ -14,10 +15,10 @@ from berglab.metric import (
     MetricError,
     Polydisc,
     _distances,
-    _form_gradients,
     _inward_point,
-    _lengths_and_gradients,
     _optimize_paths,
+    _path_gradients,
+    _path_lengths,
     _refinement_breaks,
     _smoothstep,
     _smoothstep_slope,
@@ -77,13 +78,13 @@ def test_blend_identity_near_boundary(disc):
 
 
 def _polyline_length(dom, nodes):
-    """Quadrature length of one polyline, from the fused length-and-gradient evaluation."""
-    return _lengths_and_gradients(dom, nodes[None])[0][0]
+    """Quadrature length of one polyline, from the optimizer's length pass."""
+    return _path_lengths(dom, nodes[None])[0][0]
 
 
 def _length_gradient(dom, nodes):
-    """Exact length gradient of one polyline in its interior nodes."""
-    return _lengths_and_gradients(dom, nodes[None])[1][0]
+    """Exact length gradient of one polyline in its interior nodes, from the arrays its length pass kept."""
+    return _path_gradients(dom, nodes[None], _path_lengths(dom, nodes[None])[1], np.arange(1))[0]
 
 
 def test_constant_path_zero(disc):
@@ -203,7 +204,7 @@ def test_quadrature_matches_reference_loops(name, request):
         new = straight_chord_upper(dom, nodes[:-1], nodes[1:])
         ref = _segment_lengths_ref(dom, nodes[:-1], nodes[1:])
         assert new.tobytes() == ref.tobytes()
-        # the fused length-and-gradient evaluation sums the same segment lengths
+        # the optimizer's length pass sums the same segment lengths
         assert _polyline_length(dom, nodes).tobytes() == np.sum(ref).tobytes()
     assert np.isinf(straight_chord_upper(dom, outside[:-1], outside[1:])).any()
     for nodes in (deep, blend, shallow):
@@ -297,6 +298,11 @@ def _dented_disc():
     return dom, z, w
 
 
+# the witness's bound, bit for bit; its last bits follow the rounding of the
+# length gradient that steers the descent, its iteration and trial counts do not
+_WITNESS_BOUND = 1.9094536940736453
+
+
 def test_straight_seed_leaving_a_nonconvex_domain_is_skipped():
     # the sextic terms dent the disc, and the chord between these two points
     # at depth 0.01 leaves it: one descent from the inward-retreat seed
@@ -305,7 +311,7 @@ def test_straight_seed_leaving_a_nonconvex_domain_is_skipped():
     dom, z, w = _dented_disc()
     assert np.isinf(straight_chord_upper(dom, z, w))
     res = distance(dom, z, w, SCAN_BUDGET)
-    assert np.float64(res["d_upper"]).tobytes() == np.float64(1.9094536940736).tobytes()
+    assert np.float64(res["d_upper"]).tobytes() == np.float64(_WITNESS_BOUND).tobytes()
     assert res["iterations"] == 12 and res["trials"] == 14
 
 
@@ -346,13 +352,14 @@ def test_batch_keeps_the_nonconvex_witness():
     dom, z, w = _dented_disc()
     Z, W = np.array([z, w, 0.5 * z]), np.array([w, z, 0.5 * w])
     res = _distances(dom, Z, W, SCAN_BUDGET)
-    assert res["d_upper"][:2].tobytes() == np.float64([1.9094536940736] * 2).tobytes()
+    assert res["d_upper"][:2].tobytes() == np.float64([_WITNESS_BOUND] * 2).tobytes()
     assert res["iterations"][:2].tolist() == [12, 12] and res["trials"][:2].tolist() == [14, 14]
     assert res["d_upper"][2] == distance(dom, 0.5 * z, 0.5 * w, SCAN_BUDGET)["d_upper"]
 
 
 def _form_gradients_ref(dom, z, xi, rv):
-    """:func:`_form_gradients` contracting both third-order tables, zero or not."""
+    """Q(z, xi) of :func:`metric_form` and its derivatives dQ/dconj(z), dQ/dconj(xi) at each point,
+    contracting both third-order tables, zero or not."""
     H, g = dom.hessian(z), dom.dbar_r(z)
     rv = rv[..., None]
     s = -rv
@@ -374,20 +381,94 @@ def _form_gradients_ref(dom, z, xi, rv):
     return (psi * near + (1.0 - psi) * eucl)[..., 0], q_z, q_xi
 
 
+def _path_gradients_ref(dom, nodes):
+    """Length gradients of a stack of paths assembled from per-abscissa derivative fields.
+
+    Each segment adds c ((1 - t) dQ/dconj(z) - dQ/dconj(v)) at p and
+    c (t dQ/dconj(z) + dQ/dconj(v)) at q, c = w / sqrt(Q), over the abscissae
+    of :func:`_path_lengths`.  Also returns, per interior node, the sum of the
+    absolute values of the terms, which bounds the rounding of any order of
+    summing them.
+    """
+    count, k1, n = nodes.shape
+    grad = np.zeros((count * (k1 - 1), 2, n), complex)
+    scale = np.zeros((count * (k1 - 1), 2))
+    for sel, t, w, pts, rv, *_, v, _ in _path_lengths(dom, nodes)[1]:
+        xi = np.broadcast_to(v[:, None, None, :], pts.shape)
+        speeds2, d_z, d_xi = _form_gradients_ref(dom, pts, xi, rv)
+        speeds = np.sqrt(np.maximum(speeds2, 0.0))
+        c = np.divide(w, speeds, out=np.zeros_like(speeds), where=speeds > 0)[..., None]
+        for end, terms in enumerate((c * ((1.0 - t)[..., None] * d_z - d_xi), c * (t[..., None] * d_z + d_xi))):
+            grad[sel, end] = np.sum(terms, axis=(1, 2))
+            scale[sel, end] = np.sum(np.abs(terms), axis=(1, 2, 3))
+    grad, scale = grad.reshape(count, k1 - 1, 2, n), scale.reshape(count, k1 - 1, 2)
+    return grad[:, :-1, 1] + grad[:, 1:, 0], scale[:, :-1, 1] + scale[:, 1:, 0]
+
+
+def _shell_paths(dom, count, nodes, seed):
+    """``count`` polylines of ``nodes`` nodes through random points of a shell that reaches the blend band."""
+    return np.array([sample_region(dom, ("shell", 0.02, 0.6), nodes, seed + i) for i in range(count)])
+
+
 @pytest.mark.parametrize("name", ["disc", "ball2", "egg", "mixed", "quartic", "quartic2"])
-def test_zero_derivative_tables_are_skipped_bit_for_bit(name, request):
+def test_zero_derivative_tables_are_skipped_bit_for_bit(name, request, monkeypatch):
     # dbar dbar r and d dbar dbar r vanish for every quadratic r; skipping
-    # them changes no bit, and a quartic r keeps the full path
+    # them changes no bit of the weighted-sum gradient, and every r, quartic
+    # or not, gets the gradient of the per-abscissa assembly to rounding
     dom = request.getfixturevalue(name)
     quadratic = dom.r.degree() == 2
     assert dom.vanishes(0, 2) is dom.vanishes(1, 2) is quadratic
-    rng = np.random.default_rng(9)
-    z = sample_region(dom, "interior", 64, seed=9)
-    xi = rng.standard_normal(z.shape) + 1j * rng.standard_normal(z.shape)
-    rv = dom.r_val(z)
-    got = _form_gradients(dom, z, xi, rv, dom.hessian(z), dom.dbar_r(z))
-    for a, b in zip(got, _form_gradients_ref(dom, z, xi, rv)):
-        assert a.tobytes() == b.tobytes()
+    nodes = _shell_paths(dom, 6, 9, seed=9)
+    lengths, kept = _path_lengths(dom, nodes)
+    assert np.all(np.isfinite(lengths))
+    got = _path_gradients(dom, nodes, kept, np.arange(len(nodes)))
+    ref, scale = _path_gradients_ref(dom, nodes)
+    # each term carries a few roundings and the sums regroup them, so the
+    # difference is a small multiple of eps times the terms' absolute sum
+    tol = 2.0**7 * np.finfo(float).eps * scale
+    assert np.all(np.abs(got - ref) <= tol[..., None])
+    with monkeypatch.context() as patch:
+        patch.setattr(DomainSpec, "vanishes", lambda self, holo, anti: False)
+        full = _path_gradients(dom, nodes, kept, np.arange(len(nodes)))
+    assert full.tobytes() == got.tobytes()
+
+
+@pytest.mark.parametrize("name", ["disc", "egg", "quartic2"])
+def test_path_gradient_is_the_same_in_any_stack(name, request):
+    # 40 paths of 12 segments: the bucket arrays exceed 256 KiB, where numpy
+    # may reuse a temporary; a path's gradient in the stack, in any subset of
+    # it and alone are the same bits
+    dom = request.getfixturevalue(name)
+    stack = _shell_paths(dom, 40, 13, seed=100)
+    lengths, kept = _path_lengths(dom, stack)
+    assert kept[0][5].nbytes > 2**18
+    every = _path_gradients(dom, stack, kept, np.arange(len(stack)))
+    rng = np.random.default_rng(4)
+    for paths in (np.arange(0, 40, 3), np.sort(rng.choice(40, 7, replace=False)), np.arange(39, 40)):
+        assert _path_gradients(dom, stack, kept, paths).tobytes() == every[paths].tobytes()
+    for i in range(len(stack)):
+        assert _length_gradient(dom, stack[i]).tobytes() == every[i].tobytes()
+
+
+@pytest.mark.parametrize("name", ["egg", "mixed"])
+def test_gradients_only_for_the_steps_that_continue(name, request, monkeypatch):
+    # the gradient pass receives the seeds and then each accepted step that
+    # takes another one; a fused length-and-gradient call would also have
+    # taken the gradient of every rejected trial and of every last step
+    dom = request.getfixturevalue(name)
+    seeds = _shell_paths(dom, 8, 13, seed=30)
+    received = []
+
+    def counted(dom, nodes, kept, paths):
+        received.append(len(paths))
+        return _path_gradients(dom, nodes, kept, paths)
+
+    monkeypatch.setattr(metric, "_path_gradients", counted)
+    _, _, iterations, _, trials = _optimize_paths(dom, seeds, 6)
+    assert received[0] == len(seeds)
+    assert sum(received) == iterations.sum()
+    assert np.any(iterations == 6) and np.any(trials > iterations - 1)
+    assert sum(received) < len(seeds) + trials.sum()
 
 
 @pytest.mark.parametrize("field", ["nodes", "max_iters"])
