@@ -177,14 +177,16 @@ def build_packing(
 
     The greedy pass is exact, not approximate.  rho(u, v) >= |u - v|^2, also
     as computed in floating point, so a candidate conflicts with a center
-    only within Euclidean distance sqrt(c1*d); the neighbour query widens
+    only within Euclidean distance sqrt(c1*d); the close-pairs query widens
     that radius by a relative 1e-9, far above the rounding of a squared
-    distance, and every candidate it returns gets the full two-sided gauge
-    test.  Each accepted center rules out its later conflicting candidates,
-    and the next center is the first candidate not ruled out, so a
-    candidate joins exactly when no earlier center conflicts with it: the
-    centers, and their order, are those of testing every candidate against
-    every accepted center in stream order.
+    distance, and every pair it returns gets the full two-sided gauge test.
+    The stream is read in blocks of live candidates.  A block accepts its
+    candidates in stream order, each against the ones it accepted before
+    it, and the pairs of the accepted ones rule out their later conflicting
+    candidates before the next block is read.  So a candidate joins exactly
+    when no earlier center conflicts with it: the centers, and their order,
+    are those of testing every candidate against every accepted center in
+    stream order.
     """
     count = candidate_count
     while True:
@@ -207,31 +209,49 @@ def _greedy_packing(dom: DomainSpec, stream: np.ndarray, radius: float, max_cent
     """The stream rows that no earlier accepted row conflicts with, in stream order.
 
     Rows u (accepted) and v (later) conflict when the smaller of rho(u, v)
-    and rho(v, u) is not >= ``radius``.  The loop runs once per accepted row.
+    and rho(v, u) is not >= ``radius``.  Since rho(u, v) >= |u - v|^2 they
+    can conflict only within Euclidean distance sqrt(radius), so beyond a
+    block only the pairs of the close-pairs query at that radius (widened
+    by a relative 1e-9) get the gauge test.  The rows are read in blocks of
+    the next ``_PACKING_BLOCK`` live rows, a row being live while no
+    accepted row conflicts with it.  A block tests all its own pairs (one
+    beyond the widened radius never conflicts) and accepts its rows in
+    stream order, each unless a row it accepted before conflicts with it;
+    one query for the accepted rows then rules out their later live
+    conflicts.  So a row joins exactly when no earlier accepted row
+    conflicts with it, as in a one-row-at-a-time pass.
     """
     grads = _blocked(dom.dbar_r, stream)
-    within = _neighbour_query(stream)
-    reach = np.sqrt(radius)
-    live = np.ones(len(stream), bool)
+
+    def clash(diff: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        return ~(np.minimum(gauge_of_offsets(diff, grads[v]), gauge_of_offsets(diff, grads[u])) >= radius)
+
+    live = np.ones(len(stream), bool)  # rows not yet in a block and not ruled out
+    pairs = _close_pairs(stream, np.sqrt(radius), live)
     accepted = []
-    i = 0
-    while i < len(stream):
-        i += int(np.argmax(live[i:]))
-        if not live[i]:
+    start = 0
+    while True:
+        block = start + np.flatnonzero(live[start:])[:_PACKING_BLOCK]
+        if not len(block):
             break
-        if len(accepted) >= max_centers:
+        first, later = np.triu_indices(len(block), 1)
+        u, v = block[first], block[later]
+        hit = clash(stream[u] - stream[v], u, v)
+        keep = np.ones(len(block), bool)
+        for i, j in zip(first[hit].tolist(), later[hit].tolist()):
+            if keep[i]:
+                keep[j] = False
+        taken = block[keep]
+        accepted.append(taken)
+        if sum(map(len, accepted)) > max_centers:
             raise CoverError("packing exceeded the center budget; enlarge the cap scale")
-        accepted.append(i)
-        near = within(stream[i], reach)
-        near = near[np.searchsorted(near, i, side="right"):]
-        for blk in _row_blocks(len(near)):
-            v = near[blk]
-            v = v[live[v]]
-            diff = stream[i] - stream[v]
-            gauge = np.minimum(gauge_of_offsets(diff, grads[v]), gauge_of_offsets(diff, grads[i]))
-            live[v[~(gauge >= radius)]] = False
-        i += 1
-    return stream[accepted]
+        live[block] = False
+        start = block[-1] + 1
+        for qi, v, diff in pairs(stream[taken]):
+            sel = live[v]
+            v = v[sel]
+            live[v[clash(diff[sel], taken[qi[sel]], v)]] = False
+    return stream[np.concatenate(accepted)] if accepted else stream[:0]
 
 
 def coverage_audit(dom: DomainSpec, centers: np.ndarray, a: float, pool: np.ndarray):
@@ -239,75 +259,126 @@ def coverage_audit(dom: DomainSpec, centers: np.ndarray, a: float, pool: np.ndar
 
     The witness is the first uncovered pool point.  As in the packing, a
     pool point can lie in the a-cap of u only within Euclidean distance
-    sqrt(a) of u, since rho(u, w) >= |u - w|^2; only the pool points the
-    neighbour query returns for that radius (widened by a relative 1e-9)
-    get the exact gauge test, so the covered set is exactly that of testing
-    every pool point against every cap.
+    sqrt(a) of u, since rho(u, w) >= |u - w|^2; only the (center, pool
+    point) pairs of the close-pairs query at that radius (widened by a
+    relative 1e-9) get the exact gauge test, so the covered set is exactly
+    that of testing every pool point against every cap.  The query reads
+    the centers in order, in blocks, and covered pool points drop out of it
+    as they accumulate.
     """
-    within = _neighbour_query(pool)
     grads = _blocked(dom.dbar_r, centers)
-    reach = np.sqrt(a)
-    covered = np.zeros(len(pool), bool)
-    uncovered = len(pool)
-    for u, g in zip(centers, grads):
-        if not uncovered:
-            break
-        near = within(u, reach)
-        near = near[~covered[near]]
-        for blk in _row_blocks(len(near)):
-            hit = near[blk][gauge_of_offsets(u - pool[near[blk]], g) < a]
-            covered[hit] = True
-            uncovered -= len(hit)
-    if not uncovered:
+    uncovered = np.ones(len(pool), bool)
+    for qi, w, diff in _close_pairs(pool, np.sqrt(a), uncovered)(centers):
+        sel = uncovered[w]
+        w = w[sel]
+        uncovered[w[gauge_of_offsets(diff[sel], grads[qi[sel]]) < a]] = False
+    if not uncovered.any():
         return None
-    return pool[int(np.argmin(covered))]
+    return pool[int(np.argmax(uncovered))]
 
 
-# -- neighbour query --------------------------------------------------------------------
+# -- close pairs ------------------------------------------------------------------------
 
 
-# relative widening of every neighbour radius: far above the rounding of a
-# squared distance, so no row within the exact radius is ever dropped
+# relative widening of every pair radius, and of the grid cells over it: far
+# above the rounding of a squared distance or a cell coordinate, so no pair
+# within the exact radius is ever dropped
 _RADIUS_MARGIN = 1e-9
 # rows per block of a batched evaluation, so temporaries stay small
 _BLOCK_ROWS = 4096
-
-
-def _row_blocks(count: int):
-    """Slices of at most ``_BLOCK_ROWS`` rows covering range(count)."""
-    return [slice(s, s + _BLOCK_ROWS) for s in range(0, count, _BLOCK_ROWS)]
+# live stream rows per block of the greedy packing
+_PACKING_BLOCK = 64
 
 
 def _blocked(fn, rows: np.ndarray) -> np.ndarray:
-    """fn(rows), evaluated block by block; ``fn`` maps (k, n) rows to (k, n) rows."""
+    """fn(rows), evaluated ``_BLOCK_ROWS`` rows at a time; ``fn`` maps (k, n) rows to (k, n) rows."""
     out = np.empty_like(rows)
-    for blk in _row_blocks(len(rows)):
-        out[blk] = fn(rows[blk])
+    for s in range(0, len(rows), _BLOCK_ROWS):
+        out[s:s + _BLOCK_ROWS] = fn(rows[s:s + _BLOCK_ROWS])
     return out
 
 
-def _neighbour_query(pts: np.ndarray):
-    """``within(z, radius)``: the indices of the rows of ``pts`` within Euclidean ``radius`` of z, ascending.
+def _close_pairs(pts: np.ndarray, radius: float, alive: np.ndarray | None = None):
+    """``pairs(queries)``: the close (query, point) pairs, in blocks ``(qi, pi, diff)``.
 
-    The rows are sorted once on Re z_1.  A query slices the sorted rows with
-    two searchsorted calls, since |Re (z_1 - w_1)| <= |z - w|, and keeps the
-    slice rows within the radius widened by ``_RADIUS_MARGIN``.
+    A query row q and a row p of ``pts`` pair when the sum over coordinates
+    of diff.real**2 + diff.imag**2, diff = p - q, is <= (radius * (1 +
+    ``_RADIUS_MARGIN``))**2; a block gives each pair's indices and diff.
+    The rows of ``pts`` are sorted once by their cell on a grid over
+    (Re z_1, Im z_1) whose side is that reach widened once more by
+    ``_RADIUS_MARGIN``; cells are numbered by column, then row, with an
+    empty row slot above and below each column.  A pair within the reach
+    lies at most one cell apart in each coordinate, so a query reads three
+    runs of the sorted order, one per neighbouring column, and every row it
+    reads gets the squared-distance test.
+
+    Queries are read in order, in units of whole queries with at most
+    ``_BLOCK_ROWS`` rows to read between them, gathered into one block; a
+    query with more rows than that is read alone, in slices of its runs.
+    No block holds more rows, so memory stays flat however many pairs a
+    call has.  ``alive``, when given, is a mask over ``pts`` that the caller
+    clears as points stop mattering: pairs with cleared points may be left
+    out, and once the cleared points make up half of the sorted order, they
+    are dropped from it before the next unit.
     """
-    order = np.argsort(pts[:, 0].real, kind="stable")
-    rows = pts[order]
-    key = rows[:, 0].real
+    reach = radius * (1.0 + _RADIUS_MARGIN)
+    side = reach * (1.0 + _RADIUS_MARGIN)
+    x0, y0 = pts[:, 0].real.min(initial=0.0), pts[:, 0].imag.min(initial=0.0)
 
-    def within(z: np.ndarray, radius: float) -> np.ndarray:
-        reach = radius * (1.0 + _RADIUS_MARGIN)
-        lo = np.searchsorted(key, z[0].real - reach, "left")
-        hi = np.searchsorted(key, z[0].real + reach, "right")
-        keep = []
-        for s in range(lo, hi, _BLOCK_ROWS):
-            diff = rows[s:min(s + _BLOCK_ROWS, hi)] - z
-            keep.append(s + np.flatnonzero(np.sum(diff.real**2 + diff.imag**2, axis=-1) <= reach**2))
-        return np.sort(order[np.concatenate(keep)]) if keep else order[:0]
+    def cells(z):
+        # whole numbers as floats, exact below 2**53, computed in place
+        cx, cy = z[:, 0].real - x0, z[:, 0].imag - y0
+        for c in (cx, cy):
+            c /= side
+            np.floor(c, out=c)
+        return cx, cy
 
-    return within
+    cell, cy = cells(pts)
+    right, width = cell.max(initial=0.0) + 1.0, cy.max(initial=0.0) + 3.0
+    cell *= width
+    cell += cy + 1.0
+    order = np.argsort(cell, kind="stable")
+    keys = cell[order]
+
+    def test(qi, pi, diff):
+        near = np.flatnonzero(np.sum(diff.real**2 + diff.imag**2, axis=-1) <= reach**2)
+        return qi[near], pi[near], diff[near]
+
+    def pairs(queries: np.ndarray):
+        nonlocal order, keys
+        qx, qy = cells(queries)
+        # far outside the grid no cell is near; clipping keeps every run inside its column
+        qx, qy = np.clip(qx, -1, right), np.clip(qy, -1, width - 2)
+        first = (qx[:, None] + np.array([-1.0, 0.0, 1.0])) * width + qy[:, None]
+        q, base = 0, None
+        while q < len(queries):
+            if alive is not None and 2 * np.count_nonzero(alive) <= len(order):
+                keep = alive[order]
+                order, keys = order[keep], keys[keep]
+                base = None
+            if base is None:
+                # the runs of the queries left, and the running count of their rows
+                base = q
+                lo = np.searchsorted(keys, first[q:], "left")
+                count = np.searchsorted(keys, first[q:] + 2, "right") - lo
+                upto = np.concatenate([[0], np.cumsum(count.sum(axis=1))])
+            i = q - base
+            # whole queries i..j-1 whose rows fit in one block; else query i alone, in slices
+            j = int(np.searchsorted(upto, upto[i] + _BLOCK_ROWS, "right")) - 1
+            if j > i:
+                c, lo_i = count[i:j].ravel(), lo[i:j].ravel()
+                pi = order[np.repeat(lo_i - (np.cumsum(c) - c), c) + np.arange(upto[j] - upto[i])]
+                qi = np.repeat(np.arange(q, base + j), np.diff(upto[i:j + 1]))
+                yield test(qi, pi, pts[pi] - queries[qi])
+            else:
+                j = i + 1
+                for run_lo, run_hi in zip(lo[i].tolist(), (lo[i] + count[i]).tolist()):
+                    for s in range(run_lo, run_hi, _BLOCK_ROWS):
+                        pi = order[s:min(s + _BLOCK_ROWS, run_hi)]
+                        yield test(np.full(len(pi), q), pi, pts[pi] - queries[q])
+            q = base + j
+
+    return pairs
 
 
 # -- cells, representatives, cutoffs ----------------------------------------------------
@@ -420,16 +491,18 @@ def _overlap_counts(dom: DomainSpec, centers: np.ndarray, b: float) -> np.ndarra
     Two b-caps can only intersect when either center lies in the other's
     6*b dilation (triangle-type estimate with the gradient Lipschitz slack),
     so this adjacency over-approximates true overlap; coloring against it
-    stays sound and the observed-count budget stays an upper bound.
+    stays sound and the observed-count budget stays an upper bound.  Since
+    rho(u, v) >= |u - v|^2, only the center pairs of the close-pairs query
+    at radius sqrt(6*b) (widened by a relative 1e-9) get the gauge test, and
+    the adjacency is exactly that of testing every pair; it is filled one
+    block of pairs at a time.
     """
     m = len(centers)
     adj = np.zeros((m, m), bool)
     grads = _blocked(dom.dbar_r, centers)
-    within = _neighbour_query(centers)
-    reach = np.sqrt(6.0 * b)
-    for i in range(m):
-        near = within(centers[i], reach)
-        adj[i, near] = gauge_of_offsets(centers[near] - centers[i][None, :], grads[i]) < 6.0 * b
+    for qi, pi, diff in _close_pairs(centers, np.sqrt(6.0 * b))(centers):
+        hit = gauge_of_offsets(diff, grads[qi]) < 6.0 * b
+        adj[qi[hit], pi[hit]] = True
     adj |= adj.T
     np.fill_diagonal(adj, False)
     return adj

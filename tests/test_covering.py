@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import tracemalloc
+
+from berglab import covering
 from berglab.covering import (
     COVERAGE_SLACK,
     Cover,
@@ -19,7 +22,11 @@ from berglab.covering import (
     family_cutoff,
     fit_engulfing_constant,
     index_partition,
+    _BLOCK_ROWS,
+    _PACKING_BLOCK,
+    _RADIUS_MARGIN,
     _cap_sample,
+    _close_pairs,
     _greedy_packing,
     _overlap_counts,
 )
@@ -124,7 +131,7 @@ def test_neighbor_growth_exponent(disc, disc_cover):
     assert fit["slope"] <= disc.n + 0.3
 
 
-# -- neighbour-query packing, audit and overlap against the one-at-a-time loops -------------
+# -- close pairs; packing, audit and overlap against the one-at-a-time loops ----------------
 
 
 def _gauge_ref(diff, g):
@@ -252,6 +259,114 @@ def test_packing_audit_overlap_match_reference_on_random_streams(n, seed, size, 
     pts = raw[:, :n] + 1j * raw[:, n:]
     radius = 1.0 / 16.0 if grid else 10.0**log_radius
     _assert_matches_reference(dom, pts[:size], radius, pts[size:])
+
+
+def _pair_set(blocks, pts, queries, block_rows):
+    """The (query, point) pairs of a close-pairs call as a sorted array.
+
+    No block is too large, no pair comes twice, and each pair's offset is point - query.
+    """
+    got = []
+    for qi, pi, diff in blocks:
+        assert len(qi) == len(pi) <= block_rows
+        assert diff.tobytes() == (pts[pi] - queries[qi]).tobytes()
+        got.append(np.stack([qi, pi], axis=1))
+    got = np.concatenate(got) if got else np.zeros((0, 2), int)
+    assert len(np.unique(got, axis=0)) == len(got)
+    return got[np.lexsort(got.T[::-1])]
+
+
+def _brute_pairs(pts, queries, radius, alive=None):
+    diff = queries[:, None, :] - pts[None, :, :]
+    close = np.sum(diff.real**2 + diff.imag**2, axis=-1) <= (radius * (1.0 + _RADIUS_MARGIN)) ** 2
+    if alive is not None:
+        close &= alive[None, :]
+    return np.argwhere(close)
+
+
+@pytest.mark.parametrize("block_rows", [_BLOCK_ROWS, 64])
+@pytest.mark.parametrize("name, radius", [("disc", 0.05), ("egg", 0.3), ("ball2", 1.0), ("quartic", 1.5)])
+def test_close_pairs_match_brute_force(request, monkeypatch, name, radius, block_rows):
+    # sparse radii read many short runs per block; dense ones read most of the
+    # set per query, so a query is read alone in slices
+    monkeypatch.setattr(covering, "_BLOCK_ROWS", block_rows)
+    dom = request.getfixturevalue(name)
+    pts = surface_pool(dom, 0.0, 6000 if dom.n == 2 else 2000, 21)
+    queries = surface_pool(dom, 0.0, 150, 22)
+    expect = _brute_pairs(pts, queries, radius)
+    assert 0 < len(expect) < len(pts) * len(queries)
+    got = _pair_set(_close_pairs(pts, radius)(queries), pts, queries, block_rows)
+    assert np.array_equal(got, expect)
+    # points cleared from ``alive`` before the call are left out once they are half the set
+    alive = np.random.default_rng(23).random(len(pts)) < 0.4
+    got = _pair_set(_close_pairs(pts, radius, alive)(queries), pts, queries, block_rows)
+    assert np.array_equal(got, _brute_pairs(pts, queries, radius, alive))
+
+
+def test_close_pairs_edges():
+    radius = 0.3
+    reach = radius * (1.0 + _RADIUS_MARGIN)
+    beyond = np.nextafter(np.nextafter(reach, 1.0), 1.0)
+    assert beyond**2 > reach**2
+    # a point exactly at the widened radius pairs; one just beyond it does not
+    pts = np.array([[-2.0 + 0.7j], [reach], [-beyond], [1j * reach]])
+    queries = np.array([[0.0j], [9.0 - 9.0j], [-50.0 + 0.0j]])  # the last two have no neighbour
+    got = _pair_set(_close_pairs(pts, radius)(queries), pts, queries, _BLOCK_ROWS)
+    assert got.tolist() == [[0, 1], [0, 3]]
+    assert np.array_equal(got, _brute_pairs(pts, queries, radius))
+    # a one-point set, in C^2
+    one = np.array([[0.5 + 0.5j, -0.25j]])
+    queries = np.array([[0.5 + 0.5j, -0.25j], [0.7 + 0.5j, 0.1 - 0.25j], [0.5, 0.5]])
+    got = _pair_set(_close_pairs(one, radius)(queries), one, queries, _BLOCK_ROWS)
+    assert np.array_equal(got, _brute_pairs(one, queries, radius))
+    assert got.tolist() == [[0, 0], [1, 0]]
+
+
+@pytest.mark.parametrize("packing_block", [1, 2, 7, _PACKING_BLOCK])
+def test_blocked_greedy_packing_matches_reference(monkeypatch, disc, ball2, packing_block):
+    # blocks of a few live rows put most conflicts across block boundaries,
+    # in a sparse (disc) and a dense (ball2) stream
+    monkeypatch.setattr(covering, "_PACKING_BLOCK", packing_block)
+    for dom, radius in ((disc, 0.01), (ball2, 0.5)):
+        stream = surface_pool(dom, 0.0, 2000, 31)
+        ref = _greedy_packing_ref(dom, stream, radius, len(stream))
+        assert packing_block < len(ref) < len(stream) // 4
+        centers = _greedy_packing(dom, stream, radius, len(ref))
+        assert centers.tobytes() == ref.tobytes()
+        with pytest.raises(CoverError, match="center budget"):
+            _greedy_packing(dom, stream, radius, len(ref) - 1)
+
+
+def test_pair_blocks_keep_memory_flat(disc):
+    # disc level-2 sizes of the default plan: 28,444 stream rows, about 1,300
+    # centers and a 14,222-point audit pool, at that level's radii
+    centers = _greedy_packing(disc, surface_pool(disc, 0.0, 28444, 41), 0.003538, 40000)
+    pool = surface_pool(disc, 0.0, 14222, 42)
+    n = disc.n
+    # one block of _BLOCK_ROWS candidate rows: its index arrays and distances,
+    # the gathered point, query and difference rows, and the gauge pass over
+    # the pairs that pass, within 128 bytes per row and coordinate plus 128
+    one_block = _BLOCK_ROWS * (128 * n + 128)
+
+    def index(points, queries):
+        # per point, while the index is built: two cell coordinates, the sort
+        # order, the sorted cell numbers and the sort's buffer; per query,
+        # its cells, three runs and their row counts
+        return len(points) * (16 * n + 64) + len(queries) * 160
+
+    def peak(fn, *args):
+        tracemalloc.start()
+        try:
+            fn(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    audit_bound = index(pool, centers) + len(pool) + 16 * n * len(centers) + one_block
+    assert peak(coverage_audit, disc, centers, 0.004246, pool) < audit_bound
+    # the adjacency and the transpose that ``adj |= adj.T`` reads
+    overlap_bound = index(centers, centers) + 2 * len(centers) ** 2 + 16 * n * len(centers) + one_block
+    assert peak(_overlap_counts, disc, centers, 0.01515) < overlap_bound
 
 
 # -- cells --------------------------------------------------------------------------------
