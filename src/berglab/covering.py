@@ -136,7 +136,6 @@ class CoverLevel:
 @dataclass(frozen=True)
 class Cover:
     dom: DomainSpec
-    m: float  # cutoff profile parameter; also the cap radius prefactor
     c1: float
     levels: list[CoverLevel]
     n0_observed: int
@@ -575,7 +574,7 @@ def build_cover(dom: DomainSpec, m: float = 65.0, candidate_count: int = 20000, 
             CoverLevel(j, d, a, b, depth_a, depth_b, centers, z_reps, colors)
         )
     n0_bound = _apriori_overlap_bound(dom.n, c1)
-    return Cover(dom, m, c1, levels, n0_obs, n0_bound, ramp_radius)
+    return Cover(dom, c1, levels, n0_obs, n0_bound, ramp_radius)
 
 
 def _apriori_overlap_bound(n: int, c1: float) -> float:

@@ -254,7 +254,7 @@ def ellipsoid(weights, theta: float = 0.125) -> DomainSpec:
     ]
     r = HermPoly.from_terms(n, terms)
     half = [1.05 / np.sqrt(w) for w in weights]
-    box = np.array([[-h, h] for h in half for _ in (0, 1)])
+    box = np.array([[-h, h] for _ in (0, 1) for h in half])
     return DomainSpec(n=n, r=r, bounding_box=box, c=2.0 * min(weights), theta=theta, tag="ellipsoid")
 
 
@@ -289,12 +289,15 @@ def _collar_mesh(dom: DomainSpec, count: int, seed: int = 0) -> np.ndarray:
 
 
 def certify_pseudoconvexity(dom: DomainSpec, mesh_density: int = 4000, seed: int = 0) -> dict:
-    """Sample {r > -3*theta} inside the box and check the two defining bounds.
+    """Sample {r > -3*theta} inside the box, check the two defining bounds, and check the box.
 
     c_min is the smallest Hessian eigenvalue seen on the mesh; the
-    certificate holds when c_min >= c/2 and the gradient norm stays above
-    1e-6 times the box diameter.  A failing check reports the witnessing
-    mesh point.
+    certificate holds when c_min >= c/2, the gradient norm stays above
+    1e-6 times the box diameter, and r > 0 at 2000 uniform points of each of
+    the 4n box faces (drawn from a fresh generator at ``seed``), so that the
+    box, which every sampler draws from, holds the closure of a domain
+    star-shaped about the origin.  A failing check reports the witnessing
+    point.
     """
     mesh = _collar_mesh(dom, mesh_density, seed)
     if not len(mesh):
@@ -311,12 +314,23 @@ def certify_pseudoconvexity(dom: DomainSpec, mesh_density: int = 4000, seed: int
     grad_ok = bool(gn[i_g] > 1e-6 * dom.box_diameter())
     hess_ok = bool(c_min >= dom.c / 2.0)
 
+    # face k of the box fixes real coordinate k // 2 at its lower or upper end
+    box = dom.bounding_box
+    raw = np.random.default_rng(seed).uniform(box[:, 0], box[:, 1], size=(4 * dom.n, 2000, 2 * dom.n))
+    raw[np.arange(4 * dom.n), :, np.arange(4 * dom.n) // 2] = box.ravel()[:, None]
+    faces = (raw[..., : dom.n] + 1j * raw[..., dom.n :]).reshape(-1, dom.n)
+    r_faces = dom.r_val(faces)
+    i_f = int(np.argmin(r_faces))
+    box_ok = bool(r_faces[i_f] > 0)
+
     witness = None
     if not hess_ok:
         witness = {"kind": "hessian", "z": mesh[i_min].tolist(), "lambda_min": c_min}
     elif not grad_ok:
         witness = {"kind": "gradient", "z": mesh[i_g].tolist(), "grad_norm": float(gn[i_g])}
-    return {"c_min": c_min, "theta_ok": hess_ok and grad_ok, "witness": witness}
+    elif not box_ok:
+        witness = {"kind": "box", "z": faces[i_f].tolist(), "r": float(r_faces[i_f])}
+    return {"c_min": c_min, "theta_ok": hess_ok and grad_ok and box_ok, "witness": witness}
 
 
 def normal_direction(dom: DomainSpec, z: np.ndarray) -> np.ndarray:

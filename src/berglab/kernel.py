@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from math import factorial, pi
+from math import factorial, pi, prod
 
 import numpy as np
 
@@ -156,15 +156,61 @@ class BallQuadrature:
     """Product rule on the unit ball exact for monomials z^a conj(z)^b.
 
     Radial part: modulus-squared simplex coordinates via iterated
-    Gauss-Jacobi; angular part: uniform grids on each torus factor.  Exact
-    when max(|a|, |b|) is at most the degree :func:`ball_quadrature` built it for.
+    Gauss-Jacobi; angular part: uniform grids of ``angular_order`` points on
+    each torus factor.  Exact when max(|a|, |b|) is at most the degree
+    :func:`ball_quadrature` built it for.  The nodes run over the radial
+    nodes, and within each over the torus grid in C order.
     """
 
-    nodes: np.ndarray  # (m, n) complex
-    weights: np.ndarray  # (m,)
+    amplitudes: np.ndarray  # (R, n): |z_i| = sqrt(t_i) at each radial node
+    block_weights: np.ndarray  # (R,): pi^n times the radial weight, shared by a torus block
+    angular_order: int
+
+    @property
+    def nodes(self) -> np.ndarray:
+        """(R * M^n, n) complex nodes."""
+        n = self.amplitudes.shape[1]
+        angles = 2.0 * pi * np.arange(self.angular_order) / self.angular_order
+        phases = np.stack([np.exp(1j * g.ravel()) for g in np.meshgrid(*([angles] * n), indexing="ij")], 1)
+        return (self.amplitudes[:, None, :] * phases).reshape(-1, n)
+
+    @property
+    def weights(self) -> np.ndarray:
+        block = self.angular_order ** self.amplitudes.shape[1]
+        return np.repeat(self.block_weights / block, block)
 
     def integrate(self, values: np.ndarray) -> complex:
         return complex(np.sum(values * self.weights))
+
+    def moments(self, f, a, b) -> np.ndarray:
+        """(dim, dim) matrix sum_q w_q f(x_q) v_j(x_q) conj(v_i(x_q)) for v_i = z^(a_i) conj(z)^(b_i).
+
+        ``a`` and ``b`` are (dim, n) exponents.  At a radial node with
+        amplitudes s, v_j conj(v_i) is s^(a_i + b_i + a_j + b_j) times the
+        torus character of order m_j - m_i, m = a - b.  So f is read once at
+        the nodes and Fourier-transformed over each radial node's torus, and
+        each entry is a radial sum of the table s^(a + b) against one of its
+        coefficients; no table of v at the nodes is formed.
+        """
+        R, n = self.amplitudes.shape
+        M = self.angular_order
+        a, b = np.asarray(a, int).reshape(-1, n), np.asarray(b, int).reshape(-1, n)
+        vals = np.asarray(f(self.nodes), complex).reshape((R,) + (M,) * n)
+        F = np.fft.ifftn(vals, axes=tuple(range(1, n + 1))).reshape(R, -1)
+        At = np.prod(self.amplitudes ** (a + b)[:, None, :], axis=2)  # (dim, R)
+        m = a - b
+        offset = np.ravel_multi_index(tuple(np.moveaxis((m - m[:, None]) % M, 2, 0)), (M,) * n).ravel()
+        # one real radial contraction per distinct torus order, over the (i, j) sharing it
+        order = np.argsort(offset, kind="stable")
+        keys, starts = np.unique(offset[order], return_index=True)
+        WF = self.block_weights[:, None] * F[:, keys]
+        WF = np.stack([WF.real.T, WF.imag.T], 2)  # (keys, R, 2)
+        i_all, j_all = np.divmod(order, len(a))
+        out = np.empty(len(offset), complex)
+        for k, (s, e) in enumerate(zip(starts, [*starts[1:], len(order)])):
+            re_im = (At[i_all[s:e]] * At[j_all[s:e]]) @ WF[k]
+            out[order[s:e]] = re_im[:, 0] + 1j * re_im[:, 1]
+        return out.reshape(len(a), len(a))
 
 
 @functools.cache
@@ -177,50 +223,20 @@ def ball_quadrature(n: int, degree: int, angular_order: int | None = None) -> Ba
     """
     q = degree + 2
     m_ang = 2 * degree + 3 if angular_order is None else int(angular_order)
-    # simplex factors: t_1 = x_1, t_2 = (1-x_1) x_2, ... with Jacobi weights
-    xs, ws = [], []
-    for i in range(n):
-        alpha = n - 1 - i  # remaining (1-x)^alpha factor from the map
-        xj, wj = gauss_jacobi(q, alpha)
-        xs.append(0.5 * (xj + 1.0))
-        ws.append(wj * 0.5 ** (alpha + 1))
-    grids = np.meshgrid(*xs, indexing="ij")
-    wgrids = np.meshgrid(*ws, indexing="ij")
-    t = []
-    rem = np.ones_like(grids[0])
-    for i in range(n):
-        t.append(rem * grids[i])
-        rem = rem * (1.0 - grids[i])
-    radial_w = np.ones_like(grids[0])
-    for i in range(n):
-        radial_w = radial_w * wgrids[i]
-    t = [ti.ravel() for ti in t]
-    radial_w = radial_w.ravel()
-
-    angles = 2.0 * pi * np.arange(m_ang) / m_ang
-    ang_grids = np.meshgrid(*([angles] * n), indexing="ij")
-    phases = [np.exp(1j * g.ravel()) for g in ang_grids]
-
-    nodes = np.empty((len(radial_w) * len(phases[0]), n), complex)
-    weights = np.empty(len(radial_w) * len(phases[0]))
-    idx = 0
-    block = len(phases[0])
-    for j in range(len(radial_w)):
-        amp = np.sqrt(np.asarray([t[i][j] for i in range(n)]))
-        for i in range(n):
-            nodes[idx : idx + block, i] = amp[i] * phases[i]
-        weights[idx : idx + block] = pi**n * radial_w[j] / block
-        idx += block
-    return BallQuadrature(nodes, weights)
+    # simplex coordinates t_i = x_i prod_{k<i} (1 - x_k); the Jacobi weight
+    # (1 - x_i)^(n-1-i) carries the map's Jacobian
+    rules = [gauss_jacobi(q, n - 1 - i) for i in range(n)]
+    x = np.stack([g.ravel() for g in np.meshgrid(*[0.5 * (xj + 1.0) for xj, _ in rules], indexing="ij")], 1)
+    w = np.stack([g.ravel() for g in np.meshgrid(*[wj * 0.5 ** (n - i) for i, (_, wj) in enumerate(rules)],
+                                                   indexing="ij")], 1)
+    rem = np.cumprod(np.concatenate([np.ones((len(x), 1)), 1.0 - x[:, :-1]], 1), axis=1)
+    return BallQuadrature(np.sqrt(rem * x), pi**n * np.prod(w, axis=1), m_ang)
 
 
 def monomial_norm_sq(n: int, alpha) -> float:
-    """Closed-form squared L^2(ball) norm of z^alpha: pi^n alpha!/(n+|alpha|)!."""
-    alpha = tuple(int(a) for a in alpha)
-    num = pi**n
-    for a in alpha:
-        num *= factorial(a)
-    return num / factorial(n + sum(alpha))
+    """Closed-form squared L^2(ball) norm of z^alpha: pi^n alpha!/(n+|alpha|)!, from the exact integer ratio."""
+    alpha = [int(a) for a in alpha]
+    return pi**n * (prod(map(factorial, alpha)) / factorial(n + sum(alpha)))
 
 
 # -- derived objects -------------------------------------------------------------
@@ -244,7 +260,8 @@ def reproducing_residual(dom: DomainSpec, coeffs: dict, z: np.ndarray) -> float:
 
     h_vals = HermPoly.from_terms(dom.n, [(a, (0,) * dom.n, c) for a, c in coeffs.items()])
 
-    kz = kernel_eval(dom, EXACT_BALL, z, quad.nodes)  # K(z, w_q)
-    integral = quad.integrate(h_vals(quad.nodes) * kz)
+    nodes = quad.nodes
+    kz = kernel_eval(dom, EXACT_BALL, z, nodes)  # K(z, w_q)
+    integral = quad.integrate(h_vals(nodes) * kz)
     hz = complex(h_vals(z.reshape(1, -1))[0])
     return abs(hz - integral)

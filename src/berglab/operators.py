@@ -1,12 +1,14 @@
 """Finite model of the Bergman space and the operator checks that run on it.
 
-The Galerkin space is spanned by normalized monomials up to a degree cap;
-Toeplitz compressions are assembled as Q^H diag(f) Q against a quadrature
-whose Gram is the identity, so symbol bounds transfer to operator-norm
-bounds exactly.  Hankel blocks live on an enlarged truncation that also
-carries low conjugate degrees.  Everything downstream (Berezin transforms,
-discrete kernel sums, localized sums, compactness diagnostics) is dense
-linear algebra over these bases.
+The Galerkin space is spanned by normalized monomials up to a degree cap.
+Toeplitz compressions and the Hankel blocks' moment matrices both come from
+one primitive, :meth:`BallQuadrature.moments`: the radial table of monomial
+amplitudes contracted against each radial node's angular FFT of the symbol,
+on a quadrature whose Gram is the identity, so symbol bounds transfer to
+operator-norm bounds exactly.  Hankel blocks live on an enlarged truncation
+that also carries low conjugate degrees.  Everything downstream (Berezin
+transforms, discrete kernel sums, localized sums, compactness diagnostics)
+is dense linear algebra over these bases.
 """
 
 from __future__ import annotations
@@ -51,7 +53,6 @@ class GalerkinSpace:
     alphas: list[tuple[int, ...]]
     norms: np.ndarray
     quad: object
-    Qw: np.ndarray  # (nodes, dim): sqrt(w_q) e_alpha(x_q)
 
     @property
     def dim(self) -> int:
@@ -64,7 +65,7 @@ class GalerkinSpace:
         return np.stack(evaluate([HermPoly(self.n, {(a, zero): 1.0}) for a in self.alphas], pts), 1) / self.norms
 
     def gram_defect(self) -> float:
-        g = self.Qw.conj().T @ self.Qw
+        g = toeplitz_matrix(self, lambda w: np.ones(len(w))).matrix
         return float(np.max(np.abs(g - np.eye(self.dim))))
 
     def kernel_coeffs(self, z: np.ndarray) -> np.ndarray:
@@ -100,10 +101,7 @@ def build_galerkin(n: int, N: int) -> GalerkinSpace:
     quad = ball_quadrature(n, 2 * N + 2 * (n + 1))
     alphas = _multi_indices(n, N)
     norms = np.array([np.sqrt(monomial_norm_sq(n, a)) for a in alphas])
-    space = GalerkinSpace(n, N, alphas, norms, quad, np.empty((0, 0)))
-    vals = space.basis_eval(quad.nodes)
-    Qw = vals * np.sqrt(quad.weights)[:, None]
-    space = GalerkinSpace(n, N, alphas, norms, quad, Qw)
+    space = GalerkinSpace(n, N, alphas, norms, quad)
     if space.gram_defect() > 1e-8:
         raise OperatorError("quadrature Gram deviates from the identity")
     return space
@@ -122,19 +120,15 @@ class OperatorMatrix:
         return float(np.linalg.norm(self.matrix, 2))
 
 
-def _symbol_values(space: GalerkinSpace, f) -> np.ndarray:
-    vals = f(space.quad.nodes)
-    return np.asarray(vals, complex).reshape(len(space.quad.nodes))
-
-
 def toeplitz_matrix(space: GalerkinSpace, f, label: str = "T_f") -> OperatorMatrix:
     """Compression of multiplication by f: entries <f e_beta, e_alpha>.
 
-    The Q^H diag(f) Q form with an exact-Gram quadrature keeps the norm at
-    or below the sup of |f| on the nodes.
+    The quadrature moments of the monomials divided by their norms; on an
+    exact-Gram quadrature they keep the norm at or below the sup of |f| on
+    the nodes.
     """
-    fv = _symbol_values(space, f)
-    mat = space.Qw.conj().T @ (fv[:, None] * space.Qw)
+    a = np.array(space.alphas)
+    mat = space.quad.moments(f, a, np.zeros_like(a)) / np.outer(space.norms, space.norms)
     return OperatorMatrix(mat, label)
 
 
@@ -149,27 +143,17 @@ def identity_operator(space: GalerkinSpace) -> OperatorMatrix:
 class EnlargedSpace:
     """Orthonormalized mixed monomials z^a conj(z)^b on the ball.
 
-    Holomorphic pairs (a, 0) come first, so the analytic projection is a
-    coordinate truncation.
+    Holomorphic rows (b = 0) come first, led by the Galerkin space's
+    monomials in its order, so the analytic projection and the Galerkin
+    space are both coordinate truncations.
     """
 
-    pairs: list[tuple[tuple[int, ...], tuple[int, ...]]]
+    a: np.ndarray  # (dim, n) holomorphic exponents
+    b: np.ndarray  # (dim, n) conjugate exponents
     n_holo: int
     quad: object
-    Uw: np.ndarray  # (nodes, dim) orthonormalized values with sqrt weights
-    galerkin_cols: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return len(self.pairs)
-
-
-def _mixed_gram_entry(n: int, a, b, c, d) -> float:
-    left = tuple(ai + di for ai, di in zip(a, d))
-    right = tuple(bi + ci for bi, ci in zip(b, c))
-    if left != right:
-        return 0.0
-    return monomial_norm_sq(n, left)
+    pre: np.ndarray  # ||z^(a+b)||, the norm each monomial is first divided by
+    L: np.ndarray  # Cholesky factor of the prenormalized monomials' Gram matrix
 
 
 def forward_substitution(L: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -181,51 +165,42 @@ def forward_substitution(L: np.ndarray, B: np.ndarray) -> np.ndarray:
     return X
 
 
-@functools.cache
 def enlarged_space(n: int, N: int, conj_degree: int) -> EnlargedSpace:
-    """The enlarged truncation over the degree-N Galerkin space, built once per key."""
-    holo = [(a, (0,) * n) for a in _multi_indices(n, N + conj_degree)]
-    mixed = [
-        (a, b)
-        for a in _multi_indices(n, N + conj_degree)
-        for b in _multi_indices(n, conj_degree)
-        if sum(b) >= 1
-    ]
-    pairs = holo + mixed
-    dim = len(pairs)
-    pre = np.array([np.sqrt(monomial_norm_sq(n, tuple(ai + bi for ai, bi in zip(a, b)))) for a, b in pairs])
-    G = np.empty((dim, dim))
-    for i, (a, b) in enumerate(pairs):
-        for j, (c, d) in enumerate(pairs):
-            G[i, j] = _mixed_gram_entry(n, c, d, a, b) / (pre[i] * pre[j])
-    # G[i,j] = <v_j, v_i> for prenormalized monomials
+    """The enlarged truncation over the degree-N Galerkin space."""
+    holo = _multi_indices(n, N + conj_degree)
+    conj = [b for b in _multi_indices(n, conj_degree) if sum(b) >= 1]
+    a = np.array(holo + [x for x in holo for _ in conj], int).reshape(-1, n)
+    b = np.array([(0,) * n] * len(holo) + conj * len(holo), int).reshape(-1, n)
+    pre = np.array([np.sqrt(monomial_norm_sq(n, e)) for e in a + b])
+    # G[i,j] = <v_j, v_i> for prenormalized monomials: ||z^(a_j + b_i)||^2 when their torus orders agree
+    m = a - b
+    G = np.zeros((len(a), len(a)))
+    for i, j in zip(*np.nonzero((m[:, None] == m).all(2))):
+        G[i, j] = monomial_norm_sq(n, a[j] + b[i]) / (pre[i] * pre[j])
     jitter = 1e-13
-    L = np.linalg.cholesky(G + jitter * np.eye(dim))
+    L = np.linalg.cholesky(G + jitter * np.eye(len(a)))
 
     qdeg = 2 * (N + 2 * conj_degree) + 2
     # beyond n = 1 the angular grid shrinks to qdeg + 1 points per torus factor
     quad = ball_quadrature(n, qdeg) if n == 1 else ball_quadrature(n, qdeg, qdeg + 1)
-    pts = quad.nodes
-    V = np.stack(evaluate([HermPoly(n, {ab: 1.0}) for ab in pairs], pts), 1) / pre
-    U = forward_substitution(L, V.conj().T).conj().T
-    Uw = U * np.sqrt(quad.weights)[:, None]
-    gal_cols = np.array([holo.index((a, (0,) * n)) for a in _multi_indices(n, N)])
-    return EnlargedSpace(pairs, len(holo), quad, Uw, gal_cols)
+    return EnlargedSpace(a, b, len(holo), quad, pre, L)
 
 
 def hankel_and_commutator(space: GalerkinSpace, f) -> dict:
     """Norms of the Hankel blocks (1-P) M_f P and (1-P) M_conj(f) P.
 
-    Realized on the enlarged truncation with conjugate degrees up to 2; the
-    commutator norm of [M_f, P] equals the larger of the two Hankel norms.
+    Realized on the enlarged truncation with conjugate degrees up to 2: the
+    quadrature moments of its monomials, orthonormalized as L^-1 (.) L^-H
+    with the Cholesky factor L of their Gram matrix.  The commutator norm
+    of [M_f, P] equals the larger of the two Hankel norms.
     """
     enl = enlarged_space(space.n, space.N, 2)
-    if enl.dim > 4000:
+    if len(enl.a) > 4000:
         raise OperatorError("enlarged truncation too large")
-    fv = np.asarray(f(enl.quad.nodes), complex).reshape(-1)
-    M = enl.Uw.conj().T @ (fv[:, None] * enl.Uw)
-    H = M[enl.n_holo :, enl.galerkin_cols]
-    Hbar = M[enl.galerkin_cols, enl.n_holo :].conj().T
+    raw = enl.quad.moments(f, enl.a, enl.b) / np.outer(enl.pre, enl.pre)
+    M = forward_substitution(enl.L, forward_substitution(enl.L, raw).conj().T).conj().T
+    H = M[enl.n_holo :, : space.dim]
+    Hbar = M[: space.dim, enl.n_holo :].conj().T
     h_norm = float(np.linalg.norm(H, 2)) if H.size else 0.0
     hbar_norm = float(np.linalg.norm(Hbar, 2)) if Hbar.size else 0.0
     return {"hankel_norm": h_norm, "hankel_conj_norm": hbar_norm, "commutator_norm": max(h_norm, hbar_norm)}
@@ -263,7 +238,6 @@ def resolution_limit(space: GalerkinSpace) -> float:
 @dataclass(frozen=True)
 class OscillationProfile:
     shell_sup: np.ndarray
-    diff: float
     vo_verdict: bool
 
 
@@ -299,7 +273,7 @@ def oscillation_profile(
     head = max(np.max(sups_arr[: max(len(sups_arr) // 3, 1)]), 1e-12)
     tail = np.max(sups_arr[-max(len(sups_arr) // 3, 1) :])
     verdict = bool(tail <= 0.5 * head or tail < 1e-6)
-    return OscillationProfile(sups_arr, float(np.max(sups_arr)), verdict)
+    return OscillationProfile(sups_arr, verdict)
 
 
 def _shell_point(dom: DomainSpec, t: float, rng: np.random.Generator) -> np.ndarray:

@@ -392,7 +392,7 @@ def test_criterion_8_covering_suite(n):
     deep = np.zeros((1, dom.n), complex)
     if fI(deep)[0] != 0.0:
         ok = False
-    delta = 1.0 / (cover.m / 13.0 - 4.0)
+    delta = 1.0 / (65.0 / 13.0 - 4.0)  # the m the cover was built with
     # sampled oscillation over confirmed unit-distance pairs
     osc = 0.0
     for p in probes[:10]:

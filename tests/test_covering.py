@@ -441,7 +441,7 @@ def test_separation_screen(disc_cover, disc):
     # stride-derived bound stay in the surrounding outer cell
     lv = disc_cover.levels[0]
     _, sigma = default_ladder(disc)
-    bound = min(disc_cover.m / 13.0, np.log2(1.0 / sigma) / 4.0) * 0.9
+    bound = min(65.0 / 13.0, np.log2(1.0 / sigma) / 4.0) * 0.9  # m = 65, as disc_cover builds it
     cell = build_cells(disc, lv, 0)
     anchors = a_cell_samples(disc_cover, 0, 0, 6)
     rng = np.random.default_rng(7)

@@ -173,6 +173,30 @@ def test_certify_fails_on_indefinite_hessian():
     assert res["c_min"] == pytest.approx(-1.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("name", ["disc", "ball2", "egg", "quartic2"])
+def test_box_holds_the_domain(name, request):
+    # r > 0 on every face of the box, on this test's own points: the box
+    # rows are (Re z_1..Re z_n, Im z_1..Im z_n), as box_uniform reads them
+    dom = request.getfixturevalue(name)
+    box = dom.bounding_box
+    rng = np.random.default_rng(11)
+    for k in range(2 * dom.n):
+        for end in box[k]:
+            raw = rng.uniform(box[:, 0], box[:, 1], size=(3000, 2 * dom.n))
+            raw[:, k] = end
+            assert np.min(dom.r_val(raw[:, : dom.n] + 1j * raw[:, dom.n :])) > 0, (k, end)
+    res = certify_pseudoconvexity(dom, mesh_density=1500, seed=1)
+    assert res["theta_ok"] and res["witness"] is None
+    # the same domain in a box that cuts |Im z_1| short fails with a box witness
+    cut = box.copy()
+    cut[dom.n] *= 0.7
+    res = certify_pseudoconvexity(custom_domain(dom.n, [(a, b, c) for (a, b), c in dom.r.terms.items()], cut,
+                                                c=dom.c, theta=dom.theta), mesh_density=1500, seed=1)
+    assert not res["theta_ok"]
+    assert res["witness"]["kind"] == "box" and res["witness"]["r"] < 0
+    assert dom.r_val(np.asarray(res["witness"]["z"])) == res["witness"]["r"]
+
+
 def test_walk_to_boundary_disc(disc):
     p = walk_to_depth(disc, np.array([0.9 + 0j]), 0.0)[0]
     assert p[0] == pytest.approx(1.0, abs=1e-9)

@@ -226,6 +226,58 @@ def test_ball_quadrature_built_once():
     assert ball_quadrature(2, 6) is ball_quadrature(2, 6)
 
 
+def _quadrature_reference(n, degree, angular_order=None):
+    """The node-by-node construction: one torus block per radial node."""
+    from math import pi
+
+    q = degree + 2
+    m_ang = 2 * degree + 3 if angular_order is None else angular_order
+    xs, ws = [], []
+    for i in range(n):
+        alpha = n - 1 - i
+        xj, wj = gauss_jacobi(q, alpha)
+        xs.append(0.5 * (xj + 1.0))
+        ws.append(wj * 0.5 ** (alpha + 1))
+    grids = np.meshgrid(*xs, indexing="ij")
+    wgrids = np.meshgrid(*ws, indexing="ij")
+    t, rem, radial_w = [], np.ones_like(grids[0]), np.ones_like(grids[0])
+    for i in range(n):
+        t.append((rem * grids[i]).ravel())
+        rem = rem * (1.0 - grids[i])
+        radial_w = radial_w * wgrids[i]
+    radial_w = radial_w.ravel()
+    angles = 2.0 * pi * np.arange(m_ang) / m_ang
+    phases = [np.exp(1j * g.ravel()) for g in np.meshgrid(*([angles] * n), indexing="ij")]
+    block = len(phases[0])
+    nodes = np.empty((len(radial_w) * block, n), complex)
+    weights = np.empty(len(radial_w) * block)
+    for j in range(len(radial_w)):
+        amp = np.sqrt(np.asarray([t[i][j] for i in range(n)]))
+        for i in range(n):
+            nodes[j * block : (j + 1) * block, i] = amp[i] * phases[i]
+        weights[j * block : (j + 1) * block] = pi**n * radial_w[j] / block
+    return nodes, weights
+
+
+@pytest.mark.parametrize("args", [(1, 8), (1, 60), (2, 6), (2, 14, 15), (3, 3)])
+def test_ball_quadrature_nodes_and_weights_keep_their_bytes(args):
+    quad = ball_quadrature(*args)
+    nodes, weights = _quadrature_reference(*args)
+    assert quad.nodes.tobytes() == nodes.tobytes()
+    assert quad.weights.tobytes() == weights.tobytes()
+
+
+def test_monomial_norms_past_float_factorials():
+    # 171! overflows a float; the exact integer ratio does not
+    from fractions import Fraction
+    from math import factorial, pi
+
+    assert monomial_norm_sq(1, (170,)) == pi / 171
+    for n, alpha in [(1, (400,)), (2, (200, 150)), (3, (90, 0, 120))]:
+        exact = Fraction(np.prod([factorial(a) for a in alpha], dtype=object), factorial(n + sum(alpha)))
+        assert monomial_norm_sq(n, alpha) == pi**n * float(exact)
+
+
 @pytest.mark.parametrize("alpha", [0, 1, 2, 3])
 def test_gauss_jacobi_against_scipy(alpha):
     from scipy.special import roots_jacobi
