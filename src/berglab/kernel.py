@@ -17,7 +17,7 @@ from math import factorial, pi, prod
 import numpy as np
 
 from ._poly import HermPoly
-from .domain import DomainSpec, complex_tangent_basis, unit_ball
+from .domain import DomainSpec, unit_ball
 from .gauge import comparability_scale, taylor_remainder
 
 
@@ -53,7 +53,7 @@ def _check_exact_ball(dom: DomainSpec):
 
 
 def kernel_eval(dom: DomainSpec, mode: KernelMode, z: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """K(z, w), vectorized over the leading axes of w."""
+    """K(z, w), vectorized over the leading axes of w; the exact mode also broadcasts z against w."""
     z = np.asarray(z, complex)
     w = np.asarray(w, complex)
     if mode.tag == "exact-ball":
@@ -77,23 +77,24 @@ def kernel_eval(dom: DomainSpec, mode: KernelMode, z: np.ndarray, w: np.ndarray)
 
 
 def tangential_hessian_det(dom: DomainSpec, w: np.ndarray) -> np.ndarray:
-    """det of the complex Hessian restricted to the complex tangent space at w."""
+    """det of the complex Hessian restricted to the complex tangent space at w.
+
+    With e = dbar r(w) / |dbar r(w)|, a unitary whose last row is e and whose
+    other rows span the tangent space carries the bordered matrix
+    [[H, conj(e)], [e^T, 0]] to one of determinant -det L, so one stacked
+    determinant serves every point.
+    """
     w = np.asarray(w, complex)
-    if dom.n == 1:
+    n = dom.n
+    if n == 1:
         return np.ones(w.shape[:-1])
-    H = dom.hessian(w)
     g = dom.dbar_r(w)
-    flat_w = w.reshape(-1, dom.n)
-    flat_H = H.reshape(-1, dom.n, dom.n)
-    flat_g = g.reshape(-1, dom.n)
-    out = np.empty(len(flat_w))
-    for i in range(len(flat_w)):
-        e = flat_g[i] / np.linalg.norm(flat_g[i])
-        basis = complex_tangent_basis(e)
-        # quadratic form sum H[i,j] xi_i conj(xi_j) restricted to the basis
-        L = np.einsum("ij,ai,bj->ab", flat_H[i], basis, np.conj(basis))
-        out[i] = float(np.real(np.linalg.det(L)))
-    return out.reshape(w.shape[:-1])
+    e = g / np.linalg.norm(g, axis=-1, keepdims=True)
+    bordered = np.zeros(w.shape[:-1] + (n + 1, n + 1), complex)
+    bordered[..., :n, :n] = dom.hessian(w)
+    bordered[..., :n, n] = np.conj(e)
+    bordered[..., n, :n] = e
+    return -np.real(np.linalg.det(bordered))
 
 
 @functools.cache

@@ -8,12 +8,13 @@ on a quadrature whose Gram is the identity, so symbol bounds transfer to
 operator-norm bounds exactly.  Hankel blocks live on an enlarged truncation
 that also carries low conjugate degrees.  Everything downstream (Berezin
 transforms, discrete kernel sums, localized sums, compactness diagnostics)
-is dense linear algebra over these bases.
+is dense linear algebra over these bases, and takes the normalized kernel
+vectors of a whole point set in one call.  The kernel mass the truncation
+keeps is a closed form, so the resolution limit evaluates no monomials.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 from dataclasses import dataclass
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._poly import HermPoly, evaluate
-from .domain import DomainSpec, _domain_depth_max, _ray_field, normal_direction, unit_ball, walk_to_depth
+from .domain import DomainSpec, _betainc, _domain_depth_max, _ray_field, normal_direction, unit_ball, walk_to_depth
 from .kernel import EXACT_BALL, ball_quadrature, kernel_eval, monomial_norm_sq
 from .metric import Polydisc, straight_chord_upper
 
@@ -53,6 +54,7 @@ class GalerkinSpace:
     alphas: list[tuple[int, ...]]
     norms: np.ndarray
     quad: object
+    ball: DomainSpec
 
     @property
     def dim(self) -> int:
@@ -68,26 +70,26 @@ class GalerkinSpace:
         g = toeplitz_matrix(self, lambda w: np.ones(len(w))).matrix
         return float(np.max(np.abs(g - np.eye(self.dim))))
 
-    def kernel_coeffs(self, z: np.ndarray) -> np.ndarray:
-        """Coefficients of the truncated normalized kernel at z.
+    def kernel_coeffs(self, Z: np.ndarray) -> np.ndarray:
+        """Rows of the truncated normalized kernel at the points Z, shape (m, dim).
 
         <K_z, e_alpha> = conj(e_alpha(z)); dividing by ||K_z|| = sqrt(K(z,z))
-        gives the truncation of the unit-norm kernel.
+        gives the truncation of the unit-norm kernel.  A point's row does not
+        depend on the other points of Z.
         """
-        z = np.asarray(z, complex).reshape(-1)
-        dom = _ball_domain(self.n)
-        kzz = float(np.real(kernel_eval(dom, EXACT_BALL, z, z.reshape(1, -1))[0]))
-        e = self.basis_eval(z.reshape(1, -1))[0]
-        return np.conj(e) / np.sqrt(kzz)
+        Z = np.asarray(Z, complex).reshape(-1, self.n)
+        kzz = np.real(kernel_eval(self.ball, EXACT_BALL, Z, Z))
+        return np.conj(self.basis_eval(Z)) / np.sqrt(kzz)[:, None]
 
     def truncation_mass(self, z: np.ndarray) -> float:
-        """||k_z^{(N)}||^2, the kernel mass captured by the truncation."""
-        return float(np.sum(np.abs(self.kernel_coeffs(z)) ** 2))
+        """||k_z^{(N)}||^2, the kernel mass captured by the truncation.
 
-
-@functools.cache
-def _ball_domain(n: int) -> DomainSpec:
-    return unit_ball(n)
+        At t = 1 - |z|^2 the unit-norm kernel holds C(k + n, n) (1 - t)^k t^(n+1)
+        of its mass in degree k, a negative-binomial law, so the truncation
+        to degree N holds its distribution function I_t(n + 1, N + 1).
+        """
+        z = np.asarray(z, complex).reshape(-1)
+        return _betainc(self.n + 1.0, self.N + 1.0, 1.0 - float(np.real(np.vdot(z, z))))
 
 
 def build_galerkin(n: int, N: int) -> GalerkinSpace:
@@ -101,7 +103,7 @@ def build_galerkin(n: int, N: int) -> GalerkinSpace:
     quad = ball_quadrature(n, 2 * N + 2 * (n + 1))
     alphas = _multi_indices(n, N)
     norms = np.array([np.sqrt(monomial_norm_sq(n, a)) for a in alphas])
-    space = GalerkinSpace(n, N, alphas, norms, quad)
+    space = GalerkinSpace(n, N, alphas, norms, quad, unit_ball(n))
     if space.gram_defect() > 1e-8:
         raise OperatorError("quadrature Gram deviates from the identity")
     return space
@@ -177,8 +179,7 @@ def enlarged_space(n: int, N: int, conj_degree: int) -> EnlargedSpace:
     G = np.zeros((len(a), len(a)))
     for i, j in zip(*np.nonzero((m[:, None] == m).all(2))):
         G[i, j] = monomial_norm_sq(n, a[j] + b[i]) / (pre[i] * pre[j])
-    jitter = 1e-13
-    L = np.linalg.cholesky(G + jitter * np.eye(len(a)))
+    L = np.linalg.cholesky(G)
 
     qdeg = 2 * (N + 2 * conj_degree) + 2
     # beyond n = 1 the angular grid shrinks to qdeg + 1 points per torus factor
@@ -211,7 +212,7 @@ def hankel_and_commutator(space: GalerkinSpace, f) -> dict:
 
 def berezin(space: GalerkinSpace, A: OperatorMatrix, z: np.ndarray) -> complex:
     """<A k_z, k_z> on the truncated normalized kernel, renormalized; a kernel mass below 1e-8 raises."""
-    v = space.kernel_coeffs(z)
+    v = space.kernel_coeffs(z)[0]
     m2 = float(np.sum(np.abs(v) ** 2))
     if m2 < 1e-8:
         raise OperatorError("truncated kernel mass too small at this depth")
@@ -265,9 +266,9 @@ def oscillation_profile(
             z = _shell_point(dom, t, rng)
             fz = complex(f(z.reshape(1, -1))[0])
             ws = _nearby_candidates(dom, z, rng, 12)
-            for w in ws[straight_chord_upper(dom, z, ws) <= 1.0]:
-                fw = complex(f(w.reshape(1, -1))[0])
-                sup_k = max(sup_k, abs(fz - fw))
+            ws = ws[straight_chord_upper(dom, z, ws) <= 1.0]
+            if len(ws):
+                sup_k = max(sup_k, float(np.max(np.abs(fz - np.asarray(f(ws), complex)))))
         sups.append(sup_k)
     sups_arr = np.asarray(sups)
     head = max(np.max(sups_arr[: max(len(sups_arr) // 3, 1)]), 1e-12)
@@ -348,11 +349,8 @@ def discrete_sum_matrix(space: GalerkinSpace, points: np.ndarray, coeffs: np.nda
     coeffs = np.asarray(coeffs, complex).reshape(-1)
     if len(points) != len(coeffs):
         raise OperatorError("coefficient count mismatch")
-    mat = np.zeros((space.dim, space.dim), complex)
-    for c, z in zip(coeffs, points):
-        u = space.kernel_coeffs(z)
-        mat += c * np.outer(u, np.conj(u))
-    return OperatorMatrix(mat, "discrete-sum")
+    U = space.kernel_coeffs(points)
+    return OperatorMatrix(U.T @ (coeffs[:, None] * np.conj(U)), "discrete-sum")
 
 
 def loc_assemble(space: GalerkinSpace, A: OperatorMatrix, cutoffs: list) -> OperatorMatrix:
@@ -412,7 +410,7 @@ def compactness_report(space: GalerkinSpace, A: OperatorMatrix, seed: int = 0) -
     singular-value tail is the share of the singular values beyond the
     degree N - 2 head.
     """
-    dom = _ball_domain(space.n)
+    dom = space.ball
     limit = resolution_limit(space)
     depths = 2.0 ** (-np.arange(1, 40) * 0.5)
     depths = depths[depths >= limit]
@@ -426,16 +424,12 @@ def compactness_report(space: GalerkinSpace, A: OperatorMatrix, seed: int = 0) -
         z = np.zeros(space.n, complex)
         z[0] = np.sqrt(1 - t)
         b = abs(berezin(space, A, z))
-        v = space.kernel_coeffs(z)
+        v = space.kernel_coeffs(z)[0]
         v = v / np.linalg.norm(v)
-        off = 0.0
-        for _ in range(6):
-            w = _nearby_candidates(dom, z, rng, 1)[0]
-            if straight_chord_upper(dom, z, w) >= 2.0:
-                continue
-            u = space.kernel_coeffs(w)
-            u = u / np.linalg.norm(u)
-            off = max(off, abs(np.vdot(v, A.matrix @ u)))
+        ws = np.array([_nearby_candidates(dom, z, rng, 1)[0] for _ in range(6)])
+        U = space.kernel_coeffs(ws[straight_chord_upper(dom, z, ws) < 2.0])
+        U = U / np.linalg.norm(U, axis=1, keepdims=True)
+        off = float(np.max(np.abs(np.conj(v) @ A.matrix @ U.T), initial=0.0))
         berezin_by_depth.append(b)
         offdiag_by_depth.append(off)
 

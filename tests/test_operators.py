@@ -198,6 +198,18 @@ def test_hankel_conjugate_oracle(sp8):
     assert res["commutator_norm"] == pytest.approx(1 / np.sqrt(2), abs=1e-9)
 
 
+@pytest.mark.parametrize("n, N", [(1, 8), (1, 14), (2, 4)])
+def test_hankel_norms_to_rounding_on_the_exact_gram_factor(n, N):
+    # H of a holomorphic symbol vanishes and H of conj z1 has norm
+    # 1/sqrt(n + 1); a 1e-13 jitter on the Gram matrix read 5.5e-12 for the
+    # constant and 7.1e-14 below 1/sqrt(2) for conj z1 at (1, 8)
+    sp = build_galerkin(n, N)
+    for f in (lambda w: np.ones(len(w)), lambda w: w[:, 0] ** 2):
+        assert hankel_and_commutator(sp, f)["hankel_norm"] <= 1e-12
+    top = hankel_and_commutator(sp, lambda w: np.conj(w[:, 0]))["hankel_norm"]
+    assert abs(top - 1 / np.sqrt(n + 1)) <= 1e-14
+
+
 # -- Berezin -----------------------------------------------------------------------
 
 
@@ -540,6 +552,120 @@ def test_vanishing_oscillation_kernel_decay(disc1):
         vals.append(res["estimate"])
     assert vals[-1] <= 0.3 * vals[0]
     assert vals[-1] <= 0.05
+
+
+# -- point sets against the per-point routes ------------------------------------------
+
+
+def _kernel_row_reference(sp, z):
+    """One point's truncated normalized kernel, as the per-point route computed it."""
+    from berglab.kernel import EXACT_BALL, kernel_eval
+
+    kzz = float(np.real(kernel_eval(sp.ball, EXACT_BALL, z, z.reshape(1, -1))[0]))
+    return np.conj(sp.basis_eval(z.reshape(1, -1))[0]) / np.sqrt(kzz)
+
+
+def _ball_points(n, m, seed, rmax=0.999):
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+    return z * rng.uniform(0.0, rmax, (m, 1)) / np.linalg.norm(z, axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("n, N", [(1, 8), (1, 48), (2, 6)])
+def test_kernel_coeffs_rows_do_not_depend_on_the_batch(n, N):
+    sp = build_galerkin(n, N)
+    Z = _ball_points(n, 3000, seed=N)
+    rows = sp.kernel_coeffs(Z)
+    assert rows.shape == (3000, sp.dim) and rows.nbytes > 256 * 1024
+    for i in range(0, 3000, 20):
+        single = sp.kernel_coeffs(Z[i])
+        assert single.shape == (1, sp.dim)
+        assert rows[i].tobytes() == single.tobytes() == _kernel_row_reference(sp, Z[i]).tobytes()
+
+
+@pytest.mark.parametrize("n, N", [(1, 8), (1, 48), (2, 6)])
+def test_truncation_mass_closed_form_matches_kernel_sum(n, N):
+    sp = build_galerkin(n, N)
+    Z = _ball_points(n, 60, seed=N + 1)
+    direct = np.sum(np.abs(sp.kernel_coeffs(Z)) ** 2, axis=1)
+    closed = np.array([sp.truncation_mass(z) for z in Z])
+    # seen: 2.7e-14 relative at (1, 48)
+    assert np.max(np.abs(closed / direct - 1.0)) <= 1e-12
+
+
+def _oscillation_sups_reference(dom, f, pair_samples, seed, shells):
+    """The per-partner loop: the symbol read at one partner at a time."""
+    from berglab.operators import _nearby_candidates, _shell_point
+
+    rng = np.random.default_rng(seed)
+    sups = []
+    for k in range(shells[0], shells[1] + 1):
+        sup_k = 0.0
+        for _ in range(pair_samples):
+            z = _shell_point(dom, 2.0**-k, rng)
+            fz = complex(f(z.reshape(1, -1))[0])
+            ws = _nearby_candidates(dom, z, rng, 12)
+            for w in ws[straight_chord_upper(dom, z, ws) <= 1.0]:
+                sup_k = max(sup_k, abs(fz - complex(f(w.reshape(1, -1))[0])))
+        sups.append(sup_k)
+    return np.asarray(sups)
+
+
+def test_oscillation_profile_matches_per_partner_loop(disc1):
+    symbols = [
+        cutoff_family(disc1, "phi", t=0.3, delta=0.4),
+        cutoff_family(disc1, "lambda", t=0.1, delta=0.5),
+        lambda pts: (np.angle(pts[:, 0]) > 0).astype(float),
+    ]
+    for f in symbols:
+        prof = oscillation_profile(disc1, f, pair_samples=4, seed=5, shells=(2, 8))
+        assert prof.shell_sup.tobytes() == _oscillation_sups_reference(disc1, f, 4, 5, (2, 8)).tobytes()
+
+
+@pytest.mark.parametrize("n, N", [(1, 48), (2, 6)])
+def test_discrete_sum_matches_rank_one_loop(n, N):
+    sp = build_galerkin(n, N)
+    pts = _ball_points(n, 400, seed=7, rmax=0.95)
+    c = np.random.default_rng(8).standard_normal(400) + 0j
+    ref = np.zeros((sp.dim, sp.dim), complex)
+    for ci, z in zip(c, pts):
+        u = _kernel_row_reference(sp, z)
+        ref += ci * np.outer(u, np.conj(u))
+    # seen: 7.6e-15 at (1, 48), where the largest entry is 6.06
+    assert np.max(np.abs(discrete_sum_matrix(sp, pts, c).matrix - ref)) <= 64 * np.finfo(float).eps * np.max(np.abs(ref))
+
+
+def _compactness_profiles_reference(sp, A, depths, seed):
+    """Berezin and off-diagonal profiles with one kernel vector per partner."""
+    from berglab.operators import _nearby_candidates
+
+    rng = np.random.default_rng(seed)
+    ber, off = [], []
+    for t in depths:
+        z = np.zeros(sp.n, complex)
+        z[0] = np.sqrt(1 - t)
+        v = _kernel_row_reference(sp, z)
+        ber.append(abs(complex(np.vdot(v, A.matrix @ v) / float(np.sum(np.abs(v) ** 2)))))
+        v = v / np.linalg.norm(v)
+        best = 0.0
+        for _ in range(6):
+            w = _nearby_candidates(sp.ball, z, rng, 1)[0]
+            if straight_chord_upper(sp.ball, z, w) < 2.0:
+                u = _kernel_row_reference(sp, w)
+                best = max(best, abs(np.vdot(v, A.matrix @ (u / np.linalg.norm(u)))))
+        off.append(best)
+    return ber, off
+
+
+@pytest.mark.parametrize("n, N", [(1, 8), (1, 14), (2, 12)])
+def test_compactness_report_matches_per_partner_loop(n, N):
+    sp = build_galerkin(n, N)
+    bump = toeplitz_matrix(sp, lambda w: np.clip(1 - 4 * np.sum(np.abs(w) ** 2, axis=1), 0, 1))
+    for A, seed in ((identity_operator(sp), 0), (bump, 1)):
+        rep = compactness_report(sp, A, seed=seed)
+        ber, off = _compactness_profiles_reference(sp, A, rep["depths"], seed)
+        assert rep["berezin"] == ber
+        assert np.max(np.abs(np.array(rep["offdiag"]) - off)) <= 16 * np.finfo(float).eps
 
 
 # -- persistence ---------------------------------------------------------------------------
